@@ -25,12 +25,9 @@ from .probability import (
     marginal,
 )
 from .mtypes import (
-    ConditionalType,
     SymbolVector,
     TypeTable,
-    conditional_type,
     empirical_type,
-    enumerate_cond_types,
     is_jointly_typical,
     is_typical,
     joint_type,

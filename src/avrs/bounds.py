@@ -16,13 +16,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InfeasibleDistortionError, UsageError
 from .games import BilinearGame, GameResult, solve_bilinear_game
 from .model import AuxiliaryPolicy, ProblemSpec
-from .mtypes import TYPE_TOL, TypeTable
+from .mtypes import TYPE_TOL, TypeTable, compositions
 from .probability import entropy_bits
 
 __all__ = [
@@ -78,17 +79,8 @@ def simplex_lattice(dim: int, step: float) -> np.ndarray:
     """All points of the step-lattice on the probability simplex, in
     lexicographic order of their integer coordinates."""
     m = round(1.0 / step)
-    points = [np.array(c, dtype=np.float64) / m for c in _compositions(m, dim)]
+    points = [np.array(c, dtype=np.float64) / m for c in compositions(m, dim)]
     return np.stack(points)
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def simplex_window(center: np.ndarray, step: float, radius: float) -> np.ndarray:
@@ -136,6 +128,13 @@ def column_product(column_grids: list[np.ndarray], max_candidates: int) -> np.nd
         reps_before = math.prod(sizes[:c])
         out[:, c, :] = np.tile(np.repeat(g, reps_after, axis=0), (reps_before, 1))
     return out
+
+
+def _refine_window(center: np.ndarray, grid: GridConfig) -> np.ndarray:
+    """Kernels on the refine-step lattice within one coarse step of
+    ``center`` in every row: the neighbourhood of one refinement pass."""
+    cols = [simplex_window(row, grid.refine_step, grid.coarse_step) for row in center]
+    return column_product(cols, grid.max_candidates)
 
 
 def _cmi_uyz(p: np.ndarray) -> np.ndarray:
@@ -343,16 +342,6 @@ class RateBoundSolver:
 
     # -- helpers ------------------------------------------------------------
 
-    def _local_policies(self, center: np.ndarray) -> np.ndarray:
-        g = self.grid
-        cols = [simplex_window(center[y], g.refine_step, g.coarse_step) for y in range(center.shape[0])]
-        return column_product(cols, g.max_candidates)
-
-    def _local_jammers(self, center: np.ndarray) -> np.ndarray:
-        g = self.grid
-        cols = [simplex_window(center[x], g.refine_step, g.coarse_step) for x in range(center.shape[0])]
-        return column_product(cols, g.max_candidates)
-
     def _uncertainty(self, refined: float, coarse: float) -> float:
         g = self.grid
         step = g.refine_step if g.refine else g.coarse_step
@@ -382,7 +371,7 @@ class RateBoundSolver:
         best_f = int(np.argmax(feas[p0]))
         value = v0
         if self.grid.refine:
-            local = self._local_policies(best_p)
+            local = _refine_window(best_p, self.grid)
             feas_local = self._max_e_over_jammers(local) <= distortion + DISTORTION_TOL
             ok = feas_local.any(axis=1)
             info_local = self._info_matrix(local, self._q_candidates)
@@ -395,7 +384,7 @@ class RateBoundSolver:
                 q_inc = self._q_candidates[int(np.argmax(info_local[p1]))]
             else:
                 q_inc = self._q_candidates[int(np.argmax(self.info_matrix[p0]))]
-            q_local = self._local_jammers(q_inc)
+            q_local = _refine_window(q_inc, self.grid)
             inner_vals = self._info_matrix(best_p[None], q_local)[0]
             value = max(value, float(inner_vals.max()))
             q_worst = q_local[int(np.argmax(inner_vals))]
@@ -429,7 +418,7 @@ class RateBoundSolver:
         p_inc_idx = int(np.argmin(np.where(feas[:, n0], self.info_matrix[:, n0], np.inf)))
         best_p = self._p_candidates[p_inc_idx]
         if self.grid.refine:
-            q_local = self._local_jammers(best_q)
+            q_local = _refine_window(best_q, self.grid)
             feas_ql = self._min_e_over_zeta(self._p_candidates, q_local) <= distortion + DISTORTION_TOL
             info_ql = self._info_matrix(self._p_candidates, q_local)
             inner_ql = np.where(feas_ql, info_ql, np.inf).min(axis=0)
@@ -442,7 +431,7 @@ class RateBoundSolver:
                 p_idx = int(np.argmin(np.where(feas_ql[:, n1], info_ql[:, n1], np.inf)))
                 best_p = self._p_candidates[p_idx]
             # polish the cooperative side at the chosen jammer
-            p_local = self._local_policies(best_p)
+            p_local = _refine_window(best_p, self.grid)
             feas_pl = self._min_e_over_zeta(p_local, best_q[None])[:, 0] <= distortion + DISTORTION_TOL
             if feas_pl.any():
                 info_pl = self._info_matrix(p_local, best_q[None])[:, 0]
@@ -560,11 +549,7 @@ def per_type_rates(
     n0 = int(np.argmin(vals))
     best = float(vals[n0])
     if grid.refine:
-        cols = [
-            simplex_window(q_arr[n0][x], grid.refine_step, grid.coarse_step)
-            for x in range(spec.x_alphabet.size)
-        ]
-        q_local = column_product(cols, grid.max_candidates)
+        q_local = _refine_window(q_arr[n0], grid)
         mask_l = consistent(q_local)
         if mask_l.any():
             vals_l = np.where(mask_l, info_uz(q_local), np.inf)
@@ -608,7 +593,7 @@ def _strategy_dict(point: _RatePoint) -> dict:
 
 def compute_bound_report(
     spec: ProblemSpec,
-    d_values: list[float] | tuple[float, ...] | np.ndarray,
+    d_values: list[float] | tuple[float, ...] | np.ndarray | Callable[[float, float], list[float]],
     grid: GridConfig | None = None,
     u_size_upper: int | None = None,
     u_size_lower: int | None = None,
@@ -617,10 +602,13 @@ def compute_bound_report(
     """Evaluate both rate bounds over a distortion sweep.
 
     Points below the reachable floor are reported as infeasible rather than
-    aborting the sweep.
+    aborting the sweep.  ``d_values`` may instead be a function of the floors
+    (d0, d1) that returns the levels, for a sweep placed between them.
     """
     g0 = minimax_distortion_game(spec, True, iterations=game_iterations)
     g1 = minimax_distortion_game(spec, False, iterations=game_iterations)
+    if callable(d_values):
+        d_values = d_values(g0.value, g1.value)
     size_u = u_size_upper or spec.xhat_alphabet.size ** spec.z_alphabet.size
     size_l = u_size_lower or spec.y_alphabet.size + 1
     solver_u = RateBoundSolver(spec, size_u, grid, game_iterations)

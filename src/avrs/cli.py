@@ -45,7 +45,7 @@ from .lemmas import (
 from .model import load_policy, load_problem_spec
 from .mtypes import SymbolVector, nearest_type
 from .probability import CondDistribution
-from .rng import derive_seed, philox_stream
+from .rng import derive_seed, philox_stream, sample_indices
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -147,28 +147,22 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     )
     if args.d_grid is not None:
         d_values = [float(v) for v in args.d_grid.split(",") if v.strip() != ""]
+    elif args.d_points > 0:
+
+        def d_values(lo: float, hi: float) -> list[float]:
+            fracs = np.linspace(0.3, 0.9, args.d_points)
+            return [float(lo + f * (hi - lo)) for f in fracs]
+
     else:
-        d_values = None
+        d_values = []
     report = compute_bound_report(
         spec,
-        d_values if d_values is not None else [],
+        d_values,
         grid,
         u_size_upper=args.u_upper,
         u_size_lower=args.u_lower,
         game_iterations=args.game_iterations,
     )
-    if d_values is None and args.d_points > 0:
-        lo, hi = report.d0, report.d1
-        fracs = np.linspace(0.3, 0.9, args.d_points)
-        d_values = [float(lo + f * (hi - lo)) for f in fracs]
-        report = compute_bound_report(
-            spec,
-            d_values,
-            grid,
-            u_size_upper=args.u_upper,
-            u_size_lower=args.u_lower,
-            game_iterations=args.game_iterations,
-        )
     meta = _metadata("bounds", args, skip=())
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,16 +205,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _coding_config(args, spec, policy)
     jammers = _resolve_jammers(args.jammers, spec, config, args.n, args.seed, args.search_budget)
     family = CodebookFamily(config)
-    cdf = np.cumsum(spec.p_x.mass)
-    cdf[-1] = 1.0
 
     def one(task: tuple[int, int]) -> tuple:
         jam_id, trial = task
         s = derive_seed(args.seed, "trial", jam_id, trial)
-        x = SymbolVector(
-            spec.x_alphabet,
-            np.searchsorted(cdf, philox_stream(s, "x").random(args.n), side="right"),
-        )
+        draw = sample_indices(philox_stream(s, "x"), spec.p_x.mass, args.n)
+        x = SymbolVector(spec.x_alphabet, draw)
         rep = simulate_session(x, jammers[jam_id], config, s, family=family)
         return (args.n, jam_id, rep.distortion, rep.e_enc, rep.e_dec1, rep.e_dec2)
 

@@ -34,7 +34,7 @@ from .mtypes import (
     valid_jammer_types,
 )
 from .probability import Alphabet, Distribution
-from .rng import derive_seed, philox_key, philox_stream
+from .rng import derive_seed, philox_key, philox_stream, sample_indices
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -168,14 +168,10 @@ class CodebookFamily:
         p_u = t_y.probabilities @ p_uy
         encoder_target = (t_y.probabilities[:, None] * p_uy).T
         jam_types = valid_jammer_types(t_y, spec, params.f_eps, n)
-        if jam_types:
-            stack = np.stack([t.matrix() for t in jam_types])
-            targets = np.einsum(
-                "x,mxj,xjyz,yu->muz", spec.p_x.mass, stack, spec.w.kernel, p_uy, optimize=True
-            )
-            targets = np.unique(np.round(targets, 12), axis=0)
-        else:
-            targets = np.zeros((0, p_uy.shape[1], spec.z_alphabet.size))
+        targets = np.einsum(
+            "x,mxj,xjyz,yu->muz", spec.p_x.mass, jam_types, spec.w.kernel, p_uy, optimize=True
+        )
+        targets = np.unique(np.round(targets, 12), axis=0)
         data = _TypeData(
             t_y,
             n,
@@ -341,6 +337,16 @@ def decoder_membership(
     return dev.min(axis=1) <= gamma + TYPE_TOL
 
 
+def _list_decode(m: int, z: SymbolVector, cb: Codebook, gamma: float) -> tuple[np.ndarray, int]:
+    """Decoder list of bin m and the decoded codeword's global index: the
+    unique list member, else the bin's first codeword."""
+    member = decoder_membership(m, z, cb, gamma)
+    first = m * cb.bin_size
+    if int(member.sum()) == 1:
+        return member, first + int(np.argmax(member))
+    return member, first
+
+
 def decode(
     m: int,
     z: SymbolVector,
@@ -368,12 +374,7 @@ def decode(
         params = CodingParams(eps=cb.eps, f_eps=f_eps, size_cap=cfg.params.size_cap)
         family = CodebookFamily(SessionConfig(spec, policy, params, cfg.grid))
         cb = family.codebook(t_y, cb.seed)
-    member = decoder_membership(m, z, cb, gamma)
-    idx = cb.bin_indices(m)
-    if int(member.sum()) == 1:
-        g = int(idx[int(np.argmax(member))])
-    else:
-        g = int(idx[0])
+    _, g = _list_decode(m, z, cb, gamma)
     return SymbolVector(cb.u_alphabet, cb.matrix()[g])
 
 
@@ -452,18 +453,13 @@ def simulate_session(
         code_seed = derive_seed(seed, "code")
     cb = family.codebook(t_y, code_seed)
     enc = encode(y, cb, params.delta2, philox_stream(seed, "encoder"))
-    member = decoder_membership(enc.bin_index, z, cb, params.gamma)
-    idx = cb.bin_indices(enc.bin_index)
-    if int(member.sum()) == 1:
-        g_dec = int(idx[int(np.argmax(member))])
-    else:
-        g_dec = int(idx[0])
+    member, g_dec = _list_decode(enc.bin_index, z, cb, params.gamma)
     u_decoded = SymbolVector(cb.u_alphabet, cb.matrix()[g_dec])
-    g_enc = enc.codeword_index[0] * cb.bin_size + enc.codeword_index[1]
+    local = enc.codeword_index[1]
+    g_enc = enc.bin_index * cb.bin_size + local
     u_encoded = SymbolVector(cb.u_alphabet, cb.matrix()[g_enc])
     x_hat = reconstruct(u_decoded, z, policy.zeta)
     distortion = float(spec.d.entries[x.symbols, x_hat.symbols].mean())
-    local = g_enc - idx[0]
     e_dec1 = not bool(member[local])
     e_dec2 = bool(member.sum() - int(member[local]) > 0)
     message_bits = math.ceil(math.log2(cb.num_bins)) if cb.num_bins > 1 else 0
@@ -493,14 +489,11 @@ def sample_typical_sources(
 ) -> list[SymbolVector]:
     """Draw i.i.d. source blocks conditioned on delta0-typicality."""
     gen = philox_stream(seed, "sources")
-    cdf = np.cumsum(spec.p_x.mass)
-    cdf[-1] = 1.0
     out: list[SymbolVector] = []
     for _ in range(max_tries):
         if len(out) == count:
             break
-        draw = np.searchsorted(cdf, gen.random(n), side="right").astype(np.int64)
-        x = SymbolVector(spec.x_alphabet, draw)
+        x = SymbolVector(spec.x_alphabet, sample_indices(gen, spec.p_x.mass, n))
         if is_typical(x, spec.p_x, delta0):
             out.append(x)
     if len(out) < count:

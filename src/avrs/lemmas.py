@@ -30,7 +30,7 @@ from .mtypes import (
     type_template,
 )
 from .probability import CondDistribution, Distribution, entropy_bits
-from .rng import derive_seed, philox_stream
+from .rng import derive_seed, philox_stream, sample_indices
 
 __all__ = [
     "HarnessResult",
@@ -182,13 +182,11 @@ def run_packing(
         raise UsageError("trials must be >= 1")
     family = CodebookFamily(config)
     spec = config.spec
-    cdf = np.cumsum(spec.p_x.mass)
-    cdf[-1] = 1.0
     gen = philox_stream(seed, "packing-sources")
     false_candidates = 0
     effective = 0
     for t in range(trials):
-        x = SymbolVector(spec.x_alphabet, np.searchsorted(cdf, gen.random(n), side="right"))
+        x = SymbolVector(spec.x_alphabet, sample_indices(gen, spec.p_x.mass, n))
         report = simulate_session(x, jammer, config, derive_seed(seed, "trial", t), family=family)
         if report.e_enc:
             continue
@@ -222,12 +220,10 @@ def run_markov_conclusion(
     nx, nj = spec.x_alphabet.size, spec.j_alphabet.size
     ny, nz = spec.y_alphabet.size, spec.z_alphabet.size
     nu = policy.u_size
-    cdf = np.cumsum(spec.p_x.mass)
-    cdf[-1] = 1.0
     gen = philox_stream(seed, "markov-sources")
     violations = 0
     for t in range(trials):
-        x = SymbolVector(spec.x_alphabet, np.searchsorted(cdf, gen.random(n), side="right"))
+        x = SymbolVector(spec.x_alphabet, sample_indices(gen, spec.p_x.mass, n))
         report = simulate_session(x, jammer, config, derive_seed(seed, "trial", t), family=family)
         xs, js = report.x.symbols, report.j.symbols
         ys, zs, us = report.y.symbols, report.z.symbols, report.u_encoded.symbols

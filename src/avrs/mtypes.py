@@ -7,10 +7,8 @@ compared against a target distribution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -24,24 +22,24 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "SymbolVector",
     "TypeTable",
-    "ConditionalType",
     "compositions",
     "empirical_type",
     "joint_type",
-    "conditional_type",
     "nearest_type",
     "type_template",
     "linf_deviation",
     "is_typical",
     "is_jointly_typical",
-    "enumerate_cond_types",
-    "count_cond_types",
     "valid_jammer_types",
 ]
 
 # Absolute slack for threshold comparisons, so an exactly-attained bound is
 # never lost to float rounding.
 TYPE_TOL = 1e-12
+
+# Largest number of distinct jammer conditional types enumerated at one
+# blocklength before giving up with EnumerationTooLargeError.
+MAX_JAMMER_TYPES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -105,67 +103,6 @@ class TypeTable:
         return hash(self.key())
 
 
-@dataclass(frozen=True)
-class ConditionalType:
-    """A blocklength-realizable conditional type T(j | x).
-
-    ``rows[x]`` holds integer counts with denominator ``given_counts[x]``.  A
-    conditioning symbol that never occurs leaves its row unconstrained, stored
-    as ``None``; such rows act as wildcards until completed.
-    """
-
-    given_counts: tuple[int, ...]
-    rows: tuple[tuple[int, ...] | None, ...]
-    out_size: int
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.given_counts):
-            raise UsageError("row list and conditioning counts differ in length")
-        for cx, row in zip(self.given_counts, self.rows):
-            if cx == 0:
-                if row is not None:
-                    raise UsageError("zero-count conditioning symbol must have a wildcard row")
-                continue
-            if row is None or len(row) != self.out_size or sum(row) != cx:
-                raise UsageError("conditional type row does not match its denominator")
-
-    @property
-    def has_wildcards(self) -> bool:
-        return any(r is None for r in self.rows)
-
-    def matrix(self) -> np.ndarray:
-        """Row-stochastic float matrix; requires all rows defined."""
-        if self.has_wildcards:
-            raise UsageError("conditional type has unconstrained rows; complete it first")
-        return np.array(
-            [np.asarray(r, dtype=np.float64) / c for r, c in zip(self.rows, self.given_counts)]
-        )
-
-    def key(self) -> tuple:
-        parts = []
-        for cx, row in zip(self.given_counts, self.rows):
-            if row is None:
-                parts.append(None)
-            else:
-                parts.append(tuple(Fraction(v, cx) for v in row))
-        return tuple(parts)
-
-    def completions(self, denominator: int) -> Iterator["ConditionalType"]:
-        """Fill every wildcard row with a count row of the given denominator."""
-        if not self.has_wildcards:
-            yield self
-            return
-        wild = [i for i, r in enumerate(self.rows) if r is None]
-        options = list(compositions(denominator, self.out_size))
-        for combo in itertools.product(options, repeat=len(wild)):
-            rows = list(self.rows)
-            counts = list(self.given_counts)
-            for i, row in zip(wild, combo):
-                rows[i] = row
-                counts[i] = denominator
-            yield ConditionalType(tuple(counts), tuple(rows), self.out_size)
-
-
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` non-negative integers summing to ``total``."""
     if parts == 1:
@@ -189,21 +126,6 @@ def joint_type(x: SymbolVector, y: SymbolVector) -> TypeTable:
     flat = x.symbols * y.alphabet.size + y.symbols
     counts = np.bincount(flat, minlength=x.alphabet.size * y.alphabet.size)
     return TypeTable(counts.reshape(x.alphabet.size, y.alphabet.size), len(x))
-
-
-def conditional_type(x: SymbolVector, y: SymbolVector) -> ConditionalType:
-    """The conditional type T(x | y); rows for unseen y symbols are wildcards."""
-    if len(x) != len(y):
-        raise UsageError(f"conditional type of sequences with lengths {len(x)} != {len(y)}")
-    jt = joint_type(x, y).counts  # axes (x, y)
-    y_counts = jt.sum(axis=0)
-    rows: list[tuple[int, ...] | None] = []
-    for b in range(y.alphabet.size):
-        if y_counts[b] == 0:
-            rows.append(None)
-        else:
-            rows.append(tuple(int(v) for v in jt[:, b]))
-    return ConditionalType(tuple(int(v) for v in y_counts), tuple(rows), x.alphabet.size)
 
 
 def nearest_type(p: np.ndarray, n: int) -> TypeTable:
@@ -253,77 +175,64 @@ def is_jointly_typical(
     return linf_deviation(joint_type(x, y), p_xy.mass) <= eps + TYPE_TOL
 
 
-def enumerate_cond_types(
-    n: int, x_counts: tuple[int, ...] | list[int], j_alphabet: Alphabet
-) -> list[ConditionalType]:
-    """All conditional types T(j | x) realizable at blocklength ``n`` for the
-    given per-symbol counts of x.  Unseen symbols yield one wildcard row."""
-    x_counts = tuple(int(c) for c in x_counts)
-    if sum(x_counts) != n:
-        raise UsageError(f"x counts sum to {sum(x_counts)}, expected n={n}")
-    per_row: list[list[tuple[int, ...] | None]] = []
-    for c in x_counts:
-        if c == 0:
-            per_row.append([None])
-        else:
-            per_row.append(list(compositions(c, j_alphabet.size)))
-    out = []
-    for combo in itertools.product(*per_row):
-        out.append(ConditionalType(x_counts, tuple(combo), j_alphabet.size))
-    return out
-
-
-def count_cond_types(x_counts: tuple[int, ...] | list[int], j_size: int) -> int:
-    """Closed-form size of :func:`enumerate_cond_types` via compositions."""
-    total = 1
-    for c in x_counts:
-        total *= math.comb(int(c) + j_size - 1, j_size - 1)
-    return total
 
 
 def valid_jammer_types(
-    t_y: TypeTable,
-    spec: "ProblemSpec",
-    f_eps: float,
-    n: int,
-    max_tables: int = 2_000_000,
-) -> list[ConditionalType]:
-    """Conditional jammer types whose induced Y-marginal is close to ``t_y``.
+    t_y: TypeTable, spec: "ProblemSpec", f_eps: float, n: int
+) -> np.ndarray:
+    """Conditional jammer types T(j | x) whose induced Y-marginal is close to ``t_y``.
 
-    Enumerates every conditional type realizable at blocklength ``n`` (all
-    splits of n over the source alphabet), completes wildcard rows on the
-    denominator-n grid, and keeps tables T with
-    || [P_X T W]_Y - t_y ||_inf <= f_eps.  An empty result is legal.
+    A table is realizable at blocklength ``n`` when some split (c_x) of n over
+    the source alphabet puts row x on the denominator-c_x grid; a symbol with
+    c_x = 0 leaves its row free, completed on the denominator-n grid.  Rows are
+    held in lowest terms, so row x may be any row whose denominator divides
+    c_x (n when c_x = 0).  Returns the distinct tables T with
+    || [P_X T W]_Y - t_y ||_inf <= f_eps as an (M, |X|, |J|) array; M = 0 is
+    legal.
     """
     if f_eps < 0:
         raise UsageError("f_eps must be >= 0")
     x_size = spec.x_alphabet.size
-    j_size = spec.j_alphabet.size
     target = t_y.probabilities
     if target.shape != (spec.y_alphabet.size,):
         raise UsageError("t_y is not a type over the Y alphabet")
 
-    seen: dict[tuple, ConditionalType] = {}
-    matrices: list[np.ndarray] = []
-    for counts in compositions(n, x_size):
-        for ct in enumerate_cond_types(n, counts, spec.j_alphabet):
-            for complete in ct.completions(n):
-                key = complete.key()
-                if key in seen:
-                    continue
-                seen[key] = complete
-                matrices.append(complete.matrix())
-                if len(matrices) > max_tables:
-                    raise EnumerationTooLargeError(
-                        f"more than {max_tables} jammer conditional types at n={n}"
-                    )
+    # every rational row with denominator <= n, once, in lowest terms
+    numer = np.array(
+        [
+            row
+            for c in range(1, n + 1)
+            for row in compositions(c, spec.j_alphabet.size)
+            if math.gcd(*row) == 1
+        ],
+        dtype=np.int64,
+    )
+    denom = numer.sum(axis=1)
+    fits = [np.flatnonzero((c or n) % denom == 0) for c in range(n + 1)]
 
-    if not matrices:
-        return []
-    stack = np.stack(matrices)  # (M, |X|, |J|)
+    too_many = EnumerationTooLargeError(
+        f"more than {MAX_JAMMER_TYPES} jammer conditional types at n={n}"
+    )
+    # row-id tuples, deduplicated whenever their raw count passes the limit,
+    # so at most twice the limit is ever held
+    blocks: list[np.ndarray] = []
+    held = 0
+    for counts in compositions(n, x_size):
+        options = [fits[c] for c in counts]
+        size = math.prod(len(o) for o in options)
+        if size > MAX_JAMMER_TYPES:  # one split's tuples are all distinct tables
+            raise too_many
+        blocks.append(np.stack(np.meshgrid(*options, indexing="ij"), axis=-1).reshape(size, x_size))
+        held += size
+        if held > MAX_JAMMER_TYPES:
+            blocks = [np.unique(np.concatenate(blocks), axis=0)]
+            held = len(blocks[0])
+            if held > MAX_JAMMER_TYPES:
+                raise too_many
+    seen = np.unique(np.concatenate(blocks), axis=0)
+
+    tables = numer[seen] / denom[seen][..., None]  # (M, |X|, |J|)
     w_y = spec.w.y_marginal_kernel  # (|X|, |J|, |Y|)
-    margins = np.einsum("x,mxj,xjy->my", spec.p_x.mass, stack, w_y, optimize=True)
+    margins = np.einsum("x,mxj,xjy->my", spec.p_x.mass, tables, w_y, optimize=True)
     dev = np.abs(margins - target[None, :]).max(axis=1)
-    keep = dev <= f_eps + TYPE_TOL
-    tables = list(seen.values())
-    return [t for t, ok in zip(tables, keep) if ok]
+    return tables[dev <= f_eps + TYPE_TOL]

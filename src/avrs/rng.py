@@ -15,8 +15,6 @@ import numpy as np
 
 __all__ = ["derive_seed", "philox_key", "philox_stream", "sample_indices"]
 
-_MASK64 = (1 << 64) - 1
-
 
 def _encode(part: int | str) -> bytes:
     if isinstance(part, bool):
@@ -29,6 +27,14 @@ def _encode(part: int | str) -> bytes:
     raise TypeError(f"unsupported seed path component: {part!r}")
 
 
+def _digest(master: int, path: tuple[int | str, ...]) -> bytes:
+    """SHA-256 over the canonical encoding of ``master`` and ``path``."""
+    h = hashlib.sha256()
+    for part in (master, *path):
+        h.update(_encode(part))
+    return h.digest()
+
+
 def derive_seed(master: int, *path: int | str) -> int:
     """Derive a child seed from ``master`` and a label path.
 
@@ -36,20 +42,12 @@ def derive_seed(master: int, *path: int | str) -> int:
     stable across platforms and Python versions.  Distinct paths give
     independent streams.
     """
-    h = hashlib.sha256()
-    h.update(_encode(master))
-    for part in path:
-        h.update(_encode(part))
-    return int.from_bytes(h.digest()[:8], "little") & _MASK64
+    return int.from_bytes(_digest(master, path)[:8], "little")
 
 
 def philox_key(seed: int, *path: int | str) -> np.ndarray:
     """128-bit Philox key derived from ``seed`` and an optional label path."""
-    h = hashlib.sha256()
-    h.update(_encode(seed))
-    for part in path:
-        h.update(_encode(part))
-    return np.frombuffer(h.digest()[:16], dtype=np.uint64).copy()
+    return np.frombuffer(_digest(seed, path)[:16], dtype=np.uint64).copy()
 
 
 def philox_stream(seed: int, *path: int | str) -> np.random.Generator:

@@ -1,6 +1,7 @@
 """Independent oracles used by multiple test modules."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -74,3 +75,32 @@ def _try_supports(b, rows, cols):
     if np.any(row_values < v - 1e-9):
         return None
     return float(v)
+
+
+def jammer_types_oracle(n: int, x_size: int, j_size: int) -> set:
+    """Every conditional type T(j|x) realizable at blocklength n, as a set of
+    row tuples of exact Fractions.
+
+    Brute force straight from the definition: for each split (c_x) of n over
+    the source alphabet, row x runs over every count row summing to c_x,
+    read as counts / c_x; a symbol with c_x = 0 never occurs, so its row is
+    free and runs over every count row of n instead.
+    """
+    out = set()
+    for counts in _count_rows(n, x_size):
+        per_row = []
+        for c in counts:
+            denominator = c if c > 0 else n
+            rows = _count_rows(denominator, j_size)
+            per_row.append([tuple(Fraction(v, denominator) for v in row) for row in rows])
+        out.update(itertools.product(*per_row))
+    return out
+
+
+def _count_rows(total, parts):
+    """All tuples of ``parts`` non-negative integers summing to ``total``."""
+    return [
+        combo
+        for combo in itertools.product(range(total + 1), repeat=parts)
+        if sum(combo) == total
+    ]

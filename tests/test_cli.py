@@ -57,6 +57,21 @@ class TestBoundsCommand:
         assert float(row["R_upper"]) == 0.0
         assert float(row["R_lower"]) == 0.0
 
+    def test_auto_grid_between_floors(self, tmp_path):
+        rc = main(
+            [
+                "bounds", "--spec", SPEC, "--out-dir", str(tmp_path), "--d-points", "3",
+                "--coarse-step", "0.1", "--no-refine", "--u-upper", "2", "--u-lower", "2",
+            ]
+        )
+        assert rc == 0
+        doc = json.loads((tmp_path / "bounds.json").read_text())
+        lo, hi = doc["d0"], doc["d1"]
+        assert lo < hi
+        expected = [lo + f * (hi - lo) for f in np.linspace(0.3, 0.9, 3)]
+        assert [p["d"] for p in doc["points"]] == expected
+        assert [float(r["D"]) for r in read_rows(tmp_path / "bounds.csv")] == expected
+
     def test_malformed_spec_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"alphabets": {"x": 2}\n')

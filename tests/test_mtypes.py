@@ -1,21 +1,18 @@
-import itertools
-import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avrs.errors import UsageError
+import avrs.mtypes
+from avrs.errors import EnumerationTooLargeError, UsageError
+from avrs.model import load_problem_spec
 from avrs.mtypes import (
-    ConditionalType,
     SymbolVector,
     TypeTable,
     compositions,
-    conditional_type,
-    count_cond_types,
     empirical_type,
-    enumerate_cond_types,
     is_jointly_typical,
     is_typical,
     joint_type,
@@ -26,7 +23,15 @@ from avrs.mtypes import (
 )
 from avrs.probability import Alphabet, Distribution, JointDistribution
 
-from conftest import classical_spec, make_spec, xor_spec
+from conftest import (
+    classical_spec,
+    identity_z_spec,
+    make_spec,
+    structured_instance,
+    wz_spec,
+    xor_spec,
+)
+from oracles import jammer_types_oracle
 
 A2 = Alphabet("A", 2)
 A3 = Alphabet("A", 3)
@@ -73,14 +78,6 @@ class TestJointAndConditionalType:
     def test_length_mismatch(self):
         with pytest.raises(UsageError):
             joint_type(SymbolVector(A2, [0, 1]), SymbolVector(A2, [0, 1, 1]))
-
-    def test_conditional_rows_and_wildcards(self):
-        x = SymbolVector(A2, [0, 0, 1, 1])
-        y = SymbolVector(A2, [0, 0, 0, 0])
-        ct = conditional_type(x, y)
-        assert ct.rows[0] == (2, 2)
-        assert ct.rows[1] is None
-        assert ct.has_wildcards
 
 
 class TestTypicality:
@@ -141,54 +138,88 @@ class TestTypicality:
                     assert is_typical(x, pa, 2 * eps)
 
 
-class TestEnumerateCondTypes:
-    def test_single_j(self):
-        out = enumerate_cond_types(4, (2, 2), Alphabet("J", 1))
-        assert len(out) == 1
+def _three_jammer_spec():
+    """Binary source, |J| = 3: Y is X flipped at a jammer-chosen rate, Z blind."""
+    k = np.zeros((2, 3, 2, 1))
+    for x in range(2):
+        for j, flip in enumerate((0.05, 0.2, 0.4)):
+            k[x, j, x, 0] = 1 - flip
+            k[x, j, 1 - x, 0] = flip
+    return make_spec([0.3, 0.7], k, [[0, 1], [1, 0]])
 
-    def test_two_symbols_hand_enumeration(self):
-        out = enumerate_cond_types(2, (1, 1), Alphabet("J", 2))
-        assert len(out) == 4
-        keys = {tuple(t.rows) for t in out}
-        assert keys == {
-            ((1, 0), (1, 0)),
-            ((1, 0), (0, 1)),
-            ((0, 1), (1, 0)),
-            ((0, 1), (0, 1)),
-        }
 
-    def test_count_formula(self, rng):
-        aj = Alphabet("J", 2)
-        for n in range(1, 9):
-            counts = rng.multinomial(n, [0.5, 0.5])
-            got = enumerate_cond_types(n, tuple(counts), aj)
-            assert len(got) == count_cond_types(tuple(counts), 2)
+ORACLE_SPECS = {
+    "spec_binary": lambda: load_problem_spec(Path(__file__).parent / "data" / "spec_binary.json"),
+    "classical": classical_spec,
+    "xor": xor_spec,
+    "wz": wz_spec,
+    "identity_z": identity_z_spec,
+    "structured_x3": lambda: structured_instance(np.random.default_rng(3), nx=3),
+    "three_jammer_symbols": _three_jammer_spec,
+}
 
-    def test_wildcard_counts_once(self):
-        out = enumerate_cond_types(3, (0, 3), Alphabet("J", 2))
-        assert len(out) == count_cond_types((0, 3), 2) == 4
-        assert all(t.rows[0] is None for t in out)
 
-    def test_completions_fill_wildcards(self):
-        ct = enumerate_cond_types(2, (0, 2), Alphabet("J", 2))[0]
-        completed = list(ct.completions(2))
-        assert len(completed) == 3  # (2,0), (1,1), (0,2)
-        assert all(not c.has_wildcards for c in completed)
+def _oracle_tables(n: int, spec) -> np.ndarray:
+    """The Fraction oracle's tables as floats, (M, |X|, |J|); float() of a
+    Fraction rounds exactly as the float division of its terms."""
+    oracle = jammer_types_oracle(n, spec.x_alphabet.size, spec.j_alphabet.size)
+    return np.array([[[float(v) for v in row] for row in table] for table in oracle])
+
+
+def _consistent(tables: np.ndarray, spec, t_y, f_eps: float) -> np.ndarray:
+    """Oracle-side l-infinity filter on the induced Y-marginal."""
+    marg = np.einsum("x,mxj,xjy->my", spec.p_x.mass, tables, spec.w.y_marginal_kernel)
+    return tables[np.abs(marg - t_y.probabilities).max(axis=1) <= f_eps + 1e-12]
+
+
+def _keys(tables: np.ndarray) -> list:
+    return [tuple(t.ravel().tolist()) for t in tables]
 
 
 class TestValidJammerTypes:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_matches_fraction_oracle(self, name):
+        spec = ORACLE_SPECS[name]()
+        p_y = np.einsum(
+            "x,xy->y", spec.p_x.mass, spec.w.y_marginal_kernel.mean(axis=1)
+        )
+        for n in range(1, 13):
+            oracle = _oracle_tables(n, spec)
+            t_y = nearest_type(p_y, n)
+            for f_eps in (1.0, 0.1):
+                got = _keys(valid_jammer_types(t_y, spec, f_eps, n))
+                assert len(got) == len(set(got)), (name, n, "duplicate tables")
+                expected = set(_keys(_consistent(oracle, spec, t_y, f_eps)))
+                assert set(got) == expected, (name, n, f_eps)
+
     def test_f_eps_one_accepts_everything(self):
         spec = xor_spec()
         n = 4
         t_y = TypeTable(np.array([2, 2]), n)
         everything = valid_jammer_types(t_y, spec, 1.0, n)
-        # oracle: dedupe the completed enumeration independently
-        seen = set()
-        for counts in compositions(n, 2):
-            for ct in enumerate_cond_types(n, counts, spec.j_alphabet):
-                for c in ct.completions(n):
-                    seen.add(c.key())
-        assert len(everything) == len(seen)
+        assert set(_keys(everything)) == set(_keys(_oracle_tables(n, spec)))
+
+    def test_single_j(self):
+        spec = classical_spec()
+        for n in (1, 4, 7):
+            got = valid_jammer_types(TypeTable(np.array([n, 0]), n), spec, 1.0, n)
+            assert got.shape == (1, 2, 1)
+            assert np.array_equal(got[0], np.ones((2, 1)))
+
+    def test_two_symbols_hand_enumeration(self):
+        # n = 2: every row of each table lies on {0, 1/2, 1}, and any pair of
+        # such rows is realized by the split (0, 2) or (2, 0)
+        got = valid_jammer_types(TypeTable(np.array([1, 1]), 2), xor_spec(), 1.0, 2)
+        rows = [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
+        assert set(_keys(got)) == {a + b for a in rows for b in rows}
+
+    def test_unseen_symbol_row_on_denominator_n_grid(self):
+        # at n = 3 the row (1/3, 2/3) needs a symbol that takes all three
+        # positions or none, so it pairs with every row of denominator 3
+        got = valid_jammer_types(TypeTable(np.array([2, 1]), 3), xor_spec(), 1.0, 3)
+        third = [t for t in got.tolist() if t[0] == [1 / 3, 2 / 3]]
+        assert len(third) == 4
+        assert sorted(t[1][0] for t in third) == [0.0, 1 / 3, 2 / 3, 1.0]
 
     def test_identity_channel_threshold(self):
         # Y = X regardless of J: marginal is P_X for every jammer type
@@ -202,32 +233,38 @@ class TestValidJammerTypes:
         gap = abs(4 / 6 - 0.5)
         none = valid_jammer_types(t_y, spec, gap - 0.05, n)
         all_of_them = valid_jammer_types(t_y, spec, gap + 0.01, n)
-        assert none == []
-        assert len(all_of_them) > 0
+        assert none.shape == (0, 2, 2)
+        assert len(all_of_them) == len(jammer_types_oracle(n, 2, 2))
 
     def test_xor_membership_against_marginal_oracle(self):
         spec = xor_spec()
         n = 8
         t_y = TypeTable(np.array([5, 3]), n)
         f_eps = 0.2
-        got = {t.key() for t in valid_jammer_types(t_y, spec, f_eps, n)}
-        w_y = spec.w.y_marginal_kernel
-        checked = set()
-        for counts in compositions(n, 2):
-            for ct in enumerate_cond_types(n, counts, spec.j_alphabet):
-                for c in ct.completions(n):
-                    m = c.matrix()
-                    marg = np.einsum("x,xj,xjy->y", spec.p_x.mass, m, w_y)
-                    if np.abs(marg - t_y.probabilities).max() <= f_eps + 1e-12:
-                        checked.add(c.key())
+        got = set(_keys(valid_jammer_types(t_y, spec, f_eps, n)))
+        checked = set(_keys(_consistent(_oracle_tables(n, spec), spec, t_y, f_eps)))
         assert got == checked
 
     def test_monotone_in_f_eps(self):
         spec = xor_spec()
         t_y = TypeTable(np.array([5, 3]), 8)
-        small = {t.key() for t in valid_jammer_types(t_y, spec, 0.1, 8)}
-        large = {t.key() for t in valid_jammer_types(t_y, spec, 0.3, 8)}
+        small = set(_keys(valid_jammer_types(t_y, spec, 0.1, 8)))
+        large = set(_keys(valid_jammer_types(t_y, spec, 0.3, 8)))
         assert small <= large
+
+    def test_guard_raises_exactly_above_the_limit(self, monkeypatch):
+        spec = xor_spec()
+        n = 6
+        t_y = TypeTable(np.array([3, 3]), n)
+        total = len(jammer_types_oracle(n, 2, 2))
+        monkeypatch.setattr(avrs.mtypes, "MAX_JAMMER_TYPES", total)
+        assert len(valid_jammer_types(t_y, spec, 1.0, n)) == total
+        monkeypatch.setattr(avrs.mtypes, "MAX_JAMMER_TYPES", total - 1)
+        with pytest.raises(EnumerationTooLargeError):
+            valid_jammer_types(t_y, spec, 1.0, n)
+        # the filter never hides an oversized enumeration
+        with pytest.raises(EnumerationTooLargeError):
+            valid_jammer_types(t_y, spec, 0.0, n)
 
 
 class TestProperties:
