@@ -176,6 +176,28 @@ def _keys(tables: np.ndarray) -> list:
     return [tuple(t.ravel().tolist()) for t in tables]
 
 
+class TestEnumerateCondTypes:
+    """A symbol absent from x^n has an unconstrained row; the enumeration
+    fills it from the denominator-n grid and keeps each table once."""
+
+    def test_wildcard_counts_once(self):
+        # at n = 3 the row (1/3, 2/3) needs a symbol that takes all three
+        # positions or none, so it pairs with every row of denominator 3,
+        # each exactly once
+        got = valid_jammer_types(TypeTable(np.array([2, 1]), 3), xor_spec(), 1.0, 3)
+        third = [t for t in got.tolist() if t[0] == [1 / 3, 2 / 3]]
+        assert len(third) == 4
+        assert sorted(t[1][0] for t in third) == [0.0, 1 / 3, 2 / 3, 1.0]
+
+    def test_completions_fill_wildcards(self):
+        # at n = 2 the row (1/2, 1/2) for x = 1 forces counts (0, 2); the
+        # unseen x = 0 row completes to (1, 0), (1/2, 1/2) and (0, 1)
+        got = valid_jammer_types(TypeTable(np.array([1, 1]), 2), xor_spec(), 1.0, 2)
+        assert np.isfinite(got).all()
+        completed = [t[0] for t in got.tolist() if t[1] == [0.5, 0.5]]
+        assert sorted(completed) == [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
+
+
 class TestValidJammerTypes:
     @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
     def test_matches_fraction_oracle(self, name):
@@ -212,14 +234,6 @@ class TestValidJammerTypes:
         got = valid_jammer_types(TypeTable(np.array([1, 1]), 2), xor_spec(), 1.0, 2)
         rows = [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
         assert set(_keys(got)) == {a + b for a in rows for b in rows}
-
-    def test_unseen_symbol_row_on_denominator_n_grid(self):
-        # at n = 3 the row (1/3, 2/3) needs a symbol that takes all three
-        # positions or none, so it pairs with every row of denominator 3
-        got = valid_jammer_types(TypeTable(np.array([2, 1]), 3), xor_spec(), 1.0, 3)
-        third = [t for t in got.tolist() if t[0] == [1 / 3, 2 / 3]]
-        assert len(third) == 4
-        assert sorted(t[1][0] for t in third) == [0.0, 1 / 3, 2 / 3, 1.0]
 
     def test_identity_channel_threshold(self):
         # Y = X regardless of J: marginal is P_X for every jammer type
