@@ -9,7 +9,6 @@ maximization, so block strategies are kept deterministic.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 from .probability import Alphabet, CondDistribution
-from .mtypes import SymbolVector
+from .mtypes import SymbolVector, deterministic_maps
 from .rng import derive_seed, philox_stream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,14 +137,8 @@ def sample_jamming(
 
 def deterministic_jammer_family(spec) -> list[DeterministicJammer]:
     """All |J|^|X| symbolwise deterministic jammers, lexicographic order."""
-    nx = spec.x_alphabet.size
-    nj = spec.j_alphabet.size
-    out = []
-    for mapping in itertools.product(range(nj), repeat=nx):
-        out.append(
-            DeterministicJammer(mapping, spec.j_alphabet, f"det{list(mapping)}")
-        )
-    return out
+    maps = deterministic_maps(spec.x_alphabet.size, spec.j_alphabet.size).tolist()
+    return [DeterministicJammer(tuple(m), spec.j_alphabet, f"det{m}") for m in maps]
 
 
 def jammer_from_dict(doc: dict, spec, source: str = "<dict>") -> JammerStrategy:

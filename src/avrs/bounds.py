@@ -1,19 +1,19 @@
 """Single-letter minimax quantities: worst-case distortion floors, the
 jamming-robust rate bounds, and the per-type codebook rates.
 
-The distortion floors are bilinear games solved exactly up to a certified
-gap.  The rate bounds are nested optimizations in which the mutual
-information term is not concave in the jammer argument, so the inner
-adversary is handled by grid-plus-vertices search with one local refinement
-pass; every reported value carries a grid-resolution uncertainty equal to
-the observed refinement shift plus a step-resolution floor.  Distortion
-feasibility is checked only on deterministic jammers, which is exact because
-expected distortion is linear in the jamming kernel.
+The distortion floors are bilinear games solved exactly by the simplex
+method, each with a duality-gap certificate.  The rate bounds are nested
+optimizations in which the mutual information term is not concave in the
+jammer argument, so the inner adversary is handled by grid-plus-vertices
+search with one local refinement pass; every reported value carries a
+grid-resolution uncertainty equal to the observed refinement shift plus a
+step-resolution floor.  Distortion feasibility is checked only on
+deterministic jammers, which is exact because expected distortion is linear
+in the jamming kernel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EnumerationTooLargeError, InfeasibleDistortionError, UsageError
 from .games import BilinearGame, GameResult, solve_bilinear_game
 from .model import AuxiliaryPolicy, ProblemSpec
-from .mtypes import TYPE_TOL, TypeTable, compositions
+from .mtypes import TYPE_TOL, TypeTable, compositions, deterministic_maps
 from .probability import entropy_bits
 
 __all__ = [
@@ -154,22 +154,11 @@ def _mi_2d(p: np.ndarray) -> np.ndarray:
     return np.maximum(h_a + h_b - h_ab, 0.0)
 
 
-def deterministic_maps(domain: int, codomain: int) -> np.ndarray:
-    """All maps domain -> codomain as an integer array, lexicographic order."""
-    return np.array(list(itertools.product(range(codomain), repeat=domain)), dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # distortion floors
 
 
-def minimax_distortion_game(
-    spec: ProblemSpec,
-    observe_y: bool,
-    iterations: int = 8000,
-    rate: float | None = None,
-    tol: float = 1e-4,
-) -> GameResult:
+def minimax_distortion_game(spec: ProblemSpec, observe_y: bool) -> GameResult:
     """Estimator-vs-jammer expected distortion game.
 
     The estimator picks a pmf over reconstructions per observed context
@@ -190,17 +179,17 @@ def minimax_distortion_game(
     b = np.einsum("x,xjc,xh->chxj", spec.p_x.mass, w_ctx, spec.d.entries)
     matrix = b.reshape(n_ctx * nh, nx * nj)
     game = BilinearGame(matrix, (nh,) * n_ctx, (nj,) * nx)
-    return solve_bilinear_game(game, iterations=iterations, rate=rate, tol=tol)
+    return solve_bilinear_game(game)
 
 
-def d0(spec: ProblemSpec, iterations: int = 8000, tol: float = 1e-4) -> float:
+def d0(spec: ProblemSpec) -> float:
     """Minimax expected distortion when estimating from (Y, Z) jointly."""
-    return minimax_distortion_game(spec, True, iterations=iterations, tol=tol).value
+    return minimax_distortion_game(spec, True).value
 
 
-def d1(spec: ProblemSpec, iterations: int = 8000, tol: float = 1e-4) -> float:
+def d1(spec: ProblemSpec) -> float:
     """Minimax expected distortion when estimating from Z alone."""
-    return minimax_distortion_game(spec, False, iterations=iterations, tol=tol).value
+    return minimax_distortion_game(spec, False).value
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +219,12 @@ class RateBoundSolver:
         spec: ProblemSpec,
         u_size: int,
         grid: GridConfig | None = None,
-        game_iterations: int = 8000,
     ) -> None:
         if u_size < 1:
             raise UsageError("auxiliary alphabet size must be >= 1")
         self.spec = spec
         self.u_size = u_size
         self.grid = grid or GridConfig()
-        self.game_iterations = game_iterations
         self._zeta_maps = deterministic_maps(u_size * spec.z_alphabet.size, spec.xhat_alphabet.size)
         self._det_jammers = deterministic_maps(spec.x_alphabet.size, spec.j_alphabet.size)
         self._p_cache: np.ndarray | None = None
@@ -271,7 +258,7 @@ class RateBoundSolver:
     @property
     def d1_value(self) -> float:
         if self._d1_cache is None:
-            self._d1_cache = d1(self.spec, iterations=self.game_iterations)
+            self._d1_cache = d1(self.spec)
         return self._d1_cache
 
     def _info_matrix(self, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
@@ -597,7 +584,6 @@ def compute_bound_report(
     grid: GridConfig | None = None,
     u_size_upper: int | None = None,
     u_size_lower: int | None = None,
-    game_iterations: int = 8000,
 ) -> BoundReport:
     """Evaluate both rate bounds over a distortion sweep.
 
@@ -605,14 +591,14 @@ def compute_bound_report(
     aborting the sweep.  ``d_values`` may instead be a function of the floors
     (d0, d1) that returns the levels, for a sweep placed between them.
     """
-    g0 = minimax_distortion_game(spec, True, iterations=game_iterations)
-    g1 = minimax_distortion_game(spec, False, iterations=game_iterations)
+    g0 = minimax_distortion_game(spec, True)
+    g1 = minimax_distortion_game(spec, False)
     if callable(d_values):
         d_values = d_values(g0.value, g1.value)
     size_u = u_size_upper or spec.xhat_alphabet.size ** spec.z_alphabet.size
     size_l = u_size_lower or spec.y_alphabet.size + 1
-    solver_u = RateBoundSolver(spec, size_u, grid, game_iterations)
-    solver_l = RateBoundSolver(spec, size_l, grid, game_iterations)
+    solver_u = RateBoundSolver(spec, size_u, grid)
+    solver_l = RateBoundSolver(spec, size_l, grid)
     points = []
     for d_val in d_values:
         try:

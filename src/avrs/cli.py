@@ -161,7 +161,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         grid,
         u_size_upper=args.u_upper,
         u_size_lower=args.u_lower,
-        game_iterations=args.game_iterations,
     )
     meta = _metadata("bounds", args, skip=())
     out = Path(args.out_dir)
@@ -409,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--u-upper", type=int, default=None)
     p.add_argument("--u-lower", type=int, default=None)
-    p.add_argument("--game-iterations", type=int, default=8000)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="run coding sessions against jammers")

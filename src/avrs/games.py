@@ -1,19 +1,16 @@
-"""Solver for zero-sum games that are bilinear over products of simplices.
+"""Exact solver for zero-sum games that are bilinear over products of simplices.
 
-The maximizing player is handled by multiplicative weights over its finite
-set of deterministic strategies (the vertices of its product simplex); the
-minimizing player answers each round with an exact best response.  Averaged
-strategies certify an upper and a lower bound on the game value, and the
-reported duality gap is their difference, shrinking as O(sqrt(log K / T)).
-
-The inner loop is compiled with numba when available; the pure-numpy
-fallback runs the same algorithm.
+The maximizer's side of the game is a small linear program, solved by a
+dense-tableau simplex method with Bland's rule, which terminates in a finite
+number of pivots.  The minimizer's strategy is read from the dual.  Both
+strategies are normalised to per-block pmfs, and the value is certified
+from them against the original payoff: the minimizer's guarantee is an
+upper bound, the maximizer's a lower bound, and the reported duality gap is
+their difference (zero up to rounding).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +18,9 @@ import numpy as np
 from .errors import NumericError, UsageError
 
 __all__ = ["BilinearGame", "GameResult", "solve_bilinear_game"]
+
+# Pivot and optimality tolerance on the payoff scaled to [0, 1].
+_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,188 +48,95 @@ class BilinearGame:
         object.__setattr__(self, "min_blocks", tuple(self.min_blocks))
         object.__setattr__(self, "max_blocks", tuple(self.max_blocks))
 
-    def max_vertices(self) -> list[tuple[int, ...]]:
-        """Deterministic strategies of the maximizer, lexicographic order."""
-        return list(itertools.product(*(range(b) for b in self.max_blocks)))
-
-    def vertex_payoff_columns(self) -> np.ndarray:
-        """Matrix (dim_min, K): payoff of each min coordinate vs each vertex."""
-        offsets = np.cumsum((0,) + self.max_blocks[:-1])
-        cols = []
-        for vertex in self.max_vertices():
-            idx = [o + k for o, k in zip(offsets, vertex)]
-            cols.append(self.matrix[:, idx].sum(axis=1))
-        return np.ascontiguousarray(np.stack(cols, axis=1))
-
-    def payoff(self, sigma: list[np.ndarray], q: list[np.ndarray]) -> float:
-        s = np.concatenate([np.asarray(x, dtype=np.float64) for x in sigma])
-        t = np.concatenate([np.asarray(x, dtype=np.float64) for x in q])
-        return float(s @ self.matrix @ t)
-
 
 @dataclass(frozen=True)
 class GameResult:
     """Certified solve of a bilinear minimax game.
 
-    ``value`` is the level the minimizer's averaged strategy guarantees
-    (an upper certificate); ``duality_gap`` is the distance to the
-    maximizer's best lower certificate, so the true value lies within
-    ``duality_gap`` of ``value``.
+    ``value`` is the level the minimizer's strategy guarantees (an upper
+    certificate); ``duality_gap`` is the distance to the level the
+    maximizer's strategy guarantees, so the true value lies within
+    ``duality_gap`` of ``value``.  ``iterations`` counts simplex pivots.
     """
 
     value: float
     min_strategy: tuple[np.ndarray, ...]
-    max_strategy: np.ndarray  # weights over the maximizer's vertex set
+    max_strategy: tuple[np.ndarray, ...]
     duality_gap: float
     iterations: int
 
 
-def _mw_loop(bv, starts, sizes, iterations, rate, check_every, tol):
-    dim, num_v = bv.shape
-    nblocks = starts.shape[0]
-    logw = np.zeros(num_v)
-    q = np.zeros(num_v)
-    sigma_sum = np.zeros(dim)
-    q_sum = np.zeros(num_v)
-    chosen = np.zeros(nblocks, dtype=np.int64)
-
-    scale = 0.0
-    for v in range(num_v):
-        s = 0.0
-        for b in range(nblocks):
-            mx = 0.0
-            for i in range(starts[b], starts[b] + sizes[b]):
-                a = abs(bv[i, v])
-                if a > mx:
-                    mx = a
-            s += mx
-        if s > scale:
-            scale = s
-    if scale <= 0.0:
-        scale = 1.0
-    ln_v = math.log(num_v) if num_v > 1 else 1.0
-
-    best_u = np.inf
-    best_l = -np.inf
-    sigma_at_u = np.zeros(dim)
-    q_at_l = np.zeros(num_v)
-    done = 0
-
-    for t in range(1, iterations + 1):
-        m = logw[0]
-        for v in range(1, num_v):
-            if logw[v] > m:
-                m = logw[v]
-        total = 0.0
-        for v in range(num_v):
-            q[v] = math.exp(logw[v] - m)
-            total += q[v]
-        for v in range(num_v):
-            q[v] /= total
-            q_sum[v] += q[v]
-
-        # exact best response of the minimizer, block by block; ties go to
-        # the lexicographically smallest coordinate
-        for b in range(nblocks):
-            lo = starts[b]
-            hi = lo + sizes[b]
-            best_i = lo
-            best_c = 0.0
-            for i in range(lo, hi):
-                c = 0.0
-                for v in range(num_v):
-                    c += bv[i, v] * q[v]
-                if i == lo or c < best_c:
-                    best_c = c
-                    best_i = i
-            chosen[b] = best_i
-            sigma_sum[best_i] += 1.0
-
-        eta = rate if rate > 0.0 else min(math.sqrt(ln_v / t), 0.5) / scale
-        for v in range(num_v):
-            r = 0.0
-            for b in range(nblocks):
-                r += bv[chosen[b], v]
-            logw[v] += eta * r
-
-        done = t
-        if t % check_every == 0 or t == iterations:
-            inv = 1.0 / t
-            upper = -np.inf
-            for v in range(num_v):
-                s = 0.0
-                for i in range(dim):
-                    s += sigma_sum[i] * inv * bv[i, v]
-                if s > upper:
-                    upper = s
-            lower = 0.0
-            for b in range(nblocks):
-                lo = starts[b]
-                hi = lo + sizes[b]
-                mn = np.inf
-                for i in range(lo, hi):
-                    c = 0.0
-                    for v in range(num_v):
-                        c += bv[i, v] * q_sum[v] * inv
-                    if c < mn:
-                        mn = c
-                lower += mn
-            if upper < best_u:
-                best_u = upper
-                for i in range(dim):
-                    sigma_at_u[i] = sigma_sum[i] * inv
-            if lower > best_l:
-                best_l = lower
-                for v in range(num_v):
-                    q_at_l[v] = q_sum[v] * inv
-            if best_u - best_l <= tol:
-                break
-
-    return best_u, best_l, sigma_at_u, q_at_l, done
+def _block_pmfs(x: np.ndarray, blocks: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Normalise each block of a non-negative vector; an all-zero block
+    becomes uniform."""
+    parts = np.split(np.maximum(x, 0.0), np.cumsum(blocks)[:-1])
+    return tuple(p / p.sum() if p.sum() > 0 else np.full(p.size, 1.0 / p.size) for p in parts)
 
 
-try:  # pragma: no cover - exercised implicitly wherever numba is installed
-    from numba import njit
+def solve_bilinear_game(game: BilinearGame) -> GameResult:
+    """Solve min over sigma, max over q of sigma' M q exactly.
 
-    _mw_loop_fast = njit(cache=True)(_mw_loop)
-except ImportError:  # pragma: no cover
-    _mw_loop_fast = _mw_loop
+    With M' = M - min(M, 0) >= 0 (a shift of the value by a constant), the
+    maximizer solves
 
+        max sum_c s_c  s.t.  s_c(i) - (M' q)_i <= 0 for each min coordinate i,
+                             sum_{k in x} q_k <= 1 for each max block x,
+                             q, s >= 0,
 
-def solve_bilinear_game(
-    game: BilinearGame,
-    iterations: int = 200_000,
-    rate: float | None = None,
-    tol: float = 0.0,
-    check_every: int = 500,
-) -> GameResult:
-    """Approximate the minimax value of a bilinear simplex-product game.
-
-    ``rate`` overrides the default decreasing learning-rate schedule.  When
-    ``tol`` is positive the loop stops early once the certified gap falls
-    below it.
+    where c(i) is the min block of coordinate i.  Every right-hand side is
+    non-negative, so the slack basis is feasible and one phase suffices.
+    Bland's rule (lowest-index entering column, lowest basis index among
+    tied ratios) rules out cycling.  The minimizer's sigma is the dual
+    solution: the reduced costs of the first dim_min slacks.
     """
-    if iterations < 1:
-        raise UsageError("iterations must be >= 1")
-    bv = game.vertex_payoff_columns()
-    if not np.all(np.isfinite(bv)):
-        raise NumericError("game payoff evaluated to non-finite values")
-    sizes = np.asarray(game.min_blocks, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
-    best_u, best_l, sigma, q_weights, done = _mw_loop_fast(
-        bv,
-        starts,
-        sizes,
-        int(iterations),
-        float(rate) if rate is not None else 0.0,
-        int(check_every),
-        float(tol),
-    )
-    splits = np.cumsum(sizes)[:-1]
+    m = game.matrix
+    n_min, n_max = m.shape
+    n_c, n_x = len(game.min_blocks), len(game.max_blocks)
+    shifted = m - min(m.min(), 0.0)
+    if shifted.max() > 0:  # scale so that one tolerance fits every game
+        shifted = shifted / shifted.max()
+    rows = n_min + n_x
+    cols = n_max + n_c + rows
+    # tableau rows: constraints, then the objective row z - sum_c s_c = 0
+    t = np.zeros((rows + 1, cols + 1))
+    t[:n_min, :n_max] = -shifted
+    t[np.arange(n_min), n_max + np.repeat(np.arange(n_c), game.min_blocks)] = 1.0
+    t[n_min + np.repeat(np.arange(n_x), game.max_blocks), np.arange(n_max)] = 1.0
+    t[:rows, n_max + n_c : cols] = np.eye(rows)
+    t[n_min:rows, -1] = 1.0
+    t[-1, n_max : n_max + n_c] = -1.0
+    basis = np.arange(n_max + n_c, cols)
+    pivots = 0
+    while True:
+        entering = np.flatnonzero(t[-1, :-1] < -_EPS)
+        if entering.size == 0:
+            break
+        j = entering[0]
+        candidates = np.flatnonzero(t[:rows, j] > _EPS)
+        if candidates.size == 0 or pivots > 100 * cols:
+            raise NumericError("simplex solve of the game did not terminate")
+        ratios = t[candidates, -1] / t[candidates, j]
+        tied = candidates[ratios <= ratios.min() + _EPS]
+        r = tied[np.argmin(basis[tied])]
+        t[r] /= t[r, j]
+        pivot_row = t[r].copy()
+        t -= np.outer(t[:, j], pivot_row)
+        t[r] = pivot_row
+        basis[r] = j
+        pivots += 1
+    primal = np.zeros(cols)
+    primal[basis] = t[:rows, -1]
+    sigma = _block_pmfs(t[-1, n_max + n_c : n_max + n_c + n_min], game.min_blocks)
+    q = _block_pmfs(primal[:n_max], game.max_blocks)
+    # certificate against the original payoff
+    max_starts = np.cumsum((0,) + game.max_blocks[:-1])
+    min_starts = np.cumsum((0,) + game.min_blocks[:-1])
+    upper = float(np.maximum.reduceat(np.concatenate(sigma) @ m, max_starts).sum())
+    lower = float(np.minimum.reduceat(m @ np.concatenate(q), min_starts).sum())
     return GameResult(
-        value=float(best_u),
-        min_strategy=tuple(np.array(part) for part in np.split(sigma, splits)),
-        max_strategy=np.asarray(q_weights),
-        duality_gap=float(best_u - best_l),
-        iterations=int(done),
+        value=upper,
+        min_strategy=sigma,
+        max_strategy=q,
+        duality_gap=max(upper - lower, 0.0),
+        iterations=pivots,
     )

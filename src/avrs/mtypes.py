@@ -7,6 +7,7 @@ compared against a target distribution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -23,6 +24,7 @@ __all__ = [
     "SymbolVector",
     "TypeTable",
     "compositions",
+    "deterministic_maps",
     "empirical_type",
     "joint_type",
     "nearest_type",
@@ -111,6 +113,11 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(total + 1):
         for tail in compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def deterministic_maps(domain: int, codomain: int) -> np.ndarray:
+    """All maps domain -> codomain as an integer array, lexicographic order."""
+    return np.array(list(itertools.product(range(codomain), repeat=domain)), dtype=np.int64)
 
 
 def empirical_type(x: SymbolVector) -> TypeTable:

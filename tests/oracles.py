@@ -11,7 +11,7 @@ def matrix_game_value_oracle(payoff: np.ndarray) -> float:
 
     For every pair of supports, solve the equalization system for a
     candidate equilibrium and keep it if it satisfies all inequality
-    conditions.  Independent of the learning-based solver.
+    conditions.  Independent of the simplex solver.
     """
     m, n = payoff.shape
     best = None
@@ -25,6 +25,22 @@ def matrix_game_value_oracle(payoff: np.ndarray) -> float:
             break
     assert best is not None, "support enumeration failed to find an equilibrium"
     return best
+
+
+def vertex_expanded_matrix(payoff: np.ndarray, min_blocks, max_blocks) -> np.ndarray:
+    """Payoff of every pair of deterministic strategies of a game that is
+    bilinear over products of simplices; its matrix-game value equals the
+    product game's value, since the payoff depends only on per-block
+    marginals."""
+
+    def vertices(blocks):
+        offsets = np.cumsum((0,) + tuple(blocks[:-1]))
+        for v in itertools.product(*(range(b) for b in blocks)):
+            yield [o + k for o, k in zip(offsets, v)]
+
+    return np.array(
+        [[payoff[np.ix_(a, b)].sum() for b in vertices(max_blocks)] for a in vertices(min_blocks)]
+    )
 
 
 def _supports(k):

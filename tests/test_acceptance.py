@@ -52,8 +52,8 @@ def test_criterion_1_ordering_invariants():
         attempts += 1
         nx = 3 if attempts % 4 == 0 else 2
         spec = structured_instance(rng, nx=nx)
-        g0 = minimax_distortion_game(spec, True, iterations=5000, tol=1e-3)
-        g1 = minimax_distortion_game(spec, False, iterations=5000, tol=1e-3)
+        g0 = minimax_distortion_game(spec, True)
+        g1 = minimax_distortion_game(spec, False)
         if g1.value - g0.value < 0.15:
             continue  # keep instances with a usable distortion window
         accepted += 1
@@ -139,7 +139,7 @@ def test_criterion_3_boundary_behavior():
     specs = [classical_spec(), wz_spec()] + [structured_instance(rng) for _ in range(3)]
     ok = True
     for spec in specs:
-        d1_val = minimax_distortion_game(spec, False, iterations=5000, tol=1e-3).value
+        d1_val = minimax_distortion_game(spec, False).value
         for level in (d1_val + 0.1, d1_val * 1.5 + 0.05):
             if r_upper(spec, level) != (0.0, 0.0) or r_lower(spec, level) != (0.0, 0.0):
                 ok = False
@@ -154,9 +154,7 @@ def test_criterion_4_game_solver_oracle():
     for _ in range(20):
         payoff = rng.random((3, 3))
         oracle = matrix_game_value_oracle(payoff)
-        res = solve_bilinear_game(
-            BilinearGame(payoff, (3,), (3,)), iterations=6_000_000, tol=2e-5
-        )
+        res = solve_bilinear_game(BilinearGame(payoff, (3,), (3,)))
         worst = max(worst, abs(res.value - oracle))
     ok = worst <= 1e-4
     _report(4, "game-solver oracle equivalence", ok, f"max_err={worst:.2e}")

@@ -64,7 +64,7 @@ class TestDistortionFloors:
     def test_xor_jamming_erases_y(self):
         # adversary flipping with probability 1/2 makes Y useless
         spec = xor_spec()
-        val = d0(spec, iterations=40_000, tol=1e-3)
+        val = d0(spec)
         assert val == pytest.approx(0.5, abs=5e-3)
 
     def test_xor_d0_against_vertex_grid_oracle(self):
@@ -88,7 +88,7 @@ class TestDistortionFloors:
                             e += p_y * (col[0] * spec.d.entries[x, 0] + col[1] * spec.d.entries[x, 1])
                     worst = max(worst, e)
                 best = min(best, worst)
-        val = d0(spec, iterations=40_000, tol=1e-3)
+        val = d0(spec)
         assert val == pytest.approx(best, abs=5e-3)
 
     def test_d1_blind_guessing(self):

@@ -36,6 +36,11 @@ class TestBoundsCommand:
         assert rc == 0
         golden = DATA / "golden_bounds.csv"
         assert (tmp_path / "bounds.csv").read_bytes() == golden.read_bytes()
+        doc = json.loads((tmp_path / "bounds.json").read_text())
+        assert doc["d0"] == pytest.approx(0.2, abs=1e-12)
+        assert doc["d1"] == pytest.approx(0.25, abs=1e-12)
+        assert 0.0 <= doc["d0_gap"] <= 1e-12
+        assert 0.0 <= doc["d1_gap"] <= 1e-12
 
     def test_empty_grid_header_only(self, tmp_path):
         rc = main(
