@@ -17,12 +17,9 @@ from .probability import (
     CondDistribution,
     Distribution,
     DistortionMatrix,
-    JointDistribution,
-    compose_joint,
-    conditional_mutual_information,
-    entropy,
-    expected_distortion,
-    marginal,
+    conditional_mutual_information_bits,
+    entropy_bits,
+    mutual_information_bits,
 )
 from .mtypes import (
     SymbolVector,
@@ -67,8 +64,6 @@ from .coding import (
     CodebookFamily,
     CodingParams,
     SessionConfig,
-    build_codebook,
-    codeword,
     decode,
     encode,
     max_distortion_estimate,

@@ -9,7 +9,6 @@ maximization, so block strategies are kept deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Union
@@ -17,9 +16,10 @@ from typing import TYPE_CHECKING, Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
+from .model import read_json
 from .probability import Alphabet, CondDistribution
 from .mtypes import SymbolVector, deterministic_maps
-from .rng import derive_seed, philox_stream
+from .rng import derive_seed, philox_stream, sample_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .coding import SessionConfig
@@ -126,11 +126,7 @@ def sample_jamming(
         out = np.argmax(rows, axis=1)
         random_pos = rows.max(axis=1) < 1.0
         if np.any(random_pos):
-            cdf = np.cumsum(rows[random_pos], axis=1)
-            cdf[:, -1] = 1.0
-            u = rng.random(int(random_pos.sum()))
-            picks = (u[:, None] >= cdf).sum(axis=1)
-            out[random_pos] = picks
+            out[random_pos] = sample_rows(rng, rows[random_pos])
         return SymbolVector(jammer.j_alphabet, out)
     raise UsageError(f"unknown jammer strategy {jammer!r}")
 
@@ -178,15 +174,9 @@ def jammer_to_dict(jammer: JammerStrategy) -> dict:
 
 def load_jammers(path: str | Path, spec) -> list[JammerStrategy]:
     """Read a jammer description file: one document or a list of them."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
-    except OSError as exc:
-        raise ConfigurationError(f"{path}: cannot read ({exc})") from None
+    doc = read_json(path)
     docs = doc if isinstance(doc, list) else [doc]
-    return [jammer_from_dict(d, spec, source=str(path)) for d in docs]
+    return [jammer_from_dict(d, spec, source=str(Path(path))) for d in docs]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .errors import EnumerationTooLargeError, InfeasibleDistortionError, UsageEr
 from .games import BilinearGame, GameResult, solve_bilinear_game
 from .model import AuxiliaryPolicy, ProblemSpec
 from .mtypes import TYPE_TOL, TypeTable, compositions, deterministic_maps
-from .probability import entropy_bits
+from .probability import conditional_mutual_information_bits, mutual_information_bits
 
 __all__ = [
     "GridConfig",
@@ -137,23 +137,6 @@ def _refine_window(center: np.ndarray, grid: GridConfig) -> np.ndarray:
     return column_product(cols, grid.max_candidates)
 
 
-def _cmi_uyz(p: np.ndarray) -> np.ndarray:
-    """I(U;Y|Z) in bits for tables of shape (..., U, Y, Z)."""
-    h_uz = entropy_bits(p.sum(axis=-2), axis=(-2, -1))
-    h_yz = entropy_bits(p.sum(axis=-3), axis=(-2, -1))
-    h_uyz = entropy_bits(p, axis=(-3, -2, -1))
-    h_z = entropy_bits(p.sum(axis=(-3, -2)), axis=-1)
-    return np.maximum(h_uz + h_yz - h_uyz - h_z, 0.0)
-
-
-def _mi_2d(p: np.ndarray) -> np.ndarray:
-    """I(A;B) in bits for tables of shape (..., A, B)."""
-    h_a = entropy_bits(p.sum(axis=-1), axis=-1)
-    h_b = entropy_bits(p.sum(axis=-2), axis=-1)
-    h_ab = entropy_bits(p, axis=(-2, -1))
-    return np.maximum(h_a + h_b - h_ab, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # distortion floors
 
@@ -232,13 +215,11 @@ class RateBoundSolver:
         self._i_matrix_cache: np.ndarray | None = None
         self._max_e_cache: np.ndarray | None = None
         self._min_e_cache: np.ndarray | None = None
-        self._d1_cache: float | None = None
 
     # -- shared tables ------------------------------------------------------
 
     @property
     def _p_candidates(self) -> np.ndarray:
-        # built on demand: the above-the-floor shortcut never needs grids
         if self._p_cache is None:
             col_u = simplex_lattice(self.u_size, self.grid.coarse_step)
             self._p_cache = column_product(
@@ -255,12 +236,6 @@ class RateBoundSolver:
             )
         return self._q_cache
 
-    @property
-    def d1_value(self) -> float:
-        if self._d1_cache is None:
-            self._d1_cache = d1(self.spec)
-        return self._d1_cache
-
     def _info_matrix(self, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
         """I(U;Y|Z) for every (policy, jammer) pair; shape (NP, NQ)."""
         spec = self.spec
@@ -272,7 +247,7 @@ class RateBoundSolver:
             qc = q_arr[lo : lo + cell]
             p_yz = np.einsum("x,nxj,xjyz->nyz", spec.p_x.mass, qc, spec.w.kernel, optimize=True)
             table = np.einsum("pyu,nyz->pnuyz", p_arr, p_yz, optimize=True)
-            out[:, lo : lo + cell] = _cmi_uyz(table)
+            out[:, lo : lo + cell] = conditional_mutual_information_bits(table)
         return out
 
     def _max_e_over_jammers(self, p_arr: np.ndarray) -> np.ndarray:
@@ -337,13 +312,11 @@ class RateBoundSolver:
     # -- upper bound --------------------------------------------------------
 
     def r_upper_point(self, distortion: float) -> _RatePoint:
+        """Upper bound at a level in [0, d1]; above d1 the rate is zero,
+        which callers report without consulting the solver."""
         if distortion < 0:
             raise UsageError("distortion level must be >= 0")
         spec = self.spec
-        if distortion > self.d1_value:
-            const_policy = np.full((spec.y_alphabet.size, self.u_size), 1.0 / self.u_size)
-            uniform_q = np.full((spec.x_alphabet.size, spec.j_alphabet.size), 1.0 / spec.j_alphabet.size)
-            return _RatePoint(0.0, 0.0, const_policy, None, uniform_q)
         feas = self.max_e_matrix <= distortion + DISTORTION_TOL  # (NP, F)
         feas_p = feas.any(axis=1)
         if not feas_p.any():
@@ -384,13 +357,10 @@ class RateBoundSolver:
     # -- lower bound --------------------------------------------------------
 
     def r_lower_point(self, distortion: float) -> _RatePoint:
+        """Lower bound at a level in [0, d1], like :meth:`r_upper_point`."""
         if distortion < 0:
             raise UsageError("distortion level must be >= 0")
         spec = self.spec
-        if distortion > self.d1_value:
-            const_policy = np.full((spec.y_alphabet.size, self.u_size), 1.0 / self.u_size)
-            uniform_q = np.full((spec.x_alphabet.size, spec.j_alphabet.size), 1.0 / spec.j_alphabet.size)
-            return _RatePoint(0.0, 0.0, const_policy, None, uniform_q)
         feas = self.min_e_matrix <= distortion + DISTORTION_TOL  # (NP, NQ)
         if (~feas.any(axis=0)).any():
             raise InfeasibleDistortionError(
@@ -439,6 +409,22 @@ class RateBoundSolver:
         return np.argmin(per_hat, axis=-1).astype(np.int64)
 
 
+def _default_u_upper(spec: ProblemSpec) -> int:
+    return spec.xhat_alphabet.size ** spec.z_alphabet.size
+
+
+def _default_u_lower(spec: ProblemSpec) -> int:
+    return spec.y_alphabet.size + 1
+
+
+def _zero_rate_point(spec: ProblemSpec, u_size: int) -> _RatePoint:
+    """The rate-zero point above d1: a constant policy, no reconstruction map
+    and the uniform jammer."""
+    const_policy = np.full((spec.y_alphabet.size, u_size), 1.0 / u_size)
+    uniform_q = np.full((spec.x_alphabet.size, spec.j_alphabet.size), 1.0 / spec.j_alphabet.size)
+    return _RatePoint(0.0, 0.0, const_policy, None, uniform_q)
+
+
 def r_upper(
     spec: ProblemSpec,
     distortion: float,
@@ -450,8 +436,9 @@ def r_upper(
     The policy must meet the distortion constraint against every jammer; the
     rate is its worst-case conditional information I(U;Y|Z) over jammers.
     """
-    size = u_size or spec.xhat_alphabet.size ** spec.z_alphabet.size
-    point = RateBoundSolver(spec, size, grid).r_upper_point(distortion)
+    if distortion > d1(spec):
+        return 0.0, 0.0
+    point = RateBoundSolver(spec, u_size or _default_u_upper(spec), grid).r_upper_point(distortion)
     return point.value, point.uncertainty
 
 
@@ -465,8 +452,9 @@ def r_lower(
 
     The jammer commits first; the policy then only needs feasibility against
     that jammer."""
-    size = u_size or spec.y_alphabet.size + 1
-    point = RateBoundSolver(spec, size, grid).r_lower_point(distortion)
+    if distortion > d1(spec):
+        return 0.0, 0.0
+    point = RateBoundSolver(spec, u_size or _default_u_lower(spec), grid).r_lower_point(distortion)
     return point.value, point.uncertainty
 
 
@@ -512,7 +500,7 @@ def per_type_rates(
     if t_probs.shape != (spec.y_alphabet.size,):
         raise UsageError("type table does not match the Y alphabet")
     joint_yu = t_probs[:, None] * p_uy
-    r_u = max(0.0, float(_mi_2d(joint_yu)) + eps / 4.0)
+    r_u = max(0.0, float(mutual_information_bits(joint_yu)) + eps / 4.0)
 
     col_j = simplex_lattice(spec.j_alphabet.size, grid.coarse_step)
     q_arr = column_product([col_j] * spec.x_alphabet.size, grid.max_candidates)
@@ -527,7 +515,7 @@ def per_type_rates(
         p_uz = np.einsum(
             "x,nxj,xjyz,yu->nuz", spec.p_x.mass, qs, spec.w.kernel, p_uy, optimize=True
         )
-        return _mi_2d(p_uz)
+        return mutual_information_bits(p_uz)
 
     mask = consistent(q_arr)
     if not mask.any():
@@ -595,21 +583,23 @@ def compute_bound_report(
     g1 = minimax_distortion_game(spec, False)
     if callable(d_values):
         d_values = d_values(g0.value, g1.value)
-    size_u = u_size_upper or spec.xhat_alphabet.size ** spec.z_alphabet.size
-    size_l = u_size_lower or spec.y_alphabet.size + 1
-    solver_u = RateBoundSolver(spec, size_u, grid)
-    solver_l = RateBoundSolver(spec, size_l, grid)
+    solver_u = RateBoundSolver(spec, u_size_upper or _default_u_upper(spec), grid)
+    solver_l = RateBoundSolver(spec, u_size_lower or _default_u_lower(spec), grid)
     points = []
-    for d_val in d_values:
-        try:
-            up = solver_u.r_upper_point(float(d_val))
-            low = solver_l.r_lower_point(float(d_val))
-        except InfeasibleDistortionError:
-            points.append(BoundPoint(float(d_val), False, None, None, None, None, None, None))
-            continue
+    for d_val in map(float, d_values):
+        if d_val > g1.value:
+            up = _zero_rate_point(spec, solver_u.u_size)
+            low = _zero_rate_point(spec, solver_l.u_size)
+        else:
+            try:
+                up = solver_u.r_upper_point(d_val)
+                low = solver_l.r_lower_point(d_val)
+            except InfeasibleDistortionError:
+                points.append(BoundPoint(d_val, False, None, None, None, None, None, None))
+                continue
         points.append(
             BoundPoint(
-                float(d_val),
+                d_val,
                 True,
                 up.value,
                 low.value,

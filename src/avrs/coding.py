@@ -8,10 +8,8 @@ the bin index; the decoder resolves within the bin using its side
 information and the set of jammer conditional types consistent with the
 announced type.
 
-Codewords are never stored ahead of time: codeword (j, k) is generated by a
-counter-mode stream keyed by (seed, type digest) at the counter offset of
-its global index, so lazy single-codeword access and bulk materialization
-agree bit for bit.
+A codebook is materialized on first use, from a counter-mode stream keyed
+by (seed, type), and then kept for every later session with that code.
 """
 
 from __future__ import annotations
@@ -31,10 +29,11 @@ from .mtypes import (
     TypeTable,
     empirical_type,
     is_typical,
+    pair_counts,
     valid_jammer_types,
 )
 from .probability import Alphabet, Distribution
-from .rng import derive_seed, philox_key, philox_stream, sample_indices
+from .rng import derive_seed, philox_key, philox_stream, sample_indices, sample_rows
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -44,8 +43,6 @@ __all__ = [
     "CodebookFamily",
     "EncodeResult",
     "SessionReport",
-    "build_codebook",
-    "codeword",
     "encode",
     "decode",
     "decoder_membership",
@@ -200,7 +197,6 @@ class Codebook:
         self.seed = seed
         self.t_y = data.t_y
         self.n = data.n
-        self.eps = family.config.params.eps
         self.r_u = data.rates.r_u
         self.r_tilde = data.rates.r_tilde
         self.r_bin = data.rates.r_bin
@@ -218,30 +214,19 @@ class Codebook:
     def u_alphabet(self) -> Alphabet:
         return self.family.config.policy.u_alphabet
 
-    @property
-    def blocks_per_codeword(self) -> int:
-        # Philox emits 4 doubles per counter block; aligning codewords to
-        # whole blocks keeps lazy and bulk generation identical.
-        return math.ceil(self.n / 4)
-
     def matrix(self) -> np.ndarray:
         """All codewords as an int array (num_codewords, n)."""
         if self._matrix is None:
             gen = np.random.Generator(np.random.Philox(key=self._key))
-            width = self.blocks_per_codeword * 4
+            # Each row draws whole 4-double Philox blocks and drops the
+            # padding; drawing exactly n per row would change every codeword
+            # of every seed.
+            width = math.ceil(self.n / 4) * 4
             u = gen.random(self.num_codewords * width).reshape(self.num_codewords, width)
             self._matrix = np.searchsorted(self._cdf, u[:, : self.n], side="right").astype(
                 np.int64
             )
         return self._matrix
-
-    def codeword_by_index(self, g: int) -> np.ndarray:
-        if not 0 <= g < self.num_codewords:
-            raise UsageError(f"codeword index {g} out of range [0, {self.num_codewords})")
-        bitgen = np.random.Philox(key=self._key)
-        bitgen.advance(self.blocks_per_codeword * g)
-        u = np.random.Generator(bitgen).random(self.n)
-        return np.searchsorted(self._cdf, u, side="right").astype(np.int64)
 
     def bin_indices(self, m: int) -> np.ndarray:
         if not 0 <= m < self.num_bins:
@@ -253,49 +238,12 @@ class Codebook:
         return np.arange(lo, hi)
 
 
-def build_codebook(
-    t_y: TypeTable,
-    policy: AuxiliaryPolicy,
-    spec: ProblemSpec,
-    eps: float,
-    f_eps: float | None,
-    seed: int,
-    size_cap: int = DEFAULT_SIZE_CAP,
-    grid: GridConfig | None = None,
-) -> Codebook:
-    """Stand-alone codebook constructor (one-off; sessions share a family)."""
-    params = CodingParams(eps=eps, f_eps=f_eps, size_cap=size_cap)
-    family = CodebookFamily(SessionConfig(spec, policy, params, grid))
-    return family.codebook(t_y, seed)
-
-
-def codeword(cb: Codebook, j: int, k: int) -> SymbolVector:
-    """Codeword k of bin j, generated on demand."""
-    if not 0 <= j < cb.num_bins:
-        raise UsageError(f"bin index {j} out of range [0, {cb.num_bins})")
-    if not 0 <= k < cb.bin_size:
-        raise UsageError(f"within-bin index {k} out of range [0, {cb.bin_size})")
-    return SymbolVector(cb.u_alphabet, cb.codeword_by_index(j * cb.bin_size + k))
-
-
 @dataclass(frozen=True)
 class EncodeResult:
     t_y: TypeTable
     bin_index: int
     codeword_index: tuple[int, int]
     fallback_used: bool
-
-
-def _pair_counts(rows: np.ndarray, other: np.ndarray, a_size: int, b_size: int) -> np.ndarray:
-    """Joint pair counts of each row of ``rows`` against ``other``.
-
-    rows: (B, n) ints < a_size; other: (n,) ints < b_size -> (B, a, b).
-    """
-    b, n = rows.shape
-    comp = rows * b_size + other[None, :]
-    comp = comp + (np.arange(b)[:, None] * a_size * b_size)
-    counts = np.bincount(comp.ravel(), minlength=b * a_size * b_size)
-    return counts.reshape(b, a_size, b_size)
 
 
 def encode(
@@ -311,7 +259,7 @@ def encode(
     if t_y != cb.t_y:
         raise UsageError("input type does not match the codebook's type")
     mat = cb.matrix()
-    counts = _pair_counts(mat, y.symbols, cb.u_alphabet.size, y.alphabet.size)
+    counts = pair_counts(mat, y.symbols, cb.u_alphabet.size, y.alphabet.size)
     dev = np.abs(counts / cb.n - cb._data.encoder_target[None]).max(axis=(1, 2))
     satisfiers = np.where(dev <= delta2 + TYPE_TOL)[0]
     if satisfiers.size == 0:
@@ -329,7 +277,7 @@ def decoder_membership(
     targets = cb._data.decoder_targets
     idx = cb.bin_indices(m)
     rows = cb.matrix()[idx]
-    counts = _pair_counts(rows, z.symbols, cb.u_alphabet.size, z.alphabet.size)
+    counts = pair_counts(rows, z.symbols, cb.u_alphabet.size, z.alphabet.size)
     if targets.shape[0] == 0:
         return np.zeros(idx.size, dtype=bool)
     types = counts / cb.n
@@ -337,45 +285,18 @@ def decoder_membership(
     return dev.min(axis=1) <= gamma + TYPE_TOL
 
 
-def _list_decode(m: int, z: SymbolVector, cb: Codebook, gamma: float) -> tuple[np.ndarray, int]:
-    """Decoder list of bin m and the decoded codeword's global index: the
-    unique list member, else the bin's first codeword."""
+def decode(m: int, z: SymbolVector, cb: Codebook, gamma: float) -> tuple[np.ndarray, int]:
+    """List-decode bin m against the side information.
+
+    Returns the bin's membership flags (see :func:`decoder_membership`) and
+    the decoded codeword's global index: the unique list member, else the
+    bin's first codeword.
+    """
     member = decoder_membership(m, z, cb, gamma)
     first = m * cb.bin_size
     if int(member.sum()) == 1:
         return member, first + int(np.argmax(member))
     return member, first
-
-
-def decode(
-    m: int,
-    z: SymbolVector,
-    t_y: TypeTable,
-    cb: Codebook,
-    gamma: float,
-    f_eps: float,
-    spec: ProblemSpec,
-    policy: AuxiliaryPolicy,
-) -> SymbolVector:
-    """List-decode bin m against the side information.
-
-    A uniquely consistent codeword is returned; otherwise the bin's first
-    codeword.  Deterministic in all arguments.
-    """
-    if t_y != cb.t_y:
-        raise UsageError("announced type does not match the codebook's type")
-    cfg = cb.family.config
-    if (
-        spec.digest() != cfg.spec.digest()
-        or policy.digest() != cfg.policy.digest()
-        or abs(f_eps - cfg.params.f_eps) > 1e-12
-    ):
-        # decoder context differs from the family's: build a fresh one
-        params = CodingParams(eps=cb.eps, f_eps=f_eps, size_cap=cfg.params.size_cap)
-        family = CodebookFamily(SessionConfig(spec, policy, params, cfg.grid))
-        cb = family.codebook(t_y, cb.seed)
-    _, g = _list_decode(m, z, cb, gamma)
-    return SymbolVector(cb.u_alphabet, cb.matrix()[g])
 
 
 def reconstruct(u: SymbolVector, z: SymbolVector, zeta: np.ndarray) -> SymbolVector:
@@ -417,10 +338,7 @@ def _draw_channel(
     nz = spec.z_alphabet.size
     ny = spec.y_alphabet.size
     flat = spec.w.kernel[x.symbols, j.symbols].reshape(n, ny * nz)
-    cdf = np.cumsum(flat, axis=1)
-    cdf[:, -1] = 1.0
-    u = rng.random(n)
-    pick = (u[:, None] >= cdf).sum(axis=1)
+    pick = sample_rows(rng, flat)
     return (
         SymbolVector(spec.y_alphabet, pick // nz),
         SymbolVector(spec.z_alphabet, pick % nz),
@@ -453,7 +371,7 @@ def simulate_session(
         code_seed = derive_seed(seed, "code")
     cb = family.codebook(t_y, code_seed)
     enc = encode(y, cb, params.delta2, philox_stream(seed, "encoder"))
-    member, g_dec = _list_decode(enc.bin_index, z, cb, params.gamma)
+    member, g_dec = decode(enc.bin_index, z, cb, params.gamma)
     u_decoded = SymbolVector(cb.u_alphabet, cb.matrix()[g_dec])
     local = enc.codeword_index[1]
     g_enc = enc.bin_index * cb.bin_size + local

@@ -31,7 +31,6 @@ __all__ = [
     "bernstein_bound",
     "union_bound",
     "build_stochastic_code",
-    "stochastic_rate",
     "run_stochastic_session",
     "StochasticSessionReport",
 ]
@@ -218,11 +217,6 @@ class StochasticEncoderCode:
         if self.parent_rate is None:
             return None
         return self.parent_rate + self.rate_overhead
-
-
-def stochastic_rate(parent_rate: float, n: int, k: int) -> float:
-    """Rate of the index-prepending code: parent + log2(K)/n."""
-    return parent_rate + (math.log2(k) / n if k > 1 else 0.0)
 
 
 def build_stochastic_code(

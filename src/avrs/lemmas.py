@@ -27,10 +27,11 @@ from .mtypes import (
     SymbolVector,
     TypeTable,
     nearest_type,
+    pair_counts,
     type_template,
 )
 from .probability import CondDistribution, Distribution, entropy_bits
-from .rng import derive_seed, philox_stream, sample_indices
+from .rng import derive_seed, philox_stream, sample_indices, sample_rows
 
 __all__ = [
     "HarnessResult",
@@ -127,15 +128,11 @@ def run_conditional_typicality(
     s = type_template(t_s)
     ns, nt = p_s.alphabet.size, w_ts.to_alphabet.size
     joint_target = p_s.mass[:, None] * w_ts.matrix
-    cdf = np.cumsum(w_ts.matrix[s], axis=1)
-    cdf[:, -1] = 1.0
+    rows = w_ts.matrix[s]
     gen = philox_stream(seed, "cond-typicality")
     violations = 0
     for _ in range(trials):
-        u = gen.random(n)
-        t_draw = (u[:, None] >= cdf).sum(axis=1)
-        comp = s * nt + t_draw
-        counts = np.bincount(comp, minlength=ns * nt).reshape(ns, nt)
+        counts = pair_counts(s[None, :], sample_rows(gen, rows), ns, nt)[0]
         dev = np.abs(counts / n - joint_target).max()
         if dev > 3.0 * delta0 + TYPE_TOL:
             violations += 1
@@ -227,7 +224,7 @@ def run_markov_conclusion(
         report = simulate_session(x, jammer, config, derive_seed(seed, "trial", t), family=family)
         xs, js = report.x.symbols, report.j.symbols
         ys, zs, us = report.y.symbols, report.z.symbols, report.u_encoded.symbols
-        pair = np.bincount(xs * nj + js, minlength=nx * nj).reshape(nx, nj)
+        pair = pair_counts(xs[None, :], js, nx, nj)[0]
         x_counts = pair.sum(axis=1)
         t_j_given_x = np.empty((nx, nj))
         marg = pair.sum(axis=0) / n
@@ -298,11 +295,7 @@ def exact_codeword_conditional(
     all_patterns = np.array(list(itertools.product(range(nu), repeat=n)), dtype=np.int64)
     pattern_prob = np.prod(data.p_u[all_patterns], axis=1)
     # per-pattern joint deviation with the fixed y
-    ny = config.spec.y_alphabet.size
-    comp = all_patterns * ny + y.symbols[None, :]
-    offsets = np.arange(patterns)[:, None] * nu * ny
-    counts = np.bincount((comp + offsets).ravel(), minlength=patterns * nu * ny)
-    counts = counts.reshape(patterns, nu, ny)
+    counts = pair_counts(all_patterns, y.symbols, nu, config.spec.y_alphabet.size)
     dev = np.abs(counts / n - data.encoder_target[None]).max(axis=(1, 2))
     satisfies = dev <= config.params.delta2 + TYPE_TOL
 

@@ -30,6 +30,7 @@ __all__ = [
     "save_problem_spec",
     "load_policy",
     "save_policy",
+    "read_json",
 ]
 
 
@@ -185,17 +186,22 @@ def problem_spec_to_dict(spec: ProblemSpec) -> dict:
     }
 
 
-def load_problem_spec(path: str | Path) -> ProblemSpec:
+def read_json(path: str | Path) -> object:
+    """Parse a JSON file; a read or syntax failure becomes a
+    ConfigurationError naming the file (and the line and column)."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigurationError(f"{path}: cannot read ({exc})") from None
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
-    return problem_spec_from_dict(doc, source=str(path))
+
+
+def load_problem_spec(path: str | Path) -> ProblemSpec:
+    return problem_spec_from_dict(read_json(path), source=str(Path(path)))
 
 
 def save_problem_spec(spec: ProblemSpec, path: str | Path) -> None:
@@ -238,16 +244,7 @@ def policy_to_dict(policy: AuxiliaryPolicy) -> dict:
 
 
 def load_policy(path: str | Path, spec: ProblemSpec) -> AuxiliaryPolicy:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigurationError(f"{path}: cannot read ({exc})") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
-    return policy_from_dict(doc, spec, source=str(path))
+    return policy_from_dict(read_json(path), spec, source=str(Path(path)))
 
 
 def save_policy(policy: AuxiliaryPolicy, path: str | Path) -> None:

@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, EnumerationTooLargeError, UsageError
-from .probability import Alphabet, Distribution, JointDistribution
+from .errors import EnumerationTooLargeError, UsageError
+from .probability import Alphabet, Distribution
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ProblemSpec
@@ -26,6 +26,7 @@ __all__ = [
     "compositions",
     "deterministic_maps",
     "empirical_type",
+    "pair_counts",
     "joint_type",
     "nearest_type",
     "type_template",
@@ -126,13 +127,24 @@ def empirical_type(x: SymbolVector) -> TypeTable:
     return TypeTable(counts, len(x))
 
 
+def pair_counts(rows: np.ndarray, other: np.ndarray, a_size: int, b_size: int) -> np.ndarray:
+    """Joint pair counts of each row of ``rows`` against ``other``.
+
+    rows: (B, n) ints < a_size; other: (n,) ints < b_size -> (B, a_size, b_size).
+    """
+    b = rows.shape[0]
+    comp = rows * b_size + other[None, :]
+    comp = comp + (np.arange(b)[:, None] * a_size * b_size)
+    counts = np.bincount(comp.ravel(), minlength=b * a_size * b_size)
+    return counts.reshape(b, a_size, b_size)
+
+
 def joint_type(x: SymbolVector, y: SymbolVector) -> TypeTable:
     """The joint type of a pair of equal-length sequences, axes (x, y)."""
     if len(x) != len(y):
         raise UsageError(f"joint type of sequences with lengths {len(x)} != {len(y)}")
-    flat = x.symbols * y.alphabet.size + y.symbols
-    counts = np.bincount(flat, minlength=x.alphabet.size * y.alphabet.size)
-    return TypeTable(counts.reshape(x.alphabet.size, y.alphabet.size), len(x))
+    counts = pair_counts(x.symbols[None, :], y.symbols, x.alphabet.size, y.alphabet.size)
+    return TypeTable(counts[0], len(x))
 
 
 def nearest_type(p: np.ndarray, n: int) -> TypeTable:
@@ -171,17 +183,11 @@ def is_typical(x: SymbolVector, p: Distribution, eps: float) -> bool:
     return linf_deviation(empirical_type(x), p.mass) <= eps + TYPE_TOL
 
 
-def is_jointly_typical(
-    x: SymbolVector, y: SymbolVector, p_xy: JointDistribution, eps: float
-) -> bool:
-    """Joint typicality of (x, y) against a two-variable joint distribution."""
+def is_jointly_typical(x: SymbolVector, y: SymbolVector, p_xy: np.ndarray, eps: float) -> bool:
+    """Joint typicality of (x, y) against a (|X|, |Y|) joint pmf."""
     if eps < 0:
         raise UsageError("typicality radius must be >= 0")
-    if len(p_xy.variables) != 2:
-        raise ConfigurationError("joint typicality target must have exactly two variables")
-    return linf_deviation(joint_type(x, y), p_xy.mass) <= eps + TYPE_TOL
-
-
+    return linf_deviation(joint_type(x, y), p_xy) <= eps + TYPE_TOL
 
 
 def valid_jammer_types(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
 
 __all__ = [
     "PROB_TOL",
@@ -21,20 +21,12 @@ __all__ = [
     "CondDistribution",
     "Channel",
     "DistortionMatrix",
-    "JointDistribution",
-    "compose_joint",
-    "marginal",
-    "entropy",
     "entropy_bits",
-    "conditional_mutual_information",
-    "expected_distortion",
+    "mutual_information_bits",
+    "conditional_mutual_information_bits",
 ]
 
 PROB_TOL = 1e-9
-
-# Computed mutual informations are clamped at zero when within this much
-# below it; anything lower indicates a real bug, not float drift.
-_NEG_CLAMP = 1e-9
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -77,9 +69,6 @@ class Distribution:
             )
         object.__setattr__(self, "mass", _frozen(mass))
 
-    def __getitem__(self, symbol: int) -> float:
-        return float(self.mass[symbol])
-
 
 @dataclass(frozen=True)
 class CondDistribution:
@@ -106,9 +95,6 @@ class CondDistribution:
                 f"conditional row {bad[0]} sums to {sums[bad[0]]:.12f}, not 1"
             )
         object.__setattr__(self, "matrix", _frozen(m))
-
-    def row(self, symbol: int) -> Distribution:
-        return Distribution(self.to_alphabet, self.matrix[symbol])
 
 
 @dataclass(frozen=True)
@@ -174,90 +160,6 @@ class DistortionMatrix:
         object.__setattr__(self, "d_max", float(e.max()))
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """A dense joint pmf over an ordered list of named variables."""
-
-    variables: tuple[str, ...]
-    alphabets: tuple[Alphabet, ...]
-    mass: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.variables) != len(self.alphabets):
-            raise ConfigurationError("variable and alphabet lists differ in length")
-        if len(set(self.variables)) != len(self.variables):
-            raise ConfigurationError(f"duplicate variable names in {self.variables}")
-        m = np.asarray(self.mass, dtype=np.float64)
-        expected = tuple(a.size for a in self.alphabets)
-        if m.shape != expected:
-            raise ConfigurationError(f"joint mass shape {m.shape}, expected {expected}")
-        if np.any(m < 0):
-            raise ConfigurationError("joint mass has negative entries")
-        if abs(float(m.sum()) - 1.0) > PROB_TOL:
-            raise ConfigurationError(f"joint mass sums to {m.sum():.12f}, not 1")
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "alphabets", tuple(self.alphabets))
-        object.__setattr__(self, "mass", _frozen(m))
-
-    def axis(self, var: str) -> int:
-        try:
-            return self.variables.index(var)
-        except ValueError:
-            raise ConfigurationError(
-                f"variable {var!r} not in joint over {self.variables}"
-            ) from None
-
-
-def compose_joint(
-    p_x: Distribution,
-    q_j_given_x: CondDistribution,
-    channel: Channel,
-    p_u_given_y: CondDistribution | None = None,
-) -> JointDistribution:
-    """Chain source, jammer, channel and (optionally) a test channel.
-
-    Returns the joint over (X, J, Y, Z) with mass
-    p(x)·q(j|x)·w(y,z|x,j), extended by ·p(u|y) to (X, J, Y, Z, U) when a
-    test channel is given.
-    """
-    if p_x.alphabet != channel.x_alphabet:
-        raise ConfigurationError("source alphabet does not match channel X input")
-    if q_j_given_x.from_alphabet != channel.x_alphabet:
-        raise ConfigurationError("jammer conditioning alphabet does not match channel X input")
-    if q_j_given_x.to_alphabet != channel.j_alphabet:
-        raise ConfigurationError("jammer output alphabet does not match channel J input")
-    mass = np.einsum(
-        "x,xj,xjyz->xjyz", p_x.mass, q_j_given_x.matrix, channel.kernel, optimize=True
-    )
-    variables = ("X", "J", "Y", "Z")
-    alphabets = (channel.x_alphabet, channel.j_alphabet, channel.y_alphabet, channel.z_alphabet)
-    if p_u_given_y is not None:
-        if p_u_given_y.from_alphabet != channel.y_alphabet:
-            raise ConfigurationError("test channel conditioning alphabet does not match Y")
-        mass = np.einsum("xjyz,yu->xjyzu", mass, p_u_given_y.matrix, optimize=True)
-        variables = variables + ("U",)
-        alphabets = alphabets + (p_u_given_y.to_alphabet,)
-    return JointDistribution(variables, alphabets, mass)
-
-
-def marginal(joint: JointDistribution, variables: tuple[str, ...] | list[str]) -> JointDistribution:
-    """Sum out every variable not named in ``variables``.
-
-    The result's axes follow the requested order.
-    """
-    variables = tuple(variables)
-    if not variables:
-        raise ConfigurationError("marginal requires a non-empty variable subset")
-    axes = [joint.axis(v) for v in variables]
-    drop = tuple(i for i in range(len(joint.variables)) if i not in axes)
-    mass = joint.mass.sum(axis=drop) if drop else joint.mass
-    # reorder surviving axes to the requested order
-    kept = [i for i in range(len(joint.variables)) if i not in drop]
-    perm = [kept.index(a) for a in axes]
-    mass = np.transpose(mass, perm)
-    return JointDistribution(variables, tuple(joint.alphabets[a] for a in axes), mass)
-
-
 def entropy_bits(mass: np.ndarray, axis: int | tuple[int, ...] | None = None) -> np.ndarray | float:
     """Shannon entropy in bits of a (possibly batched) non-negative table."""
     m = np.asarray(mass, dtype=np.float64)
@@ -267,46 +169,24 @@ def entropy_bits(mass: np.ndarray, axis: int | tuple[int, ...] | None = None) ->
     return float(h) if np.ndim(h) == 0 else h
 
 
-def entropy(dist: Distribution | JointDistribution) -> float:
-    """Entropy H in bits of a pmf or a joint table."""
-    return float(entropy_bits(dist.mass))
 
 
-def conditional_mutual_information(
-    joint: JointDistribution, a: str, b: str, given: str | None = None
-) -> float:
-    """I(A;B|C) in bits; with ``given`` None this is the plain I(A;B).
+def mutual_information_bits(p: np.ndarray) -> np.ndarray | float:
+    """I(A;B) in bits for (possibly batched) joint tables of shape (..., A, B).
 
-    Computed as H(A,C) + H(B,C) - H(A,B,C) - H(C); small negative float
-    residue is clamped to zero.
+    Float residue below zero is clamped to zero.
     """
-    if a == b or given in (a, b):
-        raise ConfigurationError("variables of a mutual information must be distinct")
-    if given is None:
-        h_a = entropy(marginal(joint, (a,)))
-        h_b = entropy(marginal(joint, (b,)))
-        h_ab = entropy(marginal(joint, (a, b)))
-        value = h_a + h_b - h_ab
-    else:
-        h_ac = entropy(marginal(joint, (a, given)))
-        h_bc = entropy(marginal(joint, (b, given)))
-        h_abc = entropy(marginal(joint, (a, b, given)))
-        h_c = entropy(marginal(joint, (given,)))
-        value = h_ac + h_bc - h_abc - h_c
-    if value < 0.0:
-        if value < -_NEG_CLAMP:
-            # beyond float drift for desk-scale tables
-            raise NumericError(f"mutual information computed as {value}, below tolerance")
-        value = 0.0
-    return value
+    h_a = entropy_bits(p.sum(axis=-1), axis=-1)
+    h_b = entropy_bits(p.sum(axis=-2), axis=-1)
+    h_ab = entropy_bits(p, axis=(-2, -1))
+    return np.maximum(h_a + h_b - h_ab, 0.0)
 
 
-def expected_distortion(
-    joint: JointDistribution, d: DistortionMatrix, xvar: str, xhatvar: str
-) -> float:
-    """E[d(X, X̂)] under ``joint``; the two variables must carry d's alphabets."""
-    ax, ah = joint.axis(xvar), joint.axis(xhatvar)
-    if joint.alphabets[ax] != d.x_alphabet or joint.alphabets[ah] != d.xhat_alphabet:
-        raise ConfigurationError("distortion matrix alphabets do not match joint variables")
-    pair = marginal(joint, (xvar, xhatvar))
-    return float(np.sum(pair.mass * d.entries))
+def conditional_mutual_information_bits(p: np.ndarray) -> np.ndarray | float:
+    """I(A;B|C) in bits for (possibly batched) joint tables of shape
+    (..., A, B, C), as H(A,C) + H(B,C) - H(A,B,C) - H(C) clamped at zero."""
+    h_ac = entropy_bits(p.sum(axis=-2), axis=(-2, -1))
+    h_bc = entropy_bits(p.sum(axis=-3), axis=(-2, -1))
+    h_abc = entropy_bits(p, axis=(-3, -2, -1))
+    h_c = entropy_bits(p.sum(axis=(-3, -2)), axis=-1)
+    return np.maximum(h_ac + h_bc - h_abc - h_c, 0.0)

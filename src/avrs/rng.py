@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "philox_key", "philox_stream", "sample_indices"]
+__all__ = ["derive_seed", "philox_key", "philox_stream", "sample_indices", "sample_rows"]
 
 
 def _encode(part: int | str) -> bytes:
@@ -66,3 +66,15 @@ def sample_indices(gen: np.random.Generator, pmf: np.ndarray, size: int) -> np.n
     cdf[-1] = 1.0
     u = gen.random(size)
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
+
+
+def sample_rows(gen: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    """Draw one symbol per row of an (m, k) stack of pmfs by inverse CDF.
+
+    One uniform variate per row is taken from ``gen``, in row order; symbols
+    with zero probability are never produced.
+    """
+    cdf = np.cumsum(rows, axis=1)
+    cdf[:, -1] = 1.0
+    u = gen.random(rows.shape[0])
+    return (u[:, None] >= cdf).sum(axis=1)

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avrs.bounds
 from avrs.bounds import (
     GridConfig,
     RateBoundSolver,
@@ -17,9 +19,10 @@ from avrs.bounds import (
     simplex_window,
 )
 from avrs.errors import InfeasibleDistortionError
+from avrs.games import solve_bilinear_game
 from avrs.mtypes import TypeTable
 from avrs.probability import Alphabet, CondDistribution
-from avrs.model import AuxiliaryPolicy
+from avrs.model import AuxiliaryPolicy, load_problem_spec
 
 from conftest import (
     classical_spec,
@@ -278,3 +281,22 @@ class TestBoundReport:
         mid = report.points[1]
         assert mid.r_lower <= mid.r_upper + mid.uncertainty_upper + mid.uncertainty_lower
         assert mid.strategy_upper is not None and "p_u_given_y" in mid.strategy_upper
+
+    def test_one_report_solves_each_floor_once(self, monkeypatch):
+        # the golden sweep 0.21, 0.23, 0.3 on the README spec; 0.3 lies above d1
+        spec = load_problem_spec(Path(__file__).parent / "data" / "spec_binary.json")
+        calls = []
+
+        def counting(game):
+            calls.append(game)
+            return solve_bilinear_game(game)
+
+        monkeypatch.setattr(avrs.bounds, "solve_bilinear_game", counting)
+        report = compute_bound_report(
+            spec, [0.21, 0.23, 0.3], FAST_GRID, u_size_upper=2, u_size_lower=2
+        )
+        assert len(calls) == 2
+        above = report.points[2]
+        assert above.d > report.d1
+        assert (above.r_upper, above.r_lower) == (0.0, 0.0)
+        assert above.strategy_upper["zeta"] is None

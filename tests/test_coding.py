@@ -8,8 +8,6 @@ from avrs.coding import (
     CodebookFamily,
     CodingParams,
     SessionConfig,
-    build_codebook,
-    codeword,
     decode,
     decoder_membership,
     encode,
@@ -64,16 +62,7 @@ class TestCodebookConstruction:
         t_y = TypeTable(np.array([6, 6]), 12)
         cb1 = family.codebook(t_y, 77)
         cb2 = family.codebook(t_y, 77)
-        a = codeword(cb1, 0, 0)
-        b = codeword(cb2, 0, 0)
-        assert np.array_equal(a.symbols, b.symbols)
-
-    def test_lazy_matches_bulk(self):
-        config = wz_config()
-        cb = CodebookFamily(config).codebook(TypeTable(np.array([6, 6]), 12), 5)
-        mat = cb.matrix()
-        for g in (0, 1, cb.num_codewords - 1):
-            assert np.array_equal(cb.codeword_by_index(g), mat[g])
+        assert np.array_equal(cb1.matrix(), cb2.matrix())
 
     def test_different_seeds_differ(self):
         config = wz_config()
@@ -101,9 +90,9 @@ class TestCodebookConstruction:
         config = wz_config()
         cb = CodebookFamily(config).codebook(TypeTable(np.array([6, 6]), 12), 5)
         with pytest.raises(UsageError):
-            codeword(cb, cb.num_bins, 0)
+            cb.bin_indices(cb.num_bins)
         with pytest.raises(UsageError):
-            cb.codeword_by_index(cb.num_codewords)
+            cb.bin_indices(-1)
 
 
 class TestEncode:
@@ -206,12 +195,9 @@ class TestDecode:
             for m in range(cb.num_bins):
                 member = decoder_membership(m, z, cb, config.params.gamma)
                 if member.sum() == 1:
-                    got = decode(
-                        m, z, t_y, cb, config.params.gamma, config.params.f_eps,
-                        spec, config.policy,
-                    )
-                    expect = cb.matrix()[cb.bin_indices(m)[int(np.argmax(member))]]
-                    assert np.array_equal(got.symbols, expect)
+                    got_member, g = decode(m, z, cb, config.params.gamma)
+                    assert np.array_equal(got_member, member)
+                    assert g == cb.bin_indices(m)[int(np.argmax(member))]
                     return
         pytest.fail("no uniquely-decodable bin found in the sweep")
 
@@ -225,8 +211,8 @@ class TestDecode:
         member = decoder_membership(0, z, cb, 0.0)
         if member.any():
             pytest.skip("seed produced an exact type match")
-        got = decode(0, z, t_y, cb, 0.0, config.params.f_eps, config.spec, config.policy)
-        assert np.array_equal(got.symbols, cb.matrix()[cb.bin_indices(0)[0]])
+        _, g = decode(0, z, cb, 0.0)
+        assert g == cb.bin_indices(0)[0]
 
     def test_multiple_members_fall_back_to_first(self):
         # a clean side-information channel keeps the within-bin rate positive,
@@ -245,24 +231,10 @@ class TestDecode:
             for m in range(cb.num_bins):
                 member = decoder_membership(m, z, cb, config.params.gamma)
                 if member.sum() >= 2:
-                    got = decode(
-                        m, z, t_y, cb, config.params.gamma, config.params.f_eps,
-                        spec, config.policy,
-                    )
-                    assert np.array_equal(got.symbols, cb.matrix()[cb.bin_indices(m)[0]])
+                    _, g = decode(m, z, cb, config.params.gamma)
+                    assert g == cb.bin_indices(m)[0]
                     return
         pytest.fail("no multi-member bin found in the sweep")
-
-    def test_decode_rebuilds_context_for_other_f_eps(self):
-        config = wz_config(cap=128)
-        family = CodebookFamily(config)
-        n = 12
-        t_y = nearest_type(np.array([0.5, 0.5]), n)
-        cb = family.codebook(t_y, 4)
-        z = SymbolVector(config.spec.z_alphabet, philox_stream(2).integers(0, 2, n))
-        # a consistency radius different from the family's forces a rebuild
-        out = decode(0, z, t_y, cb, 0.3, 0.5, config.spec, config.policy)
-        assert len(out) == n
 
     def test_decode_is_deterministic(self):
         config = wz_config(cap=128)
@@ -271,9 +243,10 @@ class TestDecode:
         t_y = nearest_type(np.array([0.5, 0.5]), n)
         cb = family.codebook(t_y, 4)
         z = SymbolVector(config.spec.z_alphabet, philox_stream(2).integers(0, 2, n))
-        a = decode(0, z, t_y, cb, 0.3, config.params.f_eps, config.spec, config.policy)
-        b = decode(0, z, t_y, cb, 0.3, config.params.f_eps, config.spec, config.policy)
-        assert np.array_equal(a.symbols, b.symbols)
+        member_a, g_a = decode(0, z, cb, 0.3)
+        member_b, g_b = decode(0, z, cb, 0.3)
+        assert g_a == g_b
+        assert np.array_equal(member_a, member_b)
 
 
 class TestReconstruct:

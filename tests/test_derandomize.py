@@ -11,7 +11,6 @@ from avrs.derandomize import (
     certify_ensemble,
     run_stochastic_session,
     sample_ensemble,
-    stochastic_rate,
     union_bound,
 )
 from avrs.errors import UsageError
@@ -163,7 +162,6 @@ class TestStochasticCode:
         assert abs(code.rate_overhead - expected) < 1e-15
         assert code.rate == pytest.approx(1.0 + 0.13287712379549449, abs=1e-12)
         assert code.index_bits == 14  # ceil(log2(10^4)) physical header bits
-        assert stochastic_rate(1.0, 100, 10_000) == pytest.approx(code.rate)
 
     def test_k_one_costs_nothing(self):
         config = small_config()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from avrs.adversary import load_jammers
 from avrs.errors import ConfigurationError
 from avrs.model import (
     load_policy,
@@ -106,3 +107,26 @@ class TestPolicyIO:
         doc = policy_to_dict(policy)
         again = policy_from_dict(json.loads(json.dumps(doc)), spec)
         assert again.digest() == policy.digest()
+
+
+LOADERS = {
+    "spec": load_problem_spec,
+    "policy": lambda path: load_policy(path, wz_spec()),
+    "jammers": lambda path: load_jammers(path, wz_spec()),
+}
+
+
+class TestReadJson:
+    # the spec loader's invalid-JSON case is TestProblemSpecIO's
+    @pytest.mark.parametrize("kind", ["policy", "jammers"])
+    def test_invalid_json_reports_line(self, kind, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{\n  "kind": ??\n}\n')
+        with pytest.raises(ConfigurationError, match=r"broken\.json:2:11: invalid JSON"):
+            LOADERS[kind](path)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_missing_file(self, kind, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigurationError, match=r"absent\.json: cannot read"):
+            LOADERS[kind](path)

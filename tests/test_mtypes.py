@@ -18,10 +18,11 @@ from avrs.mtypes import (
     joint_type,
     linf_deviation,
     nearest_type,
+    pair_counts,
     type_template,
     valid_jammer_types,
 )
-from avrs.probability import Alphabet, Distribution, JointDistribution
+from avrs.probability import Alphabet, Distribution
 
 from conftest import (
     classical_spec,
@@ -79,6 +80,17 @@ class TestJointAndConditionalType:
         with pytest.raises(UsageError):
             joint_type(SymbolVector(A2, [0, 1]), SymbolVector(A2, [0, 1, 1]))
 
+    def test_pair_counts_against_counting(self, rng):
+        for a_size, b_size, rows_n, n in ((3, 2, 5, 12), (2, 4, 1, 7), (4, 3, 9, 1)):
+            rows = rng.integers(0, a_size, (rows_n, n))
+            other = rng.integers(0, b_size, n)
+            got = pair_counts(rows, other, a_size, b_size)
+            brute = np.zeros((rows_n, a_size, b_size), dtype=int)
+            for r in range(rows_n):
+                for a, b in zip(rows[r], other):
+                    brute[r, a, b] += 1
+            assert np.array_equal(got, brute)
+
 
 class TestTypicality:
     def test_exact_type_zero_eps(self):
@@ -101,20 +113,20 @@ class TestTypicality:
 
     def test_joint_exact(self):
         x = SymbolVector(A2, [0, 1, 0, 1])
-        mass = np.diag([0.5, 0.5])
-        pj = JointDistribution(("A", "B"), (A2, A2), mass)
-        assert is_jointly_typical(x, x, pj, 0.0)
+        assert is_jointly_typical(x, x, np.diag([0.5, 0.5]), 0.0)
+
+    def test_joint_target_shape_checked(self):
+        x = SymbolVector(A2, [0, 1, 0, 1])
+        with pytest.raises(UsageError):
+            is_jointly_typical(x, x, np.full((2, 3), 1 / 6), 0.1)
 
     def test_joint_far(self):
         x = SymbolVector(A2, [0, 1, 0, 1])
         y = SymbolVector(A2, [1, 0, 1, 0])
-        mass = np.diag([0.5, 0.5])
-        pj = JointDistribution(("A", "B"), (A2, A2), mass)
-        assert not is_jointly_typical(x, y, pj, 0.4)
+        assert not is_jointly_typical(x, y, np.diag([0.5, 0.5]), 0.4)
 
     def test_joint_against_oracle(self, rng):
         mass = rng.dirichlet(np.ones(4)).reshape(2, 2)
-        pj = JointDistribution(("A", "B"), (A2, A2), mass)
         for _ in range(20):
             x = SymbolVector(A2, rng.integers(0, 2, 16))
             y = SymbolVector(A2, rng.integers(0, 2, 16))
@@ -123,18 +135,17 @@ class TestTypicality:
             for a, b in zip(x.symbols, y.symbols):
                 brute[a, b] += 1 / 16
             dev = np.abs(brute - mass).max()
-            assert is_jointly_typical(x, y, pj, eps) == (dev <= eps + 1e-12)
+            assert is_jointly_typical(x, y, mass, eps) == (dev <= eps + 1e-12)
 
     def test_marginal_deviation_bounded(self, rng):
         # joint eps-typicality forces marginal |Y|*eps-typicality
         mass = rng.dirichlet(np.ones(4)).reshape(2, 2)
-        pj = JointDistribution(("A", "B"), (A2, A2), mass)
         pa = Distribution(A2, mass.sum(axis=1))
         for _ in range(40):
             x = SymbolVector(A2, rng.integers(0, 2, 10))
             y = SymbolVector(A2, rng.integers(0, 2, 10))
             for eps in (0.05, 0.1, 0.3):
-                if is_jointly_typical(x, y, pj, eps):
+                if is_jointly_typical(x, y, mass, eps):
                     assert is_typical(x, pa, 2 * eps)
 
 

@@ -10,12 +10,9 @@ from avrs.probability import (
     CondDistribution,
     Distribution,
     DistortionMatrix,
-    JointDistribution,
-    compose_joint,
-    conditional_mutual_information,
-    entropy,
-    expected_distortion,
-    marginal,
+    conditional_mutual_information_bits,
+    entropy_bits,
+    mutual_information_bits,
 )
 
 AX = Alphabet("X", 2)
@@ -63,170 +60,75 @@ class TestConstruction:
         assert d.d_max == 2.5
 
     def test_joint_immutable(self):
-        j = JointDistribution(("A",), (AX,), [0.5, 0.5])
-        with pytest.raises(ValueError):
-            j.mass[0] = 1.0
-
-
-class TestComposeJoint:
-    def test_deterministic_support(self):
-        # uniform binary source, jammer pinned at 0, Y = Z = X
-        q = CondDistribution(AX, AJ, [[1, 0], [1, 0]])
-        k = np.zeros((2, 2, 2, 2))
-        for x in range(2):
-            for j in range(2):
-                k[x, j, x, x] = 1.0
-        chan = Channel(AX, AJ, AY, Alphabet("Z", 2), k)
-        joint = compose_joint(Distribution(AX, [0.5, 0.5]), q, chan)
-        for x in range(2):
-            assert joint.mass[x, 0, x, x] == pytest.approx(0.5)
-        assert joint.mass.sum() == pytest.approx(1.0)
-
-    def test_source_marginal_recovered(self):
-        q = CondDistribution(AX, AJ, [[0.3, 0.7], [0.8, 0.2]])
-        joint = compose_joint(Distribution(AX, [0.25, 0.75]), q, bsc_channel(0.1))
-        px = marginal(joint, ("X",))
-        assert np.allclose(px.mass, [0.25, 0.75], atol=1e-12)
-
-    def test_full_table_against_direct_sum(self):
-        p_x = Distribution(AX, [0.25, 0.75])
-        q = CondDistribution(AX, AJ, [[0.5, 0.5], [0.5, 0.5]])
+        # the channel kernel is the joint p(y, z | x, j)
         chan = bsc_channel(0.1)
-        joint = compose_joint(p_x, q, chan)
-        # independent elementwise evaluation of the product
-        for x in range(2):
-            for j in range(2):
-                for y in range(2):
-                    expected = p_x.mass[x] * q.matrix[x, j] * chan.kernel[x, j, y, 0]
-                    assert joint.mass[x, j, y, 0] == pytest.approx(expected, abs=1e-15)
-
-    def test_alphabet_mismatch_rejected(self):
-        bad_q = CondDistribution(AY, AJ, [[1, 0], [1, 0]])
-        p3 = Distribution(Alphabet("X", 3), [0.2, 0.3, 0.5])
-        with pytest.raises(ConfigurationError):
-            compose_joint(p3, bad_q, bsc_channel(0.1))
-
-    def test_test_channel_extension(self):
-        q = CondDistribution(AX, AJ, [[0.5, 0.5], [0.5, 0.5]])
-        p_uy = CondDistribution(AY, Alphabet("U", 2), [[0.9, 0.1], [0.2, 0.8]])
-        joint = compose_joint(Distribution(AX, [0.25, 0.75]), q, bsc_channel(0.1), p_uy)
-        assert joint.variables == ("X", "J", "Y", "Z", "U")
-        assert joint.mass.sum() == pytest.approx(1.0)
-
-
-class TestMarginal:
-    def setup_method(self):
-        q = CondDistribution(AX, AJ, [[0.5, 0.5], [0.5, 0.5]])
-        p_uy = CondDistribution(AY, Alphabet("U", 2), [[0.9, 0.1], [0.2, 0.8]])
-        self.joint = compose_joint(Distribution(AX, [0.25, 0.75]), q, bsc_channel(0.1), p_uy)
-
-    def test_identity(self):
-        same = marginal(self.joint, self.joint.variables)
-        assert np.allclose(same.mass, self.joint.mass)
-
-    def test_product_factor_recovered(self):
-        # an independent product joint marginalizes back to its factors
-        a = np.array([0.3, 0.7])
-        b = np.array([0.1, 0.9])
-        joint = JointDistribution(("A", "B"), (AX, AY), np.outer(a, b))
-        assert np.allclose(marginal(joint, ("A",)).mass, a, atol=1e-15)
-        assert np.allclose(marginal(joint, ("B",)).mass, b, atol=1e-15)
-
-    def test_uz_against_brute_force(self):
-        uz = marginal(self.joint, ("U", "Z"))
-        brute = np.zeros((2, 1))
-        m = self.joint.mass
-        for x in range(2):
-            for j in range(2):
-                for y in range(2):
-                    for z in range(1):
-                        for u in range(2):
-                            brute[u, z] += m[x, j, y, z, u]
-        assert np.allclose(uz.mass, brute, atol=1e-15)
-
-    def test_unknown_variable(self):
-        with pytest.raises(ConfigurationError):
-            marginal(self.joint, ("U", "W"))
+        with pytest.raises(ValueError):
+            chan.kernel[0, 0, 0, 0] = 1.0
 
 
 class TestEntropy:
     def test_uniform_binary(self):
-        assert entropy(Distribution(AX, [0.5, 0.5])) == pytest.approx(1.0)
+        assert entropy_bits([0.5, 0.5]) == pytest.approx(1.0)
 
     def test_point_mass(self):
-        assert entropy(Distribution(AX, [1.0, 0.0])) == 0.0
+        assert entropy_bits([1.0, 0.0]) == 0.0
 
     def test_quarter(self):
         # closed form: 2 - 0.75 log2(3)
-        assert entropy(Distribution(AX, [0.25, 0.75])) == pytest.approx(
-            0.8112781244591328, abs=1e-12
-        )
+        assert entropy_bits([0.25, 0.75]) == pytest.approx(0.8112781244591328, abs=1e-12)
+
+    def test_batched_axes(self):
+        rows = np.array([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]])
+        assert np.allclose(entropy_bits(rows, axis=-1), [1.0, 0.0, 0.8112781244591328])
+        assert entropy_bits(rows.reshape(1, 3, 2) / 3, axis=(-2, -1)).shape == (1,)
+
+
+def bsc_joint_xy(flip: float) -> np.ndarray:
+    """p(x, y) for a uniform bit read through a binary symmetric channel."""
+    return 0.5 * np.array([[1 - flip, flip], [flip, 1 - flip]])
 
 
 class TestMutualInformation:
     def test_independent(self):
         mass = np.outer([0.3, 0.7], [0.6, 0.4])
-        joint = JointDistribution(("A", "B"), (AX, AY), mass)
-        assert conditional_mutual_information(joint, "A", "B") == pytest.approx(0.0, abs=1e-12)
+        assert mutual_information_bits(mass) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_uniform(self):
-        mass = np.diag([0.5, 0.5])
-        joint = JointDistribution(("A", "B"), (AX, AY), mass)
-        assert conditional_mutual_information(joint, "A", "B") == pytest.approx(1.0)
+        assert mutual_information_bits(np.diag([0.5, 0.5])) == pytest.approx(1.0)
 
     def test_bsc_closed_form(self):
-        q = CondDistribution(AX, AJ, [[1, 0], [1, 0]])
-        joint = compose_joint(Distribution(AX, [0.5, 0.5]), q, bsc_channel(0.1))
-        got = conditional_mutual_information(joint, "X", "Y")
+        got = mutual_information_bits(bsc_joint_xy(0.1))
         assert got == pytest.approx(1.0 - h2(0.1), abs=1e-12)
         assert got == pytest.approx(0.5310044064107187, abs=1e-12)
 
     def test_conditioning_variable(self):
-        q = CondDistribution(AX, AJ, [[1, 0], [1, 0]])
-        joint = compose_joint(Distribution(AX, [0.5, 0.5]), q, bsc_channel(0.1))
-        # conditioned on the jammer (a constant here) nothing changes
-        assert conditional_mutual_information(joint, "X", "Y", "J") == pytest.approx(
-            conditional_mutual_information(joint, "X", "Y"), abs=1e-12
+        # conditioned on a constant C nothing changes: I(X;Y|C) = I(X;Y)
+        joint = bsc_joint_xy(0.1)[:, :, None]
+        assert conditional_mutual_information_bits(joint) == pytest.approx(
+            mutual_information_bits(bsc_joint_xy(0.1)), abs=1e-12
         )
 
-    def test_unknown_variable_rejected(self):
-        mass = np.diag([0.5, 0.5])
-        joint = JointDistribution(("A", "B"), (AX, AY), mass)
-        with pytest.raises(ConfigurationError):
-            conditional_mutual_information(joint, "A", "C")
+    def test_batched_against_per_table(self, rng):
+        tables = rng.dirichlet(np.ones(12), size=(4, 5)).reshape(4, 5, 2, 3, 2)
+        cmi = conditional_mutual_information_bits(tables)
+        mi = mutual_information_bits(tables.sum(axis=-1))
+        assert cmi.shape == mi.shape == (4, 5)
+        for a in range(4):
+            for b in range(5):
+                single = conditional_mutual_information_bits(tables[a, b])
+                assert cmi[a, b] == pytest.approx(single, abs=1e-12)
+                single = mutual_information_bits(tables[a, b].sum(axis=-1))
+                assert mi[a, b] == pytest.approx(single, abs=1e-12)
 
-
-class TestExpectedDistortion:
-    def test_perfect_reconstruction(self):
-        mass = np.diag([0.5, 0.5])
-        joint = JointDistribution(("X", "Xhat"), (AX, AH), mass)
-        d = DistortionMatrix(AX, AH, [[0, 1], [1, 0]])
-        assert expected_distortion(joint, d, "X", "Xhat") == 0.0
-
-    def test_independent_uniform(self):
-        mass = np.full((2, 2), 0.25)
-        joint = JointDistribution(("X", "Xhat"), (AX, AH), mass)
-        d = DistortionMatrix(AX, AH, [[0, 1], [1, 0]])
-        assert expected_distortion(joint, d, "X", "Xhat") == pytest.approx(0.5)
-
-    def test_map_reconstruction_against_brute_force(self, rng):
-        q = CondDistribution(AX, AJ, [[0.5, 0.5], [0.5, 0.5]])
-        base = compose_joint(Distribution(AX, [0.25, 0.75]), q, bsc_channel(0.1))
-        # reconstruction copies y
-        mass = np.einsum("xjyz->xy", base.mass)
-        joint = JointDistribution(("X", "Xhat"), (AX, AH), mass)
-        d = DistortionMatrix(AX, AH, [[0, 1], [1, 0]])
-        brute = sum(
-            mass[x, h] * d.entries[x, h] for x in range(2) for h in range(2)
-        )
-        assert expected_distortion(joint, d, "X", "Xhat") == pytest.approx(brute, abs=1e-15)
-
-    def test_alphabet_mismatch(self):
-        mass = np.diag([0.5, 0.5])
-        joint = JointDistribution(("X", "Xhat"), (AX, AY), mass)
-        d = DistortionMatrix(AX, AH, [[0, 1], [1, 0]])
-        with pytest.raises(ConfigurationError):
-            expected_distortion(joint, d, "X", "Xhat")
+    def test_cmi_against_conditional_average(self, rng):
+        # I(A;B|C) = sum_c p(c) I(A;B | C=c)
+        for _ in range(20):
+            p = rng.dirichlet(np.ones(18)).reshape(3, 2, 3)
+            p_c = p.sum(axis=(0, 1))
+            expected = sum(
+                p_c[c] * mutual_information_bits(p[:, :, c] / p_c[c]) for c in range(3)
+            )
+            assert conditional_mutual_information_bits(p) == pytest.approx(expected, abs=1e-12)
 
 
 class TestProperties:
@@ -237,52 +139,19 @@ class TestProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_entropy_concave_under_mixing(self, lam, raw_p, raw_q):
-        a3 = Alphabet("A", 3)
         p = np.array(raw_p) / np.sum(raw_p)
         q = np.array(raw_q) / np.sum(raw_q)
         mix = lam * p + (1 - lam) * q
-        h_mix = entropy(Distribution(a3, mix / mix.sum()))
-        h_sep = lam * entropy(Distribution(a3, p)) + (1 - lam) * entropy(Distribution(a3, q))
+        h_mix = entropy_bits(mix / mix.sum())
+        h_sep = lam * entropy_bits(p) + (1 - lam) * entropy_bits(q)
         assert h_mix >= h_sep - 1e-9
 
     def test_cmi_bounds_on_random_joints(self, rng):
-        a2, b2, c2 = Alphabet("A", 2), Alphabet("B", 2), Alphabet("C", 2)
         for _ in range(50):
             mass = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
-            joint = JointDistribution(("A", "B", "C"), (a2, b2, c2), mass)
-            i = conditional_mutual_information(joint, "A", "B", "C")
-            ac = marginal(joint, ("A", "C"))
-            bc = marginal(joint, ("B", "C"))
-            c = marginal(joint, ("C",))
-            h_a_c = entropy(ac) - entropy(c)
-            h_b_c = entropy(bc) - entropy(c)
+            i = conditional_mutual_information_bits(mass)
+            h_c = entropy_bits(mass.sum(axis=(0, 1)))
+            h_a_c = entropy_bits(mass.sum(axis=1)) - h_c
+            h_b_c = entropy_bits(mass.sum(axis=0)) - h_c
             assert i >= 0.0
             assert i <= min(h_a_c, h_b_c) + 1e-9
-
-    def test_compose_marginal_roundtrip(self, rng):
-        for _ in range(25):
-            px = rng.dirichlet(np.ones(2))
-            q = CondDistribution(AX, AJ, rng.dirichlet(np.ones(2), size=2))
-            joint = compose_joint(Distribution(AX, px), q, bsc_channel(0.23))
-            back = marginal(joint, ("X",))
-            assert np.abs(back.mass - px).max() <= 1e-12
-
-    def test_distortion_linear_in_jammer(self, rng):
-        d = DistortionMatrix(AX, AH, [[0, 1], [0.7, 0]])
-        chan = bsc_channel(0.15)
-        px = Distribution(AX, [0.4, 0.6])
-        for _ in range(20):
-            q1 = rng.dirichlet(np.ones(2), size=2)
-            q2 = rng.dirichlet(np.ones(2), size=2)
-            lam = float(rng.random())
-            qm = lam * q1 + (1 - lam) * q2
-
-            def e_of(qmat):
-                joint = compose_joint(px, CondDistribution(AX, AJ, qmat), chan)
-                mass = np.einsum("xjyz->xy", joint.mass)
-                pair = JointDistribution(("X", "Xhat"), (AX, AH), mass)
-                return expected_distortion(pair, d, "X", "Xhat")
-
-            assert e_of(qm) == pytest.approx(
-                lam * e_of(q1) + (1 - lam) * e_of(q2), abs=1e-9
-            )
