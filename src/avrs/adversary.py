@@ -194,7 +194,6 @@ def worst_case_search(
     seed: int,
     restarts: int = 4,
     trials_per_estimate: int = 32,
-    known_code: bool = False,
 ) -> WorstCaseResult:
     """Greedy coordinate-ascent search for a damaging jamming vector.
 
@@ -205,9 +204,10 @@ def worst_case_search(
     an inner approximation: a lower bound on the true worst case, re-measured
     on fresh seeds with its standard error.
 
-    With ``known_code`` the adversary evaluates against the one realized
-    codebook of ``config``; otherwise each evaluation redraws the code, which
-    models an adversary knowing only the code distribution.
+    Every session plays against ``config.code_seed`` when it is set, a code
+    the adversary knows; otherwise each session draws a fresh code, which
+    models an adversary knowing only the code distribution.  The per-type
+    data comes from ``config.family`` and is shared by all sessions.
     """
     from .coding import simulate_session  # local import to avoid a cycle
 
@@ -221,10 +221,7 @@ def worst_case_search(
         jam = fixed_vector_jammer(vector, config.spec.j_alphabet, "search-candidate")
         total = 0.0
         for t in range(trials_per_estimate):
-            s = derive_seed(seed, seed_label, t)
-            code_seed = config.code_seed if known_code else None
-            report = simulate_session(x, jam, config, s, code_seed=code_seed)
-            total += report.distortion
+            total += simulate_session(x, jam, config, derive_seed(seed, seed_label, t)).distortion
         return total / trials_per_estimate
 
     evaluations = 0
@@ -261,10 +258,7 @@ def worst_case_search(
     jam = fixed_vector_jammer(best_vec, config.spec.j_alphabet, f"greedy-search[{seed}]")
     values = []
     for t in range(trials_per_estimate):
-        s = derive_seed(seed, "final", t)
-        code_seed = config.code_seed if known_code else None
-        report = simulate_session(x, jam, config, s, code_seed=code_seed)
-        values.append(report.distortion)
+        values.append(simulate_session(x, jam, config, derive_seed(seed, "final", t)).distortion)
     arr = np.asarray(values)
     std_err = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return WorstCaseResult(jam, float(arr.mean()), std_err, evaluations)

@@ -27,7 +27,6 @@ from .adversary import (
 )
 from .bounds import GridConfig, compute_bound_report
 from .coding import (
-    CodebookFamily,
     CodingParams,
     SessionConfig,
     sample_typical_sources,
@@ -111,9 +110,14 @@ def _parallel_map(fn, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _trivial_jammer(spec) -> DeterministicJammer:
+    """The jammer that always sends the first jamming symbol."""
+    return DeterministicJammer((0,) * spec.x_alphabet.size, spec.j_alphabet, "trivial")
+
+
 def _resolve_jammers(name_or_path: str, spec, config, n: int, seed: int, budget: int):
     if name_or_path == "trivial":
-        return [DeterministicJammer((0,) * spec.x_alphabet.size, spec.j_alphabet, "trivial")]
+        return [_trivial_jammer(spec)]
     if name_or_path == "all-deterministic":
         return deterministic_jammer_family(spec)
     if name_or_path == "greedy-search":
@@ -203,14 +207,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     policy = load_policy(args.policy, spec)
     config = _coding_config(args, spec, policy)
     jammers = _resolve_jammers(args.jammers, spec, config, args.n, args.seed, args.search_budget)
-    family = CodebookFamily(config)
 
     def one(task: tuple[int, int]) -> tuple:
         jam_id, trial = task
         s = derive_seed(args.seed, "trial", jam_id, trial)
         draw = sample_indices(philox_stream(s, "x"), spec.p_x.mass, args.n)
         x = SymbolVector(spec.x_alphabet, draw)
-        rep = simulate_session(x, jammers[jam_id], config, s, family=family)
+        rep = simulate_session(x, jammers[jam_id], config, s)
         return (args.n, jam_id, rep.distortion, rep.e_enc, rep.e_dec1, rep.e_dec2)
 
     tasks = [(j, t) for j in range(len(jammers)) for t in range(args.trials)]
@@ -231,7 +234,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         summary.append(
             {
                 "jammer_id": j,
-                "descriptor": getattr(jammers[j], "descriptor", type(jammers[j]).__name__),
+                "descriptor": jammers[j].descriptor,
                 "trials": len(vals),
                 "mean_distortion": float(np.mean(vals)) if vals else None,
                 "enc_fallback_rate": float(np.mean([r[3] for r in rows if r[1] == j]))
@@ -296,7 +299,7 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
     selected = set(args.harness) if args.harness else set(_HARNESSES)
     if "all" in selected:
         selected = set(_HARNESSES)
-    trivial_jam = DeterministicJammer((0,) * spec.x_alphabet.size, spec.j_alphabet, "trivial")
+    trivial_jam = _trivial_jammer(spec)
     p_y = np.einsum("x,xy->y", spec.p_x.mass, spec.w.y_marginal_kernel[:, 0, :])
 
     rows: list[list] = []

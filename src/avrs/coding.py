@@ -89,13 +89,21 @@ class CodingParams:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything that identifies a coding system apart from its randomness."""
+    """Everything that identifies a coding system apart from its randomness.
+
+    ``family`` is the system's one cache of per-type data, built with the
+    config and shared by every session, harness and search run on it.
+    """
 
     spec: ProblemSpec
     policy: AuxiliaryPolicy
     params: CodingParams
     grid: GridConfig | None = None
     code_seed: int | None = None
+    family: CodebookFamily = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "family", CodebookFamily(self))
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,8 @@ def _ceil_pow2(rate_bits: float, n: int, cap: int) -> tuple[int, bool]:
 
 
 class CodebookFamily:
-    """Cache of per-type data for one coding system.
+    """Cache of per-type data for one coding system; each
+    :class:`SessionConfig` builds exactly one, as ``config.family``.
 
     Rates and decoder targets depend only on the observed type, not on the
     code draw, so they are computed once per type and shared across sessions
@@ -150,17 +159,12 @@ class CodebookFamily:
         n = t_y.n
         rates = per_type_rates(t_y, policy, spec, params.eps, params.f_eps, cfg.grid)
         num_cw, trunc_u = _ceil_pow2(rates.r_u, n, params.size_cap)
-        if trunc_u or not math.isfinite(rates.r_tilde):
-            bin_size = min(_ceil_pow2(rates.r_tilde, n, params.size_cap)[0], num_cw)
+        bin_size, trunc_b = _ceil_pow2(rates.r_tilde, n, params.size_cap)
+        num_bins, trunc_n = _ceil_pow2(rates.r_bin, n, params.size_cap)
+        truncated = trunc_u or trunc_b or trunc_n
+        if truncated:
+            bin_size = min(bin_size, num_cw)
             num_bins = math.ceil(num_cw / bin_size)
-            truncated = True
-        else:
-            bin_size, trunc_b = _ceil_pow2(rates.r_tilde, n, params.size_cap)
-            num_bins, trunc_n = _ceil_pow2(rates.r_bin, n, params.size_cap)
-            truncated = trunc_b or trunc_n
-            if truncated:
-                bin_size = min(bin_size, num_cw)
-                num_bins = math.ceil(num_cw / bin_size)
         p_uy = policy.p_u_given_y.matrix  # (Y, U)
         p_u = t_y.probabilities @ p_uy
         encoder_target = (t_y.probabilities[:, None] * p_uy).T
@@ -351,7 +355,6 @@ def simulate_session(
     config: SessionConfig,
     seed: int,
     code_seed: int | None = None,
-    family: CodebookFamily | None = None,
 ) -> SessionReport:
     """Run jamming, channel, encoder, decoder and reconstruction once.
 
@@ -361,7 +364,6 @@ def simulate_session(
     shared-randomness reading of the scheme.
     """
     spec, policy, params = config.spec, config.policy, config.params
-    family = family or CodebookFamily(config)
     j = sample_jamming(jammer, x, philox_stream(seed, "jamming"))
     y, z = _draw_channel(spec, x, j, philox_stream(seed, "channel"))
     t_y = empirical_type(y)
@@ -369,7 +371,7 @@ def simulate_session(
         code_seed = config.code_seed
     if code_seed is None:
         code_seed = derive_seed(seed, "code")
-    cb = family.codebook(t_y, code_seed)
+    cb = config.family.codebook(t_y, code_seed)
     enc = encode(y, cb, params.delta2, philox_stream(seed, "encoder"))
     member, g_dec = decode(enc.bin_index, z, cb, params.gamma)
     u_decoded = SymbolVector(cb.u_alphabet, cb.matrix()[g_dec])
@@ -450,7 +452,6 @@ def max_distortion_estimate(
     seed: int,
     delta0: float | None = None,
     num_sources: int = 3,
-    family: CodebookFamily | None = None,
 ) -> MaxDistortionReport:
     """Monte Carlo estimate of the worst mean distortion over sampled typical
     source blocks and the given jammer set, with per-cell standard errors."""
@@ -461,7 +462,6 @@ def max_distortion_estimate(
     if delta0 is None:
         delta0 = n ** (-1.0 / 3.0)
     xs = sample_typical_sources(config.spec, n, delta0, num_sources, seed)
-    family = family or CodebookFamily(config)
     cells = []
     best = (-math.inf, 0, 0)
     for ix, x in enumerate(xs):
@@ -470,11 +470,10 @@ def max_distortion_estimate(
             vals = np.empty(trials)
             for t in range(trials):
                 s = derive_seed(seed, "cell", ix, digest, t)
-                vals[t] = simulate_session(x, jam, config, s, family=family).distortion
+                vals[t] = simulate_session(x, jam, config, s).distortion
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-            descriptor = getattr(jam, "descriptor", jam.__class__.__name__)
-            cells.append(CellEstimate(ix, ij, descriptor, mean, se, trials))
+            cells.append(CellEstimate(ix, ij, jam.descriptor, mean, se, trials))
             if mean > best[0]:
                 best = (mean, ix, ij)
     return MaxDistortionReport(best[0], best[1], best[2], tuple(cells), delta0, n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import JammerStrategy
-from .coding import CodebookFamily, SessionConfig, sample_typical_sources, simulate_session
+from .coding import SessionConfig, sample_typical_sources, simulate_session
 from .errors import UsageError
 from .rng import derive_seed, philox_stream
 
@@ -121,7 +121,6 @@ def certify_ensemble(
     if delta0 is None:
         delta0 = n ** (-1.0 / 3.0)
     xs = sample_typical_sources(cfg.spec, n, delta0, x_count, derive_seed(seed, "x"))
-    family = CodebookFamily(cfg)
     k = ensemble.size
     cells = []
     max_excess = -math.inf
@@ -132,13 +131,13 @@ def certify_ensemble(
                 for t in range(trials_per_member):
                     s = derive_seed(seed, "ens", ix, ij, i, t)
                     ens_vals[i * trials_per_member + t] = simulate_session(
-                        x, jam, cfg, s, code_seed=member_seed, family=family
+                        x, jam, cfg, s, code_seed=member_seed
                     ).distortion
             par_vals = np.empty(k * trials_per_member)
             for t in range(k * trials_per_member):
                 s = derive_seed(seed, "parent", ix, ij, t)
                 par_vals[t] = simulate_session(
-                    x, jam, cfg, s, code_seed=derive_seed(s, "fresh-code"), family=family
+                    x, jam, cfg, s, code_seed=derive_seed(s, "fresh-code")
                 ).distortion
             ens_mean = float(ens_vals.mean())
             par_mean = float(par_vals.mean())
@@ -244,7 +243,6 @@ def run_stochastic_session(
     x,
     jammer: JammerStrategy,
     seed: int,
-    family: CodebookFamily | None = None,
 ) -> StochasticSessionReport:
     """One session of the stochastic-encoder code: draw the member privately,
     run that member's deterministic code end to end."""
@@ -256,7 +254,6 @@ def run_stochastic_session(
         code.ensemble.config,
         derive_seed(seed, "session"),
         code_seed=code.ensemble.member_seeds[idx],
-        family=family,
     )
     return StochasticSessionReport(
         member_index=idx,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import CodebookFamily, SessionConfig, simulate_session
+from .coding import SessionConfig, simulate_session
 from .adversary import JammerStrategy
 from .errors import EnumerationTooLargeError, UsageError
 from .model import ProblemSpec
@@ -152,14 +152,13 @@ def run_covering(
 
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    family = CodebookFamily(config)
     n = t_y.n
     template = type_template(t_y)
     gen = philox_stream(seed, "covering")
     successes = 0
     for t in range(trials):
         y = SymbolVector(config.spec.y_alphabet, gen.permutation(template))
-        cb = family.codebook(t_y, derive_seed(seed, "code", t))
+        cb = config.family.codebook(t_y, derive_seed(seed, "code", t))
         res = encode(y, cb, config.params.delta2, philox_stream(seed, "enc", t))
         successes += 0 if res.fallback_used else 1
     rate = successes / trials
@@ -177,14 +176,13 @@ def run_packing(
     codeword of the sent bin also lands in the decoder's list."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    family = CodebookFamily(config)
     spec = config.spec
     gen = philox_stream(seed, "packing-sources")
     false_candidates = 0
     effective = 0
     for t in range(trials):
         x = SymbolVector(spec.x_alphabet, sample_indices(gen, spec.p_x.mass, n))
-        report = simulate_session(x, jammer, config, derive_seed(seed, "trial", t), family=family)
+        report = simulate_session(x, jammer, config, derive_seed(seed, "trial", t))
         if report.e_enc:
             continue
         effective += 1
@@ -212,7 +210,6 @@ def run_markov_conclusion(
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    family = CodebookFamily(config)
     spec, policy = config.spec, config.policy
     nx, nj = spec.x_alphabet.size, spec.j_alphabet.size
     ny, nz = spec.y_alphabet.size, spec.z_alphabet.size
@@ -221,7 +218,7 @@ def run_markov_conclusion(
     violations = 0
     for t in range(trials):
         x = SymbolVector(spec.x_alphabet, sample_indices(gen, spec.p_x.mass, n))
-        report = simulate_session(x, jammer, config, derive_seed(seed, "trial", t), family=family)
+        report = simulate_session(x, jammer, config, derive_seed(seed, "trial", t))
         xs, js = report.x.symbols, report.j.symbols
         ys, zs, us = report.y.symbols, report.z.symbols, report.u_encoded.symbols
         pair = pair_counts(xs[None, :], js, nx, nj)[0]
@@ -279,8 +276,7 @@ def exact_codeword_conditional(
     ``max_enumeration``.  The reference entropy H(U|Y) is computed under the
     test channel paired with the observed type.
     """
-    family = CodebookFamily(config)
-    data = family.type_data(t_y)
+    data = config.family.type_data(t_y)
     n = t_y.n
     nu = config.policy.u_size
     num_cw = data.num_codewords

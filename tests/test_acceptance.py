@@ -15,7 +15,7 @@ import pytest
 from avrs.adversary import DeterministicJammer, MemorylessJammer
 from avrs.bounds import GridConfig, RateBoundSolver, minimax_distortion_game, r_lower, r_upper
 from avrs.cli import main
-from avrs.coding import CodebookFamily, CodingParams, SessionConfig, simulate_session
+from avrs.coding import CodingParams, SessionConfig, simulate_session
 from avrs.derandomize import build_stochastic_code, certify_ensemble, sample_ensemble, union_bound
 from avrs.errors import InfeasibleDistortionError
 from avrs.games import BilinearGame, solve_bilinear_game
@@ -169,7 +169,7 @@ def test_criterion_5_coding_contract():
     eps = 0.2
     params = CodingParams(eps=eps, delta2=0.25, gamma=0.25, f_eps=0.1, size_cap=2048)
     config = SessionConfig(spec, policy, params)
-    family = CodebookFamily(config)
+    family = config.family
     jam = MemorylessJammer(
         CondDistribution(spec.x_alphabet, spec.j_alphabet, [[0.7, 0.3], [0.7, 0.3]])
     )
@@ -186,7 +186,7 @@ def test_criterion_5_coding_contract():
         x = SymbolVector(
             spec.x_alphabet, np.searchsorted(cdf, philox_stream(seed, "x").random(n), side="right")
         )
-        rep = simulate_session(x, jam, config, seed, family=family)
+        rep = simulate_session(x, jam, config, seed)
         t_y = empirical_type(rep.y)
         if not rep.e_enc:
             key = t_y.key()
@@ -199,7 +199,7 @@ def test_criterion_5_coding_contract():
         realized_bin_rates[t_y.key()] = rep.r_bin
         max_measured = max(max_measured, rep.message_bits / n)
         if t % 50 == 0:
-            again = simulate_session(x, jam, config, seed, family=family)
+            again = simulate_session(x, jam, config, seed)
             if not (
                 np.array_equal(again.u_decoded.symbols, rep.u_decoded.symbols)
                 and np.array_equal(again.x_hat.symbols, rep.x_hat.symbols)

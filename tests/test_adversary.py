@@ -174,6 +174,24 @@ class TestWorstCaseSearch:
             means.append(np.mean(vals))
         assert res.estimate >= float(np.mean(means)) - 3 * max(res.std_error, 1e-3)
 
+    def test_rates_computed_once_per_observed_type(self, monkeypatch):
+        import avrs.coding
+
+        keys = []
+        original = avrs.coding.per_type_rates
+
+        def counting(t_y, *args, **kwargs):
+            keys.append(t_y.key())
+            return original(t_y, *args, **kwargs)
+
+        monkeypatch.setattr(avrs.coding, "per_type_rates", counting)
+        spec = wz_spec()
+        config = _search_config(spec, noisy_policy(spec))
+        x = SymbolVector(spec.x_alphabet, [0, 1, 1, 0, 0, 1, 0, 1])
+        worst_case_search(config, x, budget=4, seed=2, trials_per_estimate=6)
+        assert len(set(keys)) > 1
+        assert len(keys) == len(set(keys))
+
     def test_sampled_vectors_alphabet_valid(self, rng):
         spec = xor_spec()
         jam = MemorylessJammer(

@@ -23,6 +23,12 @@ def read_rows(path: Path) -> list[dict]:
     return list(csv.DictReader(lines))
 
 
+def assert_same_files(a: Path, b: Path, names: list[str]) -> None:
+    assert sorted(p.name for p in a.iterdir()) == sorted(names)
+    match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
+    assert (mismatch, errors) == ([], [])
+
+
 class TestBoundsCommand:
     def test_golden_file(self, tmp_path):
         rc = main(
@@ -132,6 +138,16 @@ class TestSimulateCommand:
         assert main(self.ARGS + ["--out-dir", str(b), "--threads", "4"]) == 0
         assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
 
+    def test_greedy_search_thread_count_does_not_change_output(self, tmp_path):
+        args = [a for a in self.ARGS]
+        args[args.index("--jammers") + 1] = "greedy-search"
+        args[args.index("--trials") + 1] = "2"
+        args += ["--search-budget", "4"]
+        a, b = tmp_path / "t1", tmp_path / "t2"
+        assert main(args + ["--out-dir", str(a), "--threads", "1"]) == 0
+        assert main(args + ["--out-dir", str(b), "--threads", "2"]) == 0
+        assert_same_files(a, b, ["trials.csv", "simulate.json"])
+
     def test_cell_matches_direct_library_call(self, tmp_path):
         rc = main(self.ARGS + ["--out-dir", str(tmp_path)])
         assert rc == 0
@@ -197,6 +213,12 @@ class TestLemmasCommand:
         rows = read_rows(a / "lemmas.csv")
         assert {r["harness"] for r in rows} >= {"conditional-typicality", "covering", "packing"}
         assert set(rows[0]) == {"harness", "n", "empirical", "bound", "sigma", "verdict"}
+
+    def test_thread_count_does_not_change_output(self, tmp_path):
+        a, b = tmp_path / "t1", tmp_path / "t2"
+        assert main(self.ARGS + ["--out-dir", str(a), "--threads", "1"]) == 0
+        assert main(self.ARGS + ["--out-dir", str(b), "--threads", "2"]) == 0
+        assert_same_files(a, b, ["lemmas.csv"])
 
     def test_harness_selection(self, tmp_path):
         rc = main(self.ARGS + ["--out-dir", str(tmp_path), "--harness", "covering"])

@@ -315,14 +315,13 @@ class TestSessions:
         )
         config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=16))
         jam = deterministic = DeterministicJammer((0,) * 2, spec.j_alphabet)
-        family = CodebookFamily(config)
         n, trials = 24, 400
         vals = []
         for t in range(trials):
             x = SymbolVector(
                 spec.x_alphabet, philox_stream(t, "x").integers(0, 2, n)
             )
-            vals.append(simulate_session(x, jam, config, seed=t, family=family).distortion)
+            vals.append(simulate_session(x, jam, config, seed=t).distortion)
         mean = float(np.mean(vals))
         sigma = float(np.std(vals) / math.sqrt(trials))
         assert abs(mean - 0.5) <= 4 * sigma
@@ -345,18 +344,17 @@ class TestSessions:
     def test_distortion_within_range(self):
         config = wz_config()
         jam = DeterministicJammer((1, 0), config.spec.j_alphabet)
-        family = CodebookFamily(config)
         for t in range(50):
             x = SymbolVector(config.spec.x_alphabet, philox_stream(t, "r").integers(0, 2, 12))
-            rep = simulate_session(x, jam, config, seed=t, family=family)
+            rep = simulate_session(x, jam, config, seed=t)
             assert 0.0 <= rep.distortion <= config.spec.d.d_max
 
     def test_message_bits_accounting(self):
         config = wz_config()
-        family = CodebookFamily(config)
+        family = config.family
         jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
         x = SymbolVector(config.spec.x_alphabet, philox_stream(1, "m").integers(0, 2, 16))
-        rep = simulate_session(x, jam, config, seed=7, family=family)
+        rep = simulate_session(x, jam, config, seed=7)
         cb = family.codebook(empirical_type(rep.y), rep.code_seed)
         expected = math.ceil(math.log2(cb.num_bins)) if cb.num_bins > 1 else 0
         assert rep.message_bits == expected
@@ -371,7 +369,6 @@ class TestDecodeErrorTrend:
             noisy_policy(spec, stay=0.9),
             CodingParams(eps=1.7, delta2=0.2, gamma=0.2, f_eps=0.1, size_cap=4096),
         )
-        family = CodebookFamily(config)
         jam = DeterministicJammer((0, 0), spec.j_alphabet)
         cdf = np.cumsum(spec.p_x.mass)
         cdf[-1] = 1.0
@@ -384,7 +381,7 @@ class TestDecodeErrorTrend:
                     spec.x_alphabet,
                     np.searchsorted(cdf, philox_stream(s, "x").random(n), side="right"),
                 )
-                rep = simulate_session(x, jam, config, s, family=family)
+                rep = simulate_session(x, jam, config, s)
                 if rep.e_enc:
                     continue
                 good += 1
@@ -408,10 +405,9 @@ class TestMaxDistortion:
         assert len(report.cells) == 1
         cell = report.cells[0]
         x = sample_typical_sources(config.spec, 12, 12 ** (-1 / 3), 1, 31)[0]
-        family = CodebookFamily(config)
         direct = [
             simulate_session(
-                x, jam, config, derive_seed(31, "cell", 0, jammer_digest(jam), t), family=family
+                x, jam, config, derive_seed(31, "cell", 0, jammer_digest(jam), t)
             ).distortion
             for t in range(20)
         ]
@@ -442,9 +438,8 @@ class TestMaxDistortion:
         cell = report.cells[0]
         # independent run: same distribution, disjoint seed path
         x = sample_typical_sources(config.spec, n, n ** (-1 / 3), 1, 301)[0]
-        family = CodebookFamily(config)
         other = [
-            simulate_session(x, jam, config, derive_seed(999, "indep", t), family=family).distortion
+            simulate_session(x, jam, config, derive_seed(999, "indep", t)).distortion
             for t in range(trials)
         ]
         se = math.hypot(cell.std_error, float(np.std(other) / math.sqrt(trials)))

@@ -188,12 +188,11 @@ class TestStochasticCode:
         e = sample_ensemble(config, n=8, k=k, master_seed=1)
         code = build_stochastic_code(e)
         jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
-        family = CodebookFamily(config)
         x = SymbolVector(config.spec.x_alphabet, [0, 1, 0, 1, 1, 0, 0, 1])
         trials = 8000
         counts = np.zeros(k)
         for t in range(trials):
-            rep = run_stochastic_session(code, x, jam, seed=derive_seed(0, "unif", t), family=family)
+            rep = run_stochastic_session(code, x, jam, seed=derive_seed(0, "unif", t))
             counts[rep.member_index] += 1
         expected = trials / k
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -209,12 +208,11 @@ class TestStochasticCode:
                 config.spec.x_alphabet, config.spec.j_alphabet, [[0.7, 0.3], [0.7, 0.3]]
             )
         )
-        family = CodebookFamily(config)
         x = SymbolVector(config.spec.x_alphabet, philox_stream(8).integers(0, 2, n))
         trials = 700
         sto = np.array(
             [
-                run_stochastic_session(code, x, jam, seed=derive_seed(1, "s", t), family=family).distortion
+                run_stochastic_session(code, x, jam, seed=derive_seed(1, "s", t)).distortion
                 for t in range(trials)
             ]
         )
@@ -222,7 +220,7 @@ class TestStochasticCode:
             [
                 simulate_session(
                     x, jam, config, derive_seed(2, "e", t),
-                    code_seed=e.member_seeds[t % k], family=family,
+                    code_seed=e.member_seeds[t % k],
                 ).distortion
                 for t in range(trials)
             ]

@@ -167,6 +167,28 @@ class TestPacking:
         assert tc.ok, (tc.values, tc.sigmas)
 
 
+class TestSharedTypeCache:
+    def test_harnesses_on_one_config_enumerate_each_type_once(self, monkeypatch):
+        import avrs.coding
+
+        keys = []
+        original = avrs.coding.valid_jammer_types
+
+        def counting(t_y, *args, **kwargs):
+            keys.append(t_y.key())
+            return original(t_y, *args, **kwargs)
+
+        monkeypatch.setattr(avrs.coding, "valid_jammer_types", counting)
+        config = markov_config()
+        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
+        n = 12
+        run_covering(config, nearest_type(np.array([0.5, 0.5]), n), trials=10, seed=1)
+        run_packing(config, jam, n, trials=30, seed=2)
+        run_markov_conclusion(config, jam, n, 0.2, trials=30, seed=3)
+        assert len(set(keys)) > 1
+        assert len(keys) == len(set(keys))
+
+
 class TestMarkovConclusion:
     def test_deterministic_pipeline_never_violates(self):
         spec = identity_z_spec()
