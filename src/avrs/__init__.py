@@ -25,9 +25,7 @@ from .mtypes import (
     SymbolVector,
     TypeTable,
     empirical_type,
-    is_jointly_typical,
     is_typical,
-    joint_type,
     valid_jammer_types,
 )
 from .model import (
@@ -35,8 +33,6 @@ from .model import (
     ProblemSpec,
     load_policy,
     load_problem_spec,
-    save_policy,
-    save_problem_spec,
 )
 from .games import BilinearGame, GameResult, solve_bilinear_game
 from .bounds import (
@@ -66,16 +62,11 @@ from .coding import (
     SessionConfig,
     decode,
     encode,
-    max_distortion_estimate,
     reconstruct,
     simulate_session,
 )
 from .derandomize import (
     Ensemble,
-    StochasticEncoderCode,
-    bernstein_bound,
-    build_stochastic_code,
     certify_ensemble,
     sample_ensemble,
-    union_bound,
 )

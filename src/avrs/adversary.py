@@ -88,20 +88,6 @@ def fixed_vector_jammer(vector: np.ndarray, j_alphabet: Alphabet, label: str) ->
     return BlockJammer(lambda x: vec, j_alphabet, f"{label}{vec.tolist()}")
 
 
-def jammer_digest(jammer: JammerStrategy) -> str:
-    """Content digest used to seed per-jammer randomness: identical
-    strategies share streams wherever they appear in a set."""
-    import hashlib
-
-    if isinstance(jammer, MemorylessJammer):
-        payload = b"m" + jammer.q.matrix.tobytes()
-    elif isinstance(jammer, DeterministicJammer):
-        payload = b"d" + bytes(jammer.mapping)
-    else:
-        payload = b"b" + jammer.descriptor.encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 def sample_jamming(
     jammer: JammerStrategy, x: SymbolVector, rng: np.random.Generator
 ) -> SymbolVector:
@@ -173,9 +159,11 @@ def jammer_to_dict(jammer: JammerStrategy) -> dict:
 
 
 def load_jammers(path: str | Path, spec) -> list[JammerStrategy]:
-    """Read a jammer description file: one document or a list of them."""
+    """Read a jammer description file: one document or a non-empty list of them."""
     doc = read_json(path)
     docs = doc if isinstance(doc, list) else [doc]
+    if not docs:
+        raise ConfigurationError(f"{path}: jammer list is empty")
     return [jammer_from_dict(d, spec, source=str(Path(path))) for d in docs]
 
 

@@ -32,7 +32,7 @@ from .coding import (
     sample_typical_sources,
     simulate_session,
 )
-from .derandomize import build_stochastic_code, certify_ensemble, sample_ensemble
+from .derandomize import certify_ensemble, sample_ensemble
 from .errors import AvrsError, ConfigurationError, UsageError
 from .lemmas import (
     run_conditional_typicality,
@@ -261,7 +261,6 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
         mu=args.mu,
         seed=derive_seed(args.seed, "certify"),
     )
-    code = build_stochastic_code(ensemble)
     meta = _metadata("derandomize", args, skip=())
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,8 +271,8 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
         "passed": report.passed,
         "max_excess": report.max_excess,
         "note": report.note,
-        "rate_overhead": code.rate_overhead,
-        "index_bits": code.index_bits,
+        "rate_overhead": ensemble.rate_overhead,
+        "index_bits": ensemble.index_bits,
         "cells": [
             {
                 "x_index": c.x_index,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import JammerStrategy, jammer_digest, sample_jamming
+from .adversary import JammerStrategy, sample_jamming
 from .bounds import GridConfig, PerTypeRates, per_type_rates
 from .errors import UsageError
 from .model import AuxiliaryPolicy, ProblemSpec
@@ -48,12 +48,13 @@ __all__ = [
     "decoder_membership",
     "reconstruct",
     "simulate_session",
-    "max_distortion_estimate",
-    "MaxDistortionReport",
-    "CellEstimate",
 ]
 
 DEFAULT_SIZE_CAP = 2**20
+
+# Source blocks drawn by sample_typical_sources before it reports that too
+# few are typical.
+MAX_SOURCE_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -405,12 +406,13 @@ def simulate_session(
 
 
 def sample_typical_sources(
-    spec: ProblemSpec, n: int, delta0: float, count: int, seed: int, max_tries: int = 10_000
+    spec: ProblemSpec, n: int, delta0: float, count: int, seed: int
 ) -> list[SymbolVector]:
-    """Draw i.i.d. source blocks conditioned on delta0-typicality."""
+    """Draw i.i.d. source blocks conditioned on delta0-typicality, giving up
+    after ``MAX_SOURCE_DRAWS`` draws."""
     gen = philox_stream(seed, "sources")
     out: list[SymbolVector] = []
-    for _ in range(max_tries):
+    for _ in range(MAX_SOURCE_DRAWS):
         if len(out) == count:
             break
         x = SymbolVector(spec.x_alphabet, sample_indices(gen, spec.p_x.mass, n))
@@ -422,58 +424,3 @@ def sample_typical_sources(
             f"delta0={delta0}; enlarge delta0 or n"
         )
     return out
-
-
-@dataclass(frozen=True)
-class CellEstimate:
-    x_index: int
-    jammer_index: int
-    jammer_descriptor: str
-    mean: float
-    std_error: float
-    trials: int
-
-
-@dataclass(frozen=True)
-class MaxDistortionReport:
-    estimate: float
-    argmax_x: int
-    argmax_jammer: int
-    cells: tuple[CellEstimate, ...]
-    delta0: float
-    n: int
-
-
-def max_distortion_estimate(
-    config: SessionConfig,
-    jammer_set: list[JammerStrategy],
-    n: int,
-    trials: int,
-    seed: int,
-    delta0: float | None = None,
-    num_sources: int = 3,
-) -> MaxDistortionReport:
-    """Monte Carlo estimate of the worst mean distortion over sampled typical
-    source blocks and the given jammer set, with per-cell standard errors."""
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
-    if not jammer_set:
-        raise UsageError("jammer_set must be non-empty")
-    if delta0 is None:
-        delta0 = n ** (-1.0 / 3.0)
-    xs = sample_typical_sources(config.spec, n, delta0, num_sources, seed)
-    cells = []
-    best = (-math.inf, 0, 0)
-    for ix, x in enumerate(xs):
-        for ij, jam in enumerate(jammer_set):
-            digest = jammer_digest(jam)
-            vals = np.empty(trials)
-            for t in range(trials):
-                s = derive_seed(seed, "cell", ix, digest, t)
-                vals[t] = simulate_session(x, jam, config, s).distortion
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-            cells.append(CellEstimate(ix, ij, jam.descriptor, mean, se, trials))
-            if mean > best[0]:
-                best = (mean, ix, ij)
-    return MaxDistortionReport(best[0], best[1], best[2], tuple(cells), delta0, n)

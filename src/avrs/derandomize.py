@@ -1,12 +1,13 @@
-"""Elimination of shared randomness: polynomial code ensembles, their
-certification against the parent randomized code, the concentration-bound
-calculators behind the ensemble size, and the stochastic-encoder wrapper
-that transmits the chosen member index.
+"""Elimination of shared randomness: polynomial code ensembles and their
+certification against the parent randomized code.
 
-The exponential union bound here ranges over source/jamming sequence pairs;
-ranging over whole jamming functions would grow doubly exponentially in the
-blocklength, which is why the maximum-distortion criterion (not the
-source-averaged one) is the workable one for ensembles of polynomial size.
+The ensemble size K = n^2 follows the paper's elimination argument, a union
+bound over source/jamming sequence pairs; ranging over whole jamming
+functions would grow doubly exponentially in the blocklength, which is why
+the maximum-distortion criterion (not the source-averaged one) is the
+workable one for ensembles of polynomial size.  That bound is not computed
+here: certification is an empirical spot check.  Sending the member index
+costs the rate overhead log2(K)/n that ``Ensemble.rate_overhead`` reports.
 """
 
 from __future__ import annotations
@@ -19,20 +20,14 @@ import numpy as np
 from .adversary import JammerStrategy
 from .coding import SessionConfig, sample_typical_sources, simulate_session
 from .errors import UsageError
-from .rng import derive_seed, philox_stream
+from .rng import derive_seed
 
 __all__ = [
     "Ensemble",
-    "StochasticEncoderCode",
     "CertificationCell",
     "CertificationReport",
     "sample_ensemble",
     "certify_ensemble",
-    "bernstein_bound",
-    "union_bound",
-    "build_stochastic_code",
-    "run_stochastic_session",
-    "StochasticSessionReport",
 ]
 
 
@@ -49,6 +44,17 @@ class Ensemble:
     @property
     def size(self) -> int:
         return len(self.member_seeds)
+
+    @property
+    def rate_overhead(self) -> float:
+        """Rate cost log2(K)/n of sending the member index (2 log2(n)/n at
+        K = n^2)."""
+        return math.log2(self.size) / self.n if self.size > 1 else 0.0
+
+    @property
+    def index_bits(self) -> int:
+        """Integer header length that carries the member index."""
+        return math.ceil(math.log2(self.size)) if self.size > 1 else 0
 
 
 def sample_ensemble(
@@ -116,6 +122,10 @@ def certify_ensemble(
         raise UsageError("mu must be > 0")
     if trials_per_member < 1:
         raise UsageError("trials_per_member must be >= 1")
+    if x_count < 1:
+        raise UsageError("x_count must be >= 1")
+    if not jammer_set:
+        raise UsageError("jammer_set must be non-empty")
     cfg = ensemble.config
     n = ensemble.n
     if delta0 is None:
@@ -157,110 +167,4 @@ def certify_ensemble(
         k=k,
         n=n,
         trials_per_member=trials_per_member,
-    )
-
-
-def _check_alpha(alpha: float, b: float) -> None:
-    if b <= 0 or not math.isfinite(b):
-        raise UsageError("b must lie in (0, inf)")
-    limit = min(1.0, (b / 2.0) * math.exp(-2.0 * b))
-    if not 0 < alpha <= limit + 1e-15:
-        raise UsageError(
-            f"alpha={alpha} outside the admissible range (0, min(1, (b/2)e^(-2b)) = {limit:.6g}]"
-        )
-
-
-def bernstein_bound(mu: float, b: float, alpha: float, n_samples: int) -> float:
-    """Tail bound exp(-(alpha mu + alpha^2 b^2) N) for centered averages of
-    independent variables bounded by b."""
-    if mu <= 0:
-        raise UsageError("mu must be > 0")
-    _check_alpha(alpha, b)
-    if n_samples < 1:
-        raise UsageError("n_samples must be >= 1")
-    return math.exp(-(alpha * mu + alpha**2 * b**2) * n_samples)
-
-
-def union_bound(
-    n: int, k: int, mu: float, b: float, alpha: float, x_size: int, j_size: int
-) -> float:
-    """Probability that some (source block, jamming block) pair sees ensemble
-    distortion exceed its mean by mu: |X|^n |J|^n exp(-(alpha mu + alpha^2 b^2) K),
-    capped at 1.  With K = n^2 the exponent wins and the bound vanishes in n.
-    """
-    if mu <= 0:
-        raise UsageError("mu must be > 0")
-    _check_alpha(alpha, b)
-    if n < 1 or k < 1 or x_size < 1 or j_size < 1:
-        raise UsageError("n, k and alphabet sizes must be >= 1")
-    exponent = k * (alpha * mu + alpha**2 * b**2) - n * math.log(x_size * j_size)
-    return min(1.0, math.exp(-exponent))
-
-
-@dataclass(frozen=True)
-class StochasticEncoderCode:
-    """Private-randomness wrapper: the encoder draws a member index per
-    session and prepends it; the decoder dispatches on it deterministically.
-
-    ``rate_overhead`` is the analytical index cost log2(K)/n used in the rate
-    accounting (2 log2(n)/n at K = n^2); ``index_bits`` is the integer header
-    physically prepended per session."""
-
-    ensemble: Ensemble
-    rate_overhead: float
-    index_bits: int
-    parent_rate: float | None = None
-
-    @property
-    def rate(self) -> float | None:
-        if self.parent_rate is None:
-            return None
-        return self.parent_rate + self.rate_overhead
-
-
-def build_stochastic_code(
-    ensemble: Ensemble, parent_rate: float | None = None
-) -> StochasticEncoderCode:
-    k = ensemble.size
-    overhead = math.log2(k) / ensemble.n if k > 1 else 0.0
-    index_bits = math.ceil(math.log2(k)) if k > 1 else 0
-    return StochasticEncoderCode(ensemble, overhead, index_bits, parent_rate)
-
-
-@dataclass(frozen=True)
-class StochasticSessionReport:
-    member_index: int
-    index_bits: int
-    distortion: float
-    e_enc: bool
-    e_dec1: bool
-    e_dec2: bool
-    message_bits: int
-
-
-def run_stochastic_session(
-    code: StochasticEncoderCode,
-    x,
-    jammer: JammerStrategy,
-    seed: int,
-) -> StochasticSessionReport:
-    """One session of the stochastic-encoder code: draw the member privately,
-    run that member's deterministic code end to end."""
-    k = code.ensemble.size
-    idx = int(philox_stream(seed, "member-index").integers(k)) if k > 1 else 0
-    report = simulate_session(
-        x,
-        jammer,
-        code.ensemble.config,
-        derive_seed(seed, "session"),
-        code_seed=code.ensemble.member_seeds[idx],
-    )
-    return StochasticSessionReport(
-        member_index=idx,
-        index_bits=code.index_bits,
-        distortion=report.distortion,
-        e_enc=report.e_enc,
-        e_dec1=report.e_dec1,
-        e_dec2=report.e_dec2,
-        message_bits=report.message_bits + code.index_bits,
     )

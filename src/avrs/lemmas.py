@@ -12,7 +12,6 @@ exponent instead of assuming a value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +19,7 @@ import numpy as np
 
 from .coding import SessionConfig, simulate_session
 from .adversary import JammerStrategy
-from .errors import EnumerationTooLargeError, UsageError
-from .model import ProblemSpec
+from .errors import UsageError
 from .mtypes import (
     TYPE_TOL,
     SymbolVector,
@@ -30,7 +28,7 @@ from .mtypes import (
     pair_counts,
     type_template,
 )
-from .probability import CondDistribution, Distribution, entropy_bits
+from .probability import CondDistribution, Distribution
 from .rng import derive_seed, philox_stream, sample_indices, sample_rows
 
 __all__ = [
@@ -41,8 +39,6 @@ __all__ = [
     "run_covering",
     "run_packing",
     "run_markov_conclusion",
-    "exact_codeword_conditional",
-    "ExactCodewordReport",
 ]
 
 
@@ -243,84 +239,4 @@ def run_markov_conclusion(
     rate = violations / trials
     return HarnessResult(
         "markov-conclusion", n, rate, None, _binomial_sigma(rate, trials), trials, False
-    )
-
-
-@dataclass(frozen=True)
-class ExactCodewordReport:
-    """Exact encoder output law at tiny blocklength.
-
-    ``max_ratio`` is the largest P(U = u | y) over typical u divided by
-    2^{-n H(U|Y)}; its empirical exponent ``g_emp`` = log2(max_ratio)/n is
-    the measured slack of the conditional-probability bound."""
-
-    n: int
-    num_codewords: int
-    probabilities: dict[tuple[int, ...], float]
-    h_u_given_y: float
-    typical_count: int
-    max_ratio: float
-    g_emp: float
-
-
-def exact_codeword_conditional(
-    config: SessionConfig,
-    t_y: TypeTable,
-    delta: float | None = None,
-    max_enumeration: int = 1 << 22,
-) -> ExactCodewordReport:
-    """Enumerate every codebook realization and encoder tie-break to get the
-    exact conditional law of the chosen codeword given a fixed y.
-
-    Refuses when the enumeration (|U|^n)^{codewords} would exceed
-    ``max_enumeration``.  The reference entropy H(U|Y) is computed under the
-    test channel paired with the observed type.
-    """
-    data = config.family.type_data(t_y)
-    n = t_y.n
-    nu = config.policy.u_size
-    num_cw = data.num_codewords
-    patterns = nu**n
-    total = patterns**num_cw
-    if total > max_enumeration:
-        raise EnumerationTooLargeError(
-            f"exact enumeration needs {patterns}^{num_cw} = {total} codebook "
-            f"realizations (> {max_enumeration}); lower n, |U| or the size cap"
-        )
-    y = SymbolVector(config.spec.y_alphabet, type_template(t_y))
-    all_patterns = np.array(list(itertools.product(range(nu), repeat=n)), dtype=np.int64)
-    pattern_prob = np.prod(data.p_u[all_patterns], axis=1)
-    # per-pattern joint deviation with the fixed y
-    counts = pair_counts(all_patterns, y.symbols, nu, config.spec.y_alphabet.size)
-    dev = np.abs(counts / n - data.encoder_target[None]).max(axis=(1, 2))
-    satisfies = dev <= config.params.delta2 + TYPE_TOL
-
-    law = np.zeros(patterns)
-    for combo in itertools.product(range(patterns), repeat=num_cw):
-        prob = float(np.prod(pattern_prob[list(combo)]))
-        if prob == 0.0:
-            continue
-        sat = [g for g in combo if satisfies[g]]
-        if sat:
-            share = prob / len(sat)
-            for g in sat:
-                law[g] += share
-        else:
-            law[combo[0]] += prob
-
-    if delta is None:
-        delta = config.params.delta2
-    h_rows = entropy_bits(config.policy.p_u_given_y.matrix, axis=-1)
-    h_u_given_y = float(np.sum(t_y.probabilities * h_rows))
-    typical = dev <= delta + TYPE_TOL
-    floor = 2.0 ** (-n * h_u_given_y)
-    max_ratio = float((law[typical] / floor).max()) if typical.any() else 0.0
-    g_emp = math.log2(max_ratio) / n if max_ratio > 0 else -math.inf
-    probabilities = {
-        tuple(int(v) for v in all_patterns[g]): float(law[g])
-        for g in range(patterns)
-        if law[g] > 0
-    }
-    return ExactCodewordReport(
-        n, num_cw, probabilities, h_u_given_y, int(typical.sum()), max_ratio, g_emp
     )

@@ -27,9 +27,7 @@ __all__ = [
     "ProblemSpec",
     "AuxiliaryPolicy",
     "load_problem_spec",
-    "save_problem_spec",
     "load_policy",
-    "save_policy",
     "read_json",
 ]
 
@@ -204,10 +202,6 @@ def load_problem_spec(path: str | Path) -> ProblemSpec:
     return problem_spec_from_dict(read_json(path), source=str(Path(path)))
 
 
-def save_problem_spec(spec: ProblemSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(problem_spec_to_dict(spec), indent=2) + "\n")
-
-
 def policy_from_dict(doc: dict, spec: ProblemSpec, source: str = "<dict>") -> AuxiliaryPolicy:
     _require(isinstance(doc, dict), f"{source}: top level must be an object")
     for field_name in ("p_u_given_y", "zeta"):
@@ -245,7 +239,3 @@ def policy_to_dict(policy: AuxiliaryPolicy) -> dict:
 
 def load_policy(path: str | Path, spec: ProblemSpec) -> AuxiliaryPolicy:
     return policy_from_dict(read_json(path), spec, source=str(Path(path)))
-
-
-def save_policy(policy: AuxiliaryPolicy, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(policy_to_dict(policy), indent=2) + "\n")

@@ -27,12 +27,10 @@ __all__ = [
     "deterministic_maps",
     "empirical_type",
     "pair_counts",
-    "joint_type",
     "nearest_type",
     "type_template",
     "linf_deviation",
     "is_typical",
-    "is_jointly_typical",
     "valid_jammer_types",
 ]
 
@@ -139,14 +137,6 @@ def pair_counts(rows: np.ndarray, other: np.ndarray, a_size: int, b_size: int) -
     return counts.reshape(b, a_size, b_size)
 
 
-def joint_type(x: SymbolVector, y: SymbolVector) -> TypeTable:
-    """The joint type of a pair of equal-length sequences, axes (x, y)."""
-    if len(x) != len(y):
-        raise UsageError(f"joint type of sequences with lengths {len(x)} != {len(y)}")
-    counts = pair_counts(x.symbols[None, :], y.symbols, x.alphabet.size, y.alphabet.size)
-    return TypeTable(counts[0], len(x))
-
-
 def nearest_type(p: np.ndarray, n: int) -> TypeTable:
     """Round a pmf to a blocklength-n type by largest-remainder apportionment.
 
@@ -181,13 +171,6 @@ def is_typical(x: SymbolVector, p: Distribution, eps: float) -> bool:
     if eps < 0:
         raise UsageError("typicality radius must be >= 0")
     return linf_deviation(empirical_type(x), p.mass) <= eps + TYPE_TOL
-
-
-def is_jointly_typical(x: SymbolVector, y: SymbolVector, p_xy: np.ndarray, eps: float) -> bool:
-    """Joint typicality of (x, y) against a (|X|, |Y|) joint pmf."""
-    if eps < 0:
-        raise UsageError("typicality radius must be >= 0")
-    return linf_deviation(joint_type(x, y), p_xy) <= eps + TYPE_TOL
 
 
 def valid_jammer_types(

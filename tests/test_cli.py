@@ -197,6 +197,25 @@ class TestDerandomizeCommand:
         doc = json.loads((tmp_path / "derandomize.json").read_text())
         assert doc["k"] == 36
 
+    SMALL = [
+        "derandomize", "--spec", SPEC, "--policy", POLICY, "--n", "6", "--K", "4",
+        "--trials", "1", "--mu", "0.5", "--eps", "0.3", "--cap", "64", "--seed", "3",
+    ]
+
+    def test_zero_x_samples_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(self.SMALL + ["--x-samples", "0", "--out-dir", str(out)]) == 2
+        assert not (out / "derandomize.json").exists()
+
+    def test_empty_jammer_file_rejected(self, tmp_path, capsys):
+        jammers = tmp_path / "none.json"
+        jammers.write_text("[]")
+        out = tmp_path / "out"
+        rc = main(self.SMALL + ["--jammers", str(jammers), "--out-dir", str(out)])
+        assert rc == 2
+        assert "none.json" in capsys.readouterr().err
+        assert not (out / "derandomize.json").exists()
+
 
 class TestLemmasCommand:
     ARGS = [

@@ -11,7 +11,6 @@ from avrs.coding import (
     decode,
     decoder_membership,
     encode,
-    max_distortion_estimate,
     reconstruct,
     sample_typical_sources,
     simulate_session,
@@ -394,59 +393,8 @@ class TestDecodeErrorTrend:
 
 
 class TestMaxDistortion:
-    def test_single_cell_reduces_to_mean(self):
-        from avrs.adversary import jammer_digest
-
-        config = wz_config()
-        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
-        report = max_distortion_estimate(
-            config, [jam], n=12, trials=20, seed=31, num_sources=1
-        )
-        assert len(report.cells) == 1
-        cell = report.cells[0]
-        x = sample_typical_sources(config.spec, 12, 12 ** (-1 / 3), 1, 31)[0]
-        direct = [
-            simulate_session(
-                x, jam, config, derive_seed(31, "cell", 0, jammer_digest(jam), t)
-            ).distortion
-            for t in range(20)
-        ]
-        assert cell.mean == pytest.approx(float(np.mean(direct)), abs=1e-12)
-        assert report.estimate == cell.mean
-
-    def test_duplicate_jammer_identical_cells(self):
-        config = wz_config()
-        jam = DeterministicJammer((1, 1), config.spec.j_alphabet)
-        report = max_distortion_estimate(
-            config, [jam, jam], n=12, trials=15, seed=8, num_sources=1
-        )
-        a, b = report.cells
-        assert a.mean == b.mean
-        assert a.std_error == b.std_error
-
-    def test_against_independent_monte_carlo(self):
-        config = wz_config()
-        jam = MemorylessJammer(
-            CondDistribution(
-                config.spec.x_alphabet, config.spec.j_alphabet, [[0.5, 0.5], [0.5, 0.5]]
-            )
-        )
-        n, trials = 16, 1500
-        report = max_distortion_estimate(
-            config, [jam], n=n, trials=trials, seed=301, num_sources=1
-        )
-        cell = report.cells[0]
-        # independent run: same distribution, disjoint seed path
-        x = sample_typical_sources(config.spec, n, n ** (-1 / 3), 1, 301)[0]
-        other = [
-            simulate_session(x, jam, config, derive_seed(999, "indep", t)).distortion
-            for t in range(trials)
-        ]
-        se = math.hypot(cell.std_error, float(np.std(other) / math.sqrt(trials)))
-        assert abs(cell.mean - float(np.mean(other))) <= 3 * se
-
     def test_tiny_blocklength_diagnostic(self):
         spec = classical_spec(0.9)
         config = SessionConfig(spec, identity_policy(spec), CodingParams(eps=0.3))
         with pytest.raises(UsageError, match="typical"):
-            sample_typical_sources(spec, 3, 0.01, 1, 0, max_tries=50)
+            sample_typical_sources(spec, 3, 0.01, 1, 0)

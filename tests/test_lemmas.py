@@ -1,14 +1,12 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from avrs.adversary import DeterministicJammer
-from avrs.coding import CodebookFamily, CodingParams, SessionConfig
-from avrs.errors import EnumerationTooLargeError, UsageError
+from avrs.coding import CodingParams, SessionConfig
+from avrs.errors import UsageError
 from avrs.lemmas import (
-    exact_codeword_conditional,
     run_conditional_typicality,
     run_covering,
     run_markov_conclusion,
@@ -16,11 +14,10 @@ from avrs.lemmas import (
     trend_check,
 )
 from avrs.model import AuxiliaryPolicy
-from avrs.mtypes import TypeTable, nearest_type, type_template
+from avrs.mtypes import nearest_type
 from avrs.probability import Alphabet, CondDistribution, Distribution
-from avrs.rng import philox_stream
 
-from conftest import identity_policy, identity_z_spec, noisy_policy, wz_spec
+from conftest import identity_z_spec, noisy_policy, wz_spec
 
 A2 = Alphabet("S", 2)
 T2 = Alphabet("T", 2)
@@ -219,91 +216,6 @@ class TestMarkovConclusion:
         ]
         tc = trend_check(results, decreasing=True)
         assert tc.ok, (tc.values, tc.sigmas)
-
-
-class TestExactCodewordConditional:
-    def _config(self, spec, policy, cap, delta2=1.0, eps=0.8):
-        return SessionConfig(
-            spec, policy, CodingParams(eps=eps, delta2=delta2, gamma=0.3, f_eps=0.2, size_cap=cap)
-        )
-
-    def test_single_letter_alphabet(self):
-        spec = wz_spec()
-        policy = AuxiliaryPolicy(
-            CondDistribution(spec.y_alphabet, Alphabet("U", 1), [[1.0], [1.0]]),
-            np.array([[0, 0]]),
-            spec.z_alphabet,
-            spec.xhat_alphabet,
-        )
-        config = self._config(spec, policy, cap=4)
-        t_y = TypeTable(np.array([2, 2]), 4)
-        report = exact_codeword_conditional(config, t_y)
-        assert report.h_u_given_y == 0.0
-        only = report.probabilities[(0, 0, 0, 0)]
-        assert only == pytest.approx(1.0)
-        assert report.max_ratio == pytest.approx(1.0)
-
-    def test_two_codeword_symmetry(self):
-        # uniform sampling pmf, always-satisfying threshold: by symmetry the
-        # chosen codeword is uniform over the symbol patterns
-        spec = wz_spec()
-        policy = noisy_policy(spec, stay=0.5)  # p_u = (0.5, 0.5)
-        config = self._config(spec, policy, cap=2)
-        single = exact_codeword_conditional(config, TypeTable(np.array([1, 0]), 1))
-        assert single.num_codewords == 2
-        assert single.probabilities[(0,)] == pytest.approx(0.5, abs=1e-12)
-        assert single.probabilities[(1,)] == pytest.approx(0.5, abs=1e-12)
-        report = exact_codeword_conditional(config, TypeTable(np.array([1, 1]), 2))
-        total = sum(report.probabilities.values())
-        assert total == pytest.approx(1.0, abs=1e-12)
-        for pattern, prob in report.probabilities.items():
-            assert prob == pytest.approx(0.25, abs=1e-12)
-
-    def test_matches_independent_enumeration(self):
-        spec = wz_spec()
-        policy = noisy_policy(spec, stay=0.8)
-        config = self._config(spec, policy, cap=2, delta2=0.5, eps=0.6)
-        n = 6
-        t_y = TypeTable(np.array([3, 3]), n)
-        report = exact_codeword_conditional(config, t_y)
-
-        # independent enumeration with its own probability arithmetic
-        family = CodebookFamily(config)
-        data = family.type_data(t_y)
-        y = type_template(t_y)
-        target = data.encoder_target
-        patterns = list(itertools.product(range(2), repeat=n))
-
-        def satisfies(u):
-            counts = np.zeros((2, 2))
-            for a, b in zip(u, y):
-                counts[a, b] += 1
-            return np.abs(counts / n - target).max() <= 0.5 + 1e-12
-
-        def prob_of(u):
-            return float(np.prod([data.p_u[s] for s in u]))
-
-        law = {}
-        sat_flags = {u: satisfies(u) for u in patterns}
-        for cw0 in patterns:
-            for cw1 in patterns:
-                p = prob_of(cw0) * prob_of(cw1)
-                sats = [u for u in (cw0, cw1) if sat_flags[u]]
-                if sats:
-                    for u in sats:
-                        law[u] = law.get(u, 0.0) + p / len(sats)
-                else:
-                    law[cw0] = law.get(cw0, 0.0) + p
-        for pattern, prob in report.probabilities.items():
-            assert prob == pytest.approx(law[pattern], abs=1e-12)
-
-    def test_refuses_oversized_enumeration(self):
-        spec = wz_spec()
-        policy = noisy_policy(spec, stay=0.8)
-        config = self._config(spec, policy, cap=64)
-        t_y = TypeTable(np.array([5, 5]), 10)
-        with pytest.raises(EnumerationTooLargeError, match="realizations"):
-            exact_codeword_conditional(config, t_y, max_enumeration=10_000)
 
 
 class TestHarnessContract:

@@ -13,9 +13,7 @@ from avrs.mtypes import (
     TypeTable,
     compositions,
     empirical_type,
-    is_jointly_typical,
     is_typical,
-    joint_type,
     linf_deviation,
     nearest_type,
     pair_counts,
@@ -54,32 +52,6 @@ class TestEmpiricalType:
 
 
 class TestJointAndConditionalType:
-    def test_equal_sequences_diagonal(self):
-        x = SymbolVector(A2, [0, 1, 1, 0])
-        jt = joint_type(x, x)
-        assert jt.counts.tolist() == [[2, 0], [0, 2]]
-        assert np.allclose(jt.counts.sum(axis=1) / 4, empirical_type(x).probabilities)
-
-    def test_interleaved(self):
-        x = SymbolVector(A2, [0, 1, 0, 1])
-        y = SymbolVector(A2, [1, 0, 1, 0])
-        jt = joint_type(x, y)
-        assert jt.probabilities[0, 1] == pytest.approx(0.5)
-        assert jt.probabilities[1, 0] == pytest.approx(0.5)
-
-    def test_random_pair_against_counting(self, rng):
-        x = SymbolVector(A3, rng.integers(0, 3, 12))
-        y = SymbolVector(A2, rng.integers(0, 2, 12))
-        jt = joint_type(x, y)
-        brute = np.zeros((3, 2), dtype=int)
-        for a, b in zip(x.symbols, y.symbols):
-            brute[a, b] += 1
-        assert np.array_equal(jt.counts, brute)
-
-    def test_length_mismatch(self):
-        with pytest.raises(UsageError):
-            joint_type(SymbolVector(A2, [0, 1]), SymbolVector(A2, [0, 1, 1]))
-
     def test_pair_counts_against_counting(self, rng):
         for a_size, b_size, rows_n, n in ((3, 2, 5, 12), (2, 4, 1, 7), (4, 3, 9, 1)):
             rows = rng.integers(0, a_size, (rows_n, n))
@@ -111,42 +83,10 @@ class TestTypicality:
             )
             assert is_typical(x, p, eps) == (dev <= eps + 1e-12)
 
-    def test_joint_exact(self):
-        x = SymbolVector(A2, [0, 1, 0, 1])
-        assert is_jointly_typical(x, x, np.diag([0.5, 0.5]), 0.0)
-
     def test_joint_target_shape_checked(self):
         x = SymbolVector(A2, [0, 1, 0, 1])
         with pytest.raises(UsageError):
-            is_jointly_typical(x, x, np.full((2, 3), 1 / 6), 0.1)
-
-    def test_joint_far(self):
-        x = SymbolVector(A2, [0, 1, 0, 1])
-        y = SymbolVector(A2, [1, 0, 1, 0])
-        assert not is_jointly_typical(x, y, np.diag([0.5, 0.5]), 0.4)
-
-    def test_joint_against_oracle(self, rng):
-        mass = rng.dirichlet(np.ones(4)).reshape(2, 2)
-        for _ in range(20):
-            x = SymbolVector(A2, rng.integers(0, 2, 16))
-            y = SymbolVector(A2, rng.integers(0, 2, 16))
-            eps = float(rng.uniform(0, 0.6))
-            brute = np.zeros((2, 2))
-            for a, b in zip(x.symbols, y.symbols):
-                brute[a, b] += 1 / 16
-            dev = np.abs(brute - mass).max()
-            assert is_jointly_typical(x, y, mass, eps) == (dev <= eps + 1e-12)
-
-    def test_marginal_deviation_bounded(self, rng):
-        # joint eps-typicality forces marginal |Y|*eps-typicality
-        mass = rng.dirichlet(np.ones(4)).reshape(2, 2)
-        pa = Distribution(A2, mass.sum(axis=1))
-        for _ in range(40):
-            x = SymbolVector(A2, rng.integers(0, 2, 10))
-            y = SymbolVector(A2, rng.integers(0, 2, 10))
-            for eps in (0.05, 0.1, 0.3):
-                if is_jointly_typical(x, y, mass, eps):
-                    assert is_typical(x, pa, 2 * eps)
+            linf_deviation(empirical_type(x), np.full(3, 1 / 3))
 
 
 def _three_jammer_spec():
