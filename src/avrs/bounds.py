@@ -3,20 +3,27 @@ jamming-robust rate bounds, and the per-type codebook rates.
 
 The distortion floors are bilinear games solved exactly by the simplex
 method, each with a duality-gap certificate.  The rate bounds are nested
-optimizations in which the mutual information term is not concave in the
-jammer argument, so the inner adversary is handled by grid-plus-vertices
-search with one local refinement pass; every reported value carries a
-grid-resolution uncertainty equal to the observed refinement shift plus a
-step-resolution floor.  Distortion feasibility is checked only on
-deterministic jammers, which is exact because expected distortion is linear
-in the jamming kernel.
+optimizations over an auxiliary policy p(u|y) and a jamming kernel q(j|x).
+For a fixed policy the information term I(U;Y|Z) = H(U|Z) - H(U|Y) is
+concave in q, because U - Y - Z is a Markov chain: H(U|Y) is linear in q and
+H(U|Z) is concave in p(u,z), which is linear in q.  The code does not yet
+exploit this: both bounds are found by a grid search over policies and
+jammers with one local refinement pass, and every reported value carries a
+grid-resolution uncertainty (the observed refinement shift plus a
+step-resolution floor), not a proven enclosure.  Distortion feasibility is
+checked only on deterministic jammers, which is exact because expected
+distortion is linear in the jamming kernel.
+
+The policy x jammer tables do not depend on the distortion level.  One
+:class:`RateBoundSolver` per auxiliary size builds each of them once and
+serves a whole sweep, and both bounds when their auxiliary sizes agree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,6 +55,14 @@ __all__ = [
 # constraints survive float rounding.
 DISTORTION_TOL = 1e-9
 
+# Largest policy or jammer grid enumerated before giving up with
+# EnumerationTooLargeError.
+MAX_CANDIDATES = 1_000_000
+
+# Cells of one chunk of a policy x jammer table (8 MB of float64), so that a
+# chunk and its temporaries stay near the cache whatever the grid size.
+CHUNK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -60,8 +75,6 @@ class GridConfig:
     coarse_step: float = 0.05
     refine_step: float = 0.005
     refine: bool = True
-    max_candidates: int = 1_000_000
-    chunk_cells: int = 4_000_000
 
     def __post_init__(self) -> None:
         for name, step in (("coarse_step", self.coarse_step), ("refine_step", self.refine_step)):
@@ -109,7 +122,7 @@ def simplex_window(center: np.ndarray, step: float, radius: float) -> np.ndarray
     return np.array(out, dtype=np.float64) / m
 
 
-def column_product(column_grids: list[np.ndarray], max_candidates: int) -> np.ndarray:
+def column_product(column_grids: list[np.ndarray]) -> np.ndarray:
     """Cartesian product of per-column simplex grids.
 
     Returns shape (N, columns, dim); candidate order is lexicographic in the
@@ -117,9 +130,9 @@ def column_product(column_grids: list[np.ndarray], max_candidates: int) -> np.nd
     """
     sizes = [g.shape[0] for g in column_grids]
     total = math.prod(sizes)
-    if total > max_candidates:
+    if total > MAX_CANDIDATES:
         raise EnumerationTooLargeError(
-            f"policy grid would hold {total} candidates (> {max_candidates}); "
+            f"policy grid would hold {total} candidates (> {MAX_CANDIDATES}); "
             "coarsen the grid or reduce the auxiliary alphabet"
         )
     out = np.empty((total, len(column_grids), column_grids[0].shape[1]))
@@ -130,11 +143,26 @@ def column_product(column_grids: list[np.ndarray], max_candidates: int) -> np.nd
     return out
 
 
+def _jammer_chunks(nq: int, cells_per_jammer: int) -> Iterator[slice]:
+    """Slices of about CHUNK_CELLS cells over ``nq`` jammers.
+
+    No chunk holds a single jammer unless ``nq`` is 1: numpy sums a table
+    with a unit jammer axis in another order, so a one-jammer tail would
+    change the last bits of its column with the chunking.
+    """
+    cell = max(2, CHUNK_CELLS // max(1, cells_per_jammer))
+    lo = 0
+    while lo < nq:
+        hi = lo + cell if nq - lo - cell > 1 else nq
+        yield slice(lo, hi)
+        lo = hi
+
+
 def _refine_window(center: np.ndarray, grid: GridConfig) -> np.ndarray:
     """Kernels on the refine-step lattice within one coarse step of
     ``center`` in every row: the neighbourhood of one refinement pass."""
     cols = [simplex_window(row, grid.refine_step, grid.coarse_step) for row in center]
-    return column_product(cols, grid.max_candidates)
+    return column_product(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +250,14 @@ class RateBoundSolver:
     def _p_candidates(self) -> np.ndarray:
         if self._p_cache is None:
             col_u = simplex_lattice(self.u_size, self.grid.coarse_step)
-            self._p_cache = column_product(
-                [col_u] * self.spec.y_alphabet.size, self.grid.max_candidates
-            )
+            self._p_cache = column_product([col_u] * self.spec.y_alphabet.size)
         return self._p_cache
 
     @property
     def _q_candidates(self) -> np.ndarray:
         if self._q_cache is None:
             col_j = simplex_lattice(self.spec.j_alphabet.size, self.grid.coarse_step)
-            self._q_cache = column_product(
-                [col_j] * self.spec.x_alphabet.size, self.grid.max_candidates
-            )
+            self._q_cache = column_product([col_j] * self.spec.x_alphabet.size)
         return self._q_cache
 
     def _info_matrix(self, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
@@ -241,13 +265,18 @@ class RateBoundSolver:
         spec = self.spec
         np_, nq = p_arr.shape[0], q_arr.shape[0]
         nu, ny, nz = self.u_size, spec.y_alphabet.size, spec.z_alphabet.size
+        p_yz = np.einsum("x,nxj,xjyz->nyz", spec.p_x.mass, q_arr, spec.w.kernel, optimize=True)
+        # p(u|y) as (P, 1, U, Y, 1) times p(y,z) as (1, N, 1, Y, Z) is the
+        # (P, N, U, Y, Z) joint table; it is stored in (P, Y, U, Z, N) order,
+        # which fixes the summation order of every entropy below
+        p_u = p_arr.transpose(0, 2, 1)[:, None, :, :, None]
+        p_yz = p_yz[None, :, None, :, :]
         out = np.empty((np_, nq))
-        cell = max(1, self.grid.chunk_cells // max(1, np_ * nu * ny * nz))
-        for lo in range(0, nq, cell):
-            qc = q_arr[lo : lo + cell]
-            p_yz = np.einsum("x,nxj,xjyz->nyz", spec.p_x.mass, qc, spec.w.kernel, optimize=True)
-            table = np.einsum("pyu,nyz->pnuyz", p_arr, p_yz, optimize=True)
-            out[:, lo : lo + cell] = conditional_mutual_information_bits(table)
+        for chunk in _jammer_chunks(nq, np_ * nu * ny * nz):
+            n = chunk.stop - chunk.start
+            table = np.empty((np_, ny, nu, nz, n)).transpose(0, 4, 2, 1, 3)
+            np.multiply(p_u, p_yz[:, chunk], out=table)
+            out[:, chunk] = conditional_mutual_information_bits(table)
         return out
 
     def _max_e_over_jammers(self, p_arr: np.ndarray) -> np.ndarray:
@@ -271,17 +300,16 @@ class RateBoundSolver:
         """
         spec = self.spec
         np_, nq = p_arr.shape[0], q_arr.shape[0]
-        nx = spec.x_alphabet.size
-        nu, nz = self.u_size, spec.z_alphabet.size
+        # E[d(X, xhat); Y=y, Z=z] under each jammer, shape (N, Y, Z, Xhat)
+        cost = np.einsum(
+            "x,nxj,xjyz,xh->nyzh",
+            spec.p_x.mass, q_arr, spec.w.kernel, spec.d.entries, optimize=True,
+        )
         out = np.empty((np_, nq))
-        cell = max(1, self.grid.chunk_cells // max(1, np_ * nx * nu * nz))
-        for lo in range(0, nq, cell):
-            qc = q_arr[lo : lo + cell]
-            c = np.einsum(
-                "x,nxj,xjyz,pyu->pnxuz", spec.p_x.mass, qc, spec.w.kernel, p_arr, optimize=True
-            )
-            per_hat = np.einsum("pnxuz,xh->pnuzh", c, spec.d.entries, optimize=True)
-            out[:, lo : lo + cell] = per_hat.min(axis=-1).sum(axis=(-2, -1))
+        nu, nz, nh = self.u_size, spec.z_alphabet.size, spec.xhat_alphabet.size
+        for chunk in _jammer_chunks(nq, np_ * nu * nz * nh):
+            per_hat = np.einsum("pyu,nyzh->pnuzh", p_arr, cost[chunk], optimize=True)
+            out[:, chunk] = per_hat.min(axis=-1).sum(axis=(-2, -1))
         return out
 
     @property
@@ -333,15 +361,17 @@ class RateBoundSolver:
         if self.grid.refine:
             local = _refine_window(best_p, self.grid)
             feas_local = self._max_e_over_jammers(local) <= distortion + DISTORTION_TOL
-            ok = feas_local.any(axis=1)
-            info_local = self._info_matrix(local, self._q_candidates)
-            obj_local = np.where(ok, info_local.max(axis=1), np.inf)
-            p1 = int(np.argmin(obj_local))
-            if math.isfinite(obj_local[p1]):
+            ok = np.flatnonzero(feas_local.any(axis=1))
+            if ok.size:
+                # information rows only for the feasible local policies
+                info_local = self._info_matrix(local[ok], self._q_candidates)
+                worst = info_local.max(axis=1)
+                k = int(np.argmin(worst))
+                p1 = int(ok[k])
                 best_p = local[p1]
                 best_f = int(np.argmax(feas_local[p1]))
-                value = float(obj_local[p1])
-                q_inc = self._q_candidates[int(np.argmax(info_local[p1]))]
+                value = float(worst[k])
+                q_inc = self._q_candidates[int(np.argmax(info_local[k]))]
             else:
                 q_inc = self._q_candidates[int(np.argmax(self.info_matrix[p0]))]
             q_local = _refine_window(q_inc, self.grid)
@@ -503,7 +533,7 @@ def per_type_rates(
     r_u = max(0.0, float(mutual_information_bits(joint_yu)) + eps / 4.0)
 
     col_j = simplex_lattice(spec.j_alphabet.size, grid.coarse_step)
-    q_arr = column_product([col_j] * spec.x_alphabet.size, grid.max_candidates)
+    q_arr = column_product([col_j] * spec.x_alphabet.size)
 
     def consistent(qs: np.ndarray) -> np.ndarray:
         margins = np.einsum(
@@ -583,8 +613,11 @@ def compute_bound_report(
     g1 = minimax_distortion_game(spec, False)
     if callable(d_values):
         d_values = d_values(g0.value, g1.value)
-    solver_u = RateBoundSolver(spec, u_size_upper or _default_u_upper(spec), grid)
-    solver_l = RateBoundSolver(spec, u_size_lower or _default_u_lower(spec), grid)
+    u_upper = u_size_upper or _default_u_upper(spec)
+    u_lower = u_size_lower or _default_u_lower(spec)
+    solver_u = RateBoundSolver(spec, u_upper, grid)
+    # one solver per auxiliary size, so equal sizes share every table
+    solver_l = solver_u if u_lower == u_upper else RateBoundSolver(spec, u_lower, grid)
     points = []
     for d_val in map(float, d_values):
         if d_val > g1.value:

@@ -257,7 +257,7 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
         ensemble,
         jammers,
         x_count=args.x_samples,
-        trials_per_member=max(args.trials, 1),
+        trials_per_member=args.trials,
         mu=args.mu,
         seed=derive_seed(args.seed, "certify"),
     )

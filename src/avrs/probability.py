@@ -163,12 +163,13 @@ class DistortionMatrix:
 def entropy_bits(mass: np.ndarray, axis: int | tuple[int, ...] | None = None) -> np.ndarray | float:
     """Shannon entropy in bits of a (possibly batched) non-negative table."""
     m = np.asarray(mass, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(m > 0.0, m * np.log2(np.where(m > 0.0, m, 1.0)), 0.0)
+    positive = m > 0.0
+    # log2 of 1 is 0, so entries outside the mask contribute exactly zero
+    t = np.where(positive, m, 1.0)
+    np.log2(t, out=t)
+    np.multiply(m, t, out=t, where=positive)
     h = -t.sum(axis=axis)
     return float(h) if np.ndim(h) == 0 else h
-
-
 
 
 def mutual_information_bits(p: np.ndarray) -> np.ndarray | float:

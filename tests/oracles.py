@@ -43,6 +43,15 @@ def vertex_expanded_matrix(payoff: np.ndarray, min_blocks, max_blocks) -> np.nda
     )
 
 
+def min_e_over_zeta_oracle(spec, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
+    """min over reconstruction maps of E[d] for every (policy, jammer) pair,
+    straight from the joint p(x, u, z) of each pair: the best reconstruction
+    is chosen per (u, z) cell.  Shape (policies, jammers)."""
+    c = np.einsum("x,nxj,xjyz,pyu->pnxuz", spec.p_x.mass, q_arr, spec.w.kernel, p_arr)
+    per_hat = np.einsum("pnxuz,xh->pnuzh", c, spec.d.entries)
+    return per_hat.min(axis=-1).sum(axis=(-2, -1))
+
+
 def _supports(k):
     for size in range(1, k + 1):
         for combo in itertools.combinations(range(k), size):

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
-import json
 import math
 import time
 from pathlib import Path
@@ -17,7 +16,6 @@ from avrs.bounds import GridConfig, RateBoundSolver, minimax_distortion_game, r_
 from avrs.cli import main
 from avrs.coding import CodingParams, SessionConfig, simulate_session
 from avrs.derandomize import certify_ensemble, sample_ensemble
-from avrs.errors import InfeasibleDistortionError
 from avrs.games import BilinearGame, solve_bilinear_game
 from avrs.lemmas import run_conditional_typicality, run_covering, run_packing, trend_check
 from avrs.mtypes import SymbolVector, empirical_type, nearest_type

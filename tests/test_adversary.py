@@ -14,7 +14,7 @@ from avrs.adversary import (
 )
 from avrs.coding import CodingParams, SessionConfig, simulate_session
 from avrs.mtypes import SymbolVector
-from avrs.probability import Alphabet, CondDistribution
+from avrs.probability import CondDistribution
 from avrs.rng import derive_seed, philox_stream
 
 from conftest import identity_policy, make_spec, noisy_policy, wz_spec, xor_spec

@@ -11,18 +11,16 @@ from avrs.bounds import (
     compute_bound_report,
     d0,
     d1,
-    minimax_distortion_game,
     per_type_rates,
     r_lower,
     r_upper,
     simplex_lattice,
     simplex_window,
 )
-from avrs.errors import InfeasibleDistortionError
+from avrs.errors import EnumerationTooLargeError, InfeasibleDistortionError
 from avrs.games import solve_bilinear_game
 from avrs.mtypes import TypeTable
-from avrs.probability import Alphabet, CondDistribution
-from avrs.model import AuxiliaryPolicy, load_problem_spec
+from avrs.model import load_problem_spec
 
 from conftest import (
     classical_spec,
@@ -33,6 +31,7 @@ from conftest import (
     wz_spec,
     xor_spec,
 )
+from oracles import min_e_over_zeta_oracle
 
 
 def h2(p):
@@ -54,6 +53,35 @@ class TestGrids:
         w = simplex_window(c, 0.05, 0.1)
         assert any(np.allclose(p, c) for p in w)
         assert np.abs(w - c).max() <= 0.1 + 1e-12
+
+
+class TestSolverTables:
+    GRID = GridConfig(coarse_step=0.1, refine_step=0.05)
+
+    @pytest.mark.parametrize("chunk_cells", [1 << 20, 64])
+    def test_info_rows_on_a_policy_subset_are_bit_equal(self, monkeypatch, chunk_cells):
+        # the upper refinement evaluates only its feasible policies and must
+        # pick what it would pick from the full rows
+        solver = RateBoundSolver(wz_spec(), 2, self.GRID)
+        p_arr, q_arr = solver._p_candidates, solver._q_candidates
+        full = solver._info_matrix(p_arr, q_arr)
+        monkeypatch.setattr(avrs.bounds, "CHUNK_CELLS", chunk_cells)
+        for rows in (np.arange(0, p_arr.shape[0], 3), np.array([5])):
+            assert np.array_equal(solver._info_matrix(p_arr[rows], q_arr), full[rows])
+
+    def test_min_e_matches_joint_table_oracle(self, rng):
+        specs = [classical_spec(0.3), xor_spec(), identity_z_spec(), wz_spec()]
+        for spec in specs + [structured_instance(rng, nx=3) for _ in range(2)]:
+            solver = RateBoundSolver(spec, 2, self.GRID)
+            p_arr, q_arr = solver._p_candidates, solver._q_candidates
+            expected = min_e_over_zeta_oracle(spec, p_arr, q_arr)
+            assert np.abs(solver.min_e_matrix - expected).max() <= 1e-12
+
+    def test_oversized_grid_refused(self, monkeypatch):
+        monkeypatch.setattr(avrs.bounds, "MAX_CANDIDATES", 100)
+        solver = RateBoundSolver(wz_spec(), 2, self.GRID)
+        with pytest.raises(EnumerationTooLargeError, match="121 candidates"):
+            solver.info_matrix
 
 
 class TestDistortionFloors:
@@ -281,6 +309,33 @@ class TestBoundReport:
         mid = report.points[1]
         assert mid.r_lower <= mid.r_upper + mid.uncertainty_upper + mid.uncertainty_lower
         assert mid.strategy_upper is not None and "p_u_given_y" in mid.strategy_upper
+
+    def test_equal_u_sizes_build_one_info_matrix(self, monkeypatch):
+        spec = wz_spec()
+        lo, hi = d0(spec), d1(spec)
+        levels = [lo + f * (hi - lo) for f in (0.4, 0.8)]
+        separate_u = RateBoundSolver(spec, 2, FAST_GRID)
+        separate_l = RateBoundSolver(spec, 2, FAST_GRID)
+        expected = [(separate_u.r_upper_point(v), separate_l.r_lower_point(v)) for v in levels]
+
+        coarse_builds = []
+        build = RateBoundSolver._info_matrix
+
+        def counting(solver, p_arr, q_arr):
+            if p_arr is solver._p_candidates and q_arr is solver._q_candidates:
+                coarse_builds.append(solver)
+            return build(solver, p_arr, q_arr)
+
+        monkeypatch.setattr(RateBoundSolver, "_info_matrix", counting)
+        report = compute_bound_report(spec, levels, FAST_GRID, u_size_upper=2, u_size_lower=2)
+        assert len(coarse_builds) == 1
+        for point, (up, low) in zip(report.points, expected):
+            assert (point.r_upper, point.uncertainty_upper) == (up.value, up.uncertainty)
+            assert (point.r_lower, point.uncertainty_lower) == (low.value, low.uncertainty)
+            assert point.strategy_upper["p_u_given_y"] == up.p_u_given_y.tolist()
+            assert point.strategy_upper["jammer_q"] == up.q_extreme.tolist()
+            assert point.strategy_lower["p_u_given_y"] == low.p_u_given_y.tolist()
+            assert point.strategy_lower["jammer_q"] == low.q_extreme.tolist()
 
     def test_one_report_solves_each_floor_once(self, monkeypatch):
         # the golden sweep 0.21, 0.23, 0.3 on the README spec; 0.3 lies above d1

@@ -207,6 +207,11 @@ class TestDerandomizeCommand:
         assert main(self.SMALL + ["--x-samples", "0", "--out-dir", str(out)]) == 2
         assert not (out / "derandomize.json").exists()
 
+    def test_zero_trials_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(self.SMALL + ["--x-samples", "1", "--trials", "0", "--out-dir", str(out)]) == 2
+        assert not (out / "derandomize.json").exists()
+
     def test_empty_jammer_file_rejected(self, tmp_path, capsys):
         jammers = tmp_path / "none.json"
         jammers.write_text("[]")

@@ -24,7 +24,6 @@ from conftest import (
     classical_spec,
     identity_policy,
     identity_z_spec,
-    make_spec,
     noisy_policy,
     wz_spec,
 )

@@ -1,14 +1,18 @@
-"""Source hygiene checks that need no linter: every name a module imports at
-top level (directly or under a top-level ``if``, such as ``TYPE_CHECKING``)
-must be used somewhere in that module."""
+"""Source hygiene checks that need no linter: every name a module of the
+package or of this test suite imports at top level (directly or under a
+top-level ``if``, such as ``TYPE_CHECKING``) must be used somewhere in that
+module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "avrs"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "avrs"
+# module id -> path: package modules by file name, test modules as tests/<name>
+MODULES = {p.name: p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+MODULES.update((f"tests/{p.name}", p) for p in sorted(TESTS.glob("*.py")))
 
 
 def _top_level_imports(tree: ast.Module) -> dict[str, int]:
@@ -42,9 +46,9 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_unused_top_level_import(module):
-    tree = ast.parse((SRC / module).read_text(), filename=module)
+    tree = ast.parse(MODULES[module].read_text(), filename=module)
     used = _used_names(tree)
     unused = sorted(
         f"{module}:{line}: {name}"

@@ -82,6 +82,22 @@ class TestEntropy:
         assert np.allclose(entropy_bits(rows, axis=-1), [1.0, 0.0, 0.8112781244591328])
         assert entropy_bits(rows.reshape(1, 3, 2) / 3, axis=(-2, -1)).shape == (1,)
 
+    @pytest.mark.parametrize("axis", [None, -1, (-2, -1), (0, 2)])
+    def test_bit_equal_to_masked_product(self, rng, axis):
+        # the plain form of 0 log 0 = 0; every result must keep its bits
+        m = rng.dirichlet(np.ones(4), size=(6, 5))
+        m[rng.random(m.shape) < 0.3] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(m > 0, m * np.log2(np.where(m > 0, m, 1.0)), 0.0)
+        expected = -t.sum(axis=axis)
+        got = entropy_bits(m, axis=axis)
+        assert np.array_equal(got, expected)
+        assert not np.isnan(got).any()
+
+    def test_zero_dim_input(self):
+        assert entropy_bits(np.float64(0.25)) == 0.5
+        assert entropy_bits(0.0) == 0.0
+
 
 def bsc_joint_xy(flip: float) -> np.ndarray:
     """p(x, y) for a uniform bit read through a binary symmetric channel."""
