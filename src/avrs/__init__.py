@@ -41,11 +41,7 @@ from .bounds import (
     PerTypeRates,
     RateBoundSolver,
     compute_bound_report,
-    d0,
-    d1,
     per_type_rates,
-    r_lower,
-    r_upper,
 )
 from .adversary import (
     BlockJammer,

@@ -192,10 +192,9 @@ def worst_case_search(
     an inner approximation: a lower bound on the true worst case, re-measured
     on fresh seeds with its standard error.
 
-    Every session plays against ``config.code_seed`` when it is set, a code
-    the adversary knows; otherwise each session draws a fresh code, which
-    models an adversary knowing only the code distribution.  The per-type
-    data comes from ``config.family`` and is shared by all sessions.
+    Each session draws a fresh code, which models an adversary knowing only
+    the code distribution.  The per-type data comes from ``config.family``
+    and is shared by all sessions.
     """
     from .coding import simulate_session  # local import to avoid a cycle
 

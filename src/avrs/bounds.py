@@ -30,7 +30,7 @@ import numpy as np
 from .errors import EnumerationTooLargeError, InfeasibleDistortionError, UsageError
 from .games import BilinearGame, GameResult, solve_bilinear_game
 from .model import AuxiliaryPolicy, ProblemSpec
-from .mtypes import TYPE_TOL, TypeTable, compositions, deterministic_maps
+from .mtypes import TypeTable, compositions, consistent_kernels, deterministic_maps
 from .probability import conditional_mutual_information_bits, mutual_information_bits
 
 __all__ = [
@@ -40,10 +40,7 @@ __all__ = [
     "BoundPoint",
     "BoundReport",
     "minimax_distortion_game",
-    "d0",
-    "d1",
-    "r_upper",
-    "r_lower",
+    "joint_uz",
     "per_type_rates",
     "compute_bound_report",
     "simplex_lattice",
@@ -193,16 +190,6 @@ def minimax_distortion_game(spec: ProblemSpec, observe_y: bool) -> GameResult:
     return solve_bilinear_game(game)
 
 
-def d0(spec: ProblemSpec) -> float:
-    """Minimax expected distortion when estimating from (Y, Z) jointly."""
-    return minimax_distortion_game(spec, True).value
-
-
-def d1(spec: ProblemSpec) -> float:
-    """Minimax expected distortion when estimating from Z alone."""
-    return minimax_distortion_game(spec, False).value
-
-
 # ---------------------------------------------------------------------------
 # rate bounds
 
@@ -340,8 +327,10 @@ class RateBoundSolver:
     # -- upper bound --------------------------------------------------------
 
     def r_upper_point(self, distortion: float) -> _RatePoint:
-        """Upper bound at a level in [0, d1]; above d1 the rate is zero,
-        which callers report without consulting the solver."""
+        """Upper bound at a level in [0, d1]: the policy must meet the level
+        against every jammer, and its rate is the worst-case I(U;Y|Z) over
+        jammers.  Above d1 the rate is zero, which :func:`compute_bound_report`
+        reports without consulting the solver."""
         if distortion < 0:
             raise UsageError("distortion level must be >= 0")
         spec = self.spec
@@ -387,7 +376,9 @@ class RateBoundSolver:
     # -- lower bound --------------------------------------------------------
 
     def r_lower_point(self, distortion: float) -> _RatePoint:
-        """Lower bound at a level in [0, d1], like :meth:`r_upper_point`."""
+        """Lower bound at a level in [0, d1], like :meth:`r_upper_point`, but
+        the jammer commits first and the policy need only meet the level
+        against that jammer."""
         if distortion < 0:
             raise UsageError("distortion level must be >= 0")
         spec = self.spec
@@ -439,14 +430,6 @@ class RateBoundSolver:
         return np.argmin(per_hat, axis=-1).astype(np.int64)
 
 
-def _default_u_upper(spec: ProblemSpec) -> int:
-    return spec.xhat_alphabet.size ** spec.z_alphabet.size
-
-
-def _default_u_lower(spec: ProblemSpec) -> int:
-    return spec.y_alphabet.size + 1
-
-
 def _zero_rate_point(spec: ProblemSpec, u_size: int) -> _RatePoint:
     """The rate-zero point above d1: a constant policy, no reconstruction map
     and the uniform jammer."""
@@ -455,41 +438,16 @@ def _zero_rate_point(spec: ProblemSpec, u_size: int) -> _RatePoint:
     return _RatePoint(0.0, 0.0, const_policy, None, uniform_q)
 
 
-def r_upper(
-    spec: ProblemSpec,
-    distortion: float,
-    grid: GridConfig | None = None,
-    u_size: int | None = None,
-) -> tuple[float, float]:
-    """Robust rate upper bound at a distortion level: (value, uncertainty).
-
-    The policy must meet the distortion constraint against every jammer; the
-    rate is its worst-case conditional information I(U;Y|Z) over jammers.
-    """
-    if distortion > d1(spec):
-        return 0.0, 0.0
-    point = RateBoundSolver(spec, u_size or _default_u_upper(spec), grid).r_upper_point(distortion)
-    return point.value, point.uncertainty
-
-
-def r_lower(
-    spec: ProblemSpec,
-    distortion: float,
-    grid: GridConfig | None = None,
-    u_size: int | None = None,
-) -> tuple[float, float]:
-    """Robust rate lower bound at a distortion level: (value, uncertainty).
-
-    The jammer commits first; the policy then only needs feasibility against
-    that jammer."""
-    if distortion > d1(spec):
-        return 0.0, 0.0
-    point = RateBoundSolver(spec, u_size or _default_u_lower(spec), grid).r_lower_point(distortion)
-    return point.value, point.uncertainty
-
-
 # ---------------------------------------------------------------------------
 # per-type codebook rates
+
+
+def joint_uz(spec: ProblemSpec, kernels: np.ndarray, p_uy: np.ndarray) -> np.ndarray:
+    """The (U, Z) joint p(u, z) under each jammer kernel: (N, |X|, |J|) kernels
+    and a (Y, U) policy matrix give (N, U, Z)."""
+    return np.einsum(
+        "x,nxj,xjyz,yu->nuz", spec.p_x.mass, kernels, spec.w.kernel, p_uy, optimize=True
+    )
 
 
 @dataclass(frozen=True)
@@ -535,19 +493,10 @@ def per_type_rates(
     col_j = simplex_lattice(spec.j_alphabet.size, grid.coarse_step)
     q_arr = column_product([col_j] * spec.x_alphabet.size)
 
-    def consistent(qs: np.ndarray) -> np.ndarray:
-        margins = np.einsum(
-            "x,nxj,xjy->ny", spec.p_x.mass, qs, spec.w.y_marginal_kernel, optimize=True
-        )
-        return np.abs(margins - t_probs[None, :]).max(axis=1) <= f_eps + TYPE_TOL
-
     def info_uz(qs: np.ndarray) -> np.ndarray:
-        p_uz = np.einsum(
-            "x,nxj,xjyz,yu->nuz", spec.p_x.mass, qs, spec.w.kernel, p_uy, optimize=True
-        )
-        return mutual_information_bits(p_uz)
+        return mutual_information_bits(joint_uz(spec, qs, p_uy))
 
-    mask = consistent(q_arr)
+    mask = consistent_kernels(q_arr, t_y, spec, f_eps)
     if not mask.any():
         return PerTypeRates(r_u, math.inf, 0.0, True)
     vals = np.where(mask, info_uz(q_arr), np.inf)
@@ -555,7 +504,7 @@ def per_type_rates(
     best = float(vals[n0])
     if grid.refine:
         q_local = _refine_window(q_arr[n0], grid)
-        mask_l = consistent(q_local)
+        mask_l = consistent_kernels(q_local, t_y, spec, f_eps)
         if mask_l.any():
             vals_l = np.where(mask_l, info_uz(q_local), np.inf)
             best = min(best, float(vals_l.min()))
@@ -606,20 +555,27 @@ def compute_bound_report(
     """Evaluate both rate bounds over a distortion sweep.
 
     Points below the reachable floor are reported as infeasible rather than
-    aborting the sweep.  ``d_values`` may instead be a function of the floors
-    (d0, d1) that returns the levels, for a sweep placed between them.
+    aborting the sweep; above d1 both rates are zero.  ``d_values`` may
+    instead be a function of the floors (d0, d1) that returns the levels, for
+    a sweep placed between them.  The auxiliary sizes default to
+    |Xhat|^|Z| for the upper bound and |Y| + 1 for the lower one.
     """
     g0 = minimax_distortion_game(spec, True)
     g1 = minimax_distortion_game(spec, False)
     if callable(d_values):
         d_values = d_values(g0.value, g1.value)
-    u_upper = u_size_upper or _default_u_upper(spec)
-    u_lower = u_size_lower or _default_u_lower(spec)
-    solver_u = RateBoundSolver(spec, u_upper, grid)
+    levels = [float(v) for v in d_values]
+    if not all(map(math.isfinite, levels)):
+        raise UsageError(f"distortion levels must be finite numbers, got {levels}")
+    if u_size_upper is None:
+        u_size_upper = spec.xhat_alphabet.size ** spec.z_alphabet.size
+    if u_size_lower is None:
+        u_size_lower = spec.y_alphabet.size + 1
     # one solver per auxiliary size, so equal sizes share every table
-    solver_l = solver_u if u_lower == u_upper else RateBoundSolver(spec, u_lower, grid)
+    solvers = {u: RateBoundSolver(spec, u, grid) for u in {u_size_upper, u_size_lower}}
+    solver_u, solver_l = solvers[u_size_upper], solvers[u_size_lower]
     points = []
-    for d_val in map(float, d_values):
+    for d_val in levels:
         if d_val > g1.value:
             up = _zero_rate_point(spec, solver_u.u_size)
             low = _zero_rate_point(spec, solver_l.u_size)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ from .coding import (
 from .derandomize import certify_ensemble, sample_ensemble
 from .errors import AvrsError, ConfigurationError, UsageError
 from .lemmas import (
+    HarnessResult,
     run_conditional_typicality,
     run_covering,
     run_markov_conclusion,
@@ -102,6 +105,22 @@ def _write_json(path: Path, meta: dict, payload: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _parse_list(text: str, kind, flag: str) -> list:
+    """Comma-separated numbers; an entry ``kind`` cannot parse is a usage error."""
+    try:
+        return [kind(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise UsageError(f"{flag} holds a non-numeric entry: {text!r}") from None
+
+
 def _parallel_map(fn, items: list, threads: int) -> list:
     """Order-preserving map; thread count never changes the result."""
     if threads <= 1 or len(items) <= 1:
@@ -150,7 +169,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         refine=not args.no_refine,
     )
     if args.d_grid is not None:
-        d_values = [float(v) for v in args.d_grid.split(",") if v.strip() != ""]
+        d_values = _parse_list(args.d_grid, float, "--d-grid")
     elif args.d_points > 0:
 
         def d_values(lo: float, hi: float) -> list[float]:
@@ -179,26 +198,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         ["D", "R_upper", "R_lower", "uncertainty_upper", "uncertainty_lower"],
         rows,
     )
-    payload = {
-        "d0": report.d0,
-        "d1": report.d1,
-        "d0_gap": report.d0_gap,
-        "d1_gap": report.d1_gap,
-        "points": [
-            {
-                "d": p.d,
-                "feasible": p.feasible,
-                "r_upper": p.r_upper,
-                "r_lower": p.r_lower,
-                "uncertainty_upper": p.uncertainty_upper,
-                "uncertainty_lower": p.uncertainty_lower,
-                "strategy_upper": p.strategy_upper,
-                "strategy_lower": p.strategy_lower,
-            }
-            for p in report.points
-        ],
-    }
-    _write_json(out / "bounds.json", meta, payload)
+    _write_json(out / "bounds.json", meta, asdict(report))
     return EXIT_OK
 
 
@@ -265,26 +265,9 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "k": report.k,
-        "n": report.n,
-        "mu": report.mu,
-        "passed": report.passed,
-        "max_excess": report.max_excess,
-        "note": report.note,
+        **asdict(report),
         "rate_overhead": ensemble.rate_overhead,
         "index_bits": ensemble.index_bits,
-        "cells": [
-            {
-                "x_index": c.x_index,
-                "jammer_index": c.jammer_index,
-                "ensemble_mean": c.ensemble_mean,
-                "parent_mean": c.parent_mean,
-                "excess": c.excess,
-                "std_error": c.std_error,
-                "sessions": c.sessions,
-            }
-            for c in report.cells
-        ],
     }
     _write_json(out / "derandomize.json", meta, payload)
     return EXIT_OK
@@ -294,65 +277,48 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
     spec = load_problem_spec(args.spec)
     policy = load_policy(args.policy, spec)
     config = _coding_config(args, spec, policy)
-    ns = [int(v) for v in args.n_ladder.split(",") if v.strip()]
+    ns = _parse_list(args.n_ladder, int, "--n-ladder")
     selected = set(args.harness) if args.harness else set(_HARNESSES)
     if "all" in selected:
         selected = set(_HARNESSES)
     trivial_jam = _trivial_jammer(spec)
+    w_ts = CondDistribution(spec.x_alphabet, spec.y_alphabet, spec.w.y_marginal_kernel[:, 0, :])
     p_y = np.einsum("x,xy->y", spec.p_x.mass, spec.w.y_marginal_kernel[:, 0, :])
 
+    def run_for_n(n: int) -> list[HarnessResult]:
+        def seed(label: str) -> int:
+            return derive_seed(args.seed, label, n)
+
+        trials = args.trials
+        runs = {
+            "cond-typicality": lambda: run_conditional_typicality(
+                spec.p_x, w_ts, n, args.delta0, trials, seed("ct")
+            ),
+            "covering": lambda: run_covering(config, nearest_type(p_y, n), trials, seed("cov")),
+            "packing": lambda: run_packing(config, trivial_jam, n, trials, seed("pk")),
+            "markov": lambda: run_markov_conclusion(
+                config, trivial_jam, n, args.delta4, trials, seed("mk")
+            ),
+        }
+        return [runs[h]() for h in _HARNESSES if h in selected] if trials >= 1 else []
+
+    results = [res for chunk in _parallel_map(run_for_n, ns, args.threads) for res in chunk]
     rows: list[list] = []
-
-    def run_for_n(n: int) -> list[list]:
-        local: list[list] = []
-        if args.trials < 1:
-            return local
-        if "cond-typicality" in selected:
-            w_ts = CondDistribution(spec.x_alphabet, spec.y_alphabet, spec.w.y_marginal_kernel[:, 0, :])
-            res = run_conditional_typicality(
-                spec.p_x, w_ts, n, args.delta0, args.trials, derive_seed(args.seed, "ct", n)
-            )
+    for res in results:
+        if res.bound is None:
+            verdict = "n/a"
+        else:
             verdict = "vacuous" if res.vacuous else ("pass" if res.within_bound else "fail")
-            local.append([res.name, n, res.empirical, res.bound, res.sigma, verdict])
-        if "covering" in selected:
-            res = run_covering(
-                config, nearest_type(p_y, n), args.trials, derive_seed(args.seed, "cov", n)
-            )
-            local.append([res.name, n, res.empirical, res.bound, res.sigma, "n/a"])
-        if "packing" in selected:
-            res = run_packing(config, trivial_jam, n, args.trials, derive_seed(args.seed, "pk", n))
-            local.append([res.name, n, res.empirical, res.bound, res.sigma, "n/a"])
-        if "markov" in selected:
-            res = run_markov_conclusion(
-                config, trivial_jam, n, args.delta4, args.trials, derive_seed(args.seed, "mk", n)
-            )
-            local.append([res.name, n, res.empirical, res.bound, res.sigma, "n/a"])
-        return local
-
-    chunks = _parallel_map(run_for_n, ns, args.threads)
-    for chunk in chunks:
-        rows.extend(chunk)
+        rows.append([res.name, res.n, res.empirical, res.bound, res.sigma, verdict])
 
     # trend summaries over the ladder for the trend-style harnesses
-    from .lemmas import HarnessResult
-
     for name, decreasing in (("covering", False), ("packing", True), ("markov-conclusion", True)):
-        series = [r for r in rows if r[0] == name]
+        series = [res for res in results if res.name == name]
         if len(series) >= 2:
-            results = [
-                HarnessResult(name, r[1], r[2], None, r[4], args.trials, False) for r in series
-            ]
-            tc = trend_check(results, decreasing=decreasing)
-            rows.append(
-                [
-                    f"{name}-trend",
-                    series[-1][1],
-                    tc.values[-1] - tc.values[0],
-                    None,
-                    0.0,
-                    "pass" if tc.ok else "fail",
-                ]
-            )
+            tc = trend_check(series, decreasing=decreasing)
+            change = tc.values[-1] - tc.values[0]
+            verdict = "pass" if tc.ok else "fail"
+            rows.append([f"{name}-trend", series[-1].n, change, None, 0.0, verdict])
 
     meta = _metadata("lemmas", args, skip=())
     out = Path(args.out_dir)
@@ -380,10 +346,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_coding(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", required=True, help="auxiliary policy JSON file")
     p.add_argument("--n", type=int, required=True, help="blocklength")
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--delta2", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--f-eps", dest="f_eps", type=float, default=None)
+    p.add_argument("--eps", type=_finite_float, default=0.2)
+    p.add_argument("--delta2", type=_finite_float, default=None)
+    p.add_argument("--gamma", type=_finite_float, default=None)
+    p.add_argument("--f-eps", dest="f_eps", type=_finite_float, default=None)
     p.add_argument("--cap", type=int, default=4096, help="codebook size cap")
     p.add_argument(
         "--jammers",
@@ -405,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--d-grid", default=None, help="comma-separated distortion levels")
     p.add_argument("--d-points", type=int, default=5, help="auto grid size when --d-grid absent")
-    p.add_argument("--coarse-step", type=float, default=0.05)
-    p.add_argument("--refine-step", type=float, default=0.005)
+    p.add_argument("--coarse-step", type=_finite_float, default=0.05)
+    p.add_argument("--refine-step", type=_finite_float, default=0.005)
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--u-upper", type=int, default=None)
     p.add_argument("--u-lower", type=int, default=None)
@@ -422,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_coding(p)
     p.add_argument("--K", type=int, default=None, help="ensemble size (default n^2)")
-    p.add_argument("--mu", type=float, default=0.02)
+    p.add_argument("--mu", type=_finite_float, default=0.02)
     p.add_argument("--trials", type=int, default=1, help="sessions per ensemble member")
     p.add_argument("--x-samples", type=int, default=2)
     p.set_defaults(func=cmd_derandomize)
@@ -433,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--harness", action="append", choices=_HARNESSES + ("all",))
     p.add_argument("--n-ladder", default="8,16,32")
     p.add_argument("--trials", type=int, default=400)
-    p.add_argument("--delta0", type=float, default=0.1)
-    p.add_argument("--delta4", type=float, default=0.35)
+    p.add_argument("--delta0", type=_finite_float, default=0.1)
+    p.add_argument("--delta4", type=_finite_float, default=0.35)
     p.set_defaults(func=cmd_lemmas)
 
     return parser

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversary import JammerStrategy, sample_jamming
-from .bounds import GridConfig, PerTypeRates, per_type_rates
+from .bounds import PerTypeRates, joint_uz, per_type_rates
 from .errors import UsageError
 from .model import AuxiliaryPolicy, ProblemSpec
 from .mtypes import (
@@ -99,8 +99,6 @@ class SessionConfig:
     spec: ProblemSpec
     policy: AuxiliaryPolicy
     params: CodingParams
-    grid: GridConfig | None = None
-    code_seed: int | None = None
     family: CodebookFamily = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -158,7 +156,7 @@ class CodebookFamily:
         cfg = self.config
         spec, policy, params = cfg.spec, cfg.policy, cfg.params
         n = t_y.n
-        rates = per_type_rates(t_y, policy, spec, params.eps, params.f_eps, cfg.grid)
+        rates = per_type_rates(t_y, policy, spec, params.eps, params.f_eps)
         num_cw, trunc_u = _ceil_pow2(rates.r_u, n, params.size_cap)
         bin_size, trunc_b = _ceil_pow2(rates.r_tilde, n, params.size_cap)
         num_bins, trunc_n = _ceil_pow2(rates.r_bin, n, params.size_cap)
@@ -170,10 +168,7 @@ class CodebookFamily:
         p_u = t_y.probabilities @ p_uy
         encoder_target = (t_y.probabilities[:, None] * p_uy).T
         jam_types = valid_jammer_types(t_y, spec, params.f_eps, n)
-        targets = np.einsum(
-            "x,mxj,xjyz,yu->muz", spec.p_x.mass, jam_types, spec.w.kernel, p_uy, optimize=True
-        )
-        targets = np.unique(np.round(targets, 12), axis=0)
+        targets = np.unique(np.round(joint_uz(spec, jam_types, p_uy), 12), axis=0)
         data = _TypeData(
             t_y,
             n,
@@ -360,16 +355,14 @@ def simulate_session(
     """Run jamming, channel, encoder, decoder and reconstruction once.
 
     All randomness is derived from ``seed``; the code draw itself comes from
-    ``code_seed`` when given (fixed code across sessions), else from the
-    config, else it is refreshed per session, which realizes the
-    shared-randomness reading of the scheme.
+    ``code_seed`` when given (fixed code across sessions), else it is
+    refreshed per session, which realizes the shared-randomness reading of
+    the scheme.
     """
     spec, policy, params = config.spec, config.policy, config.params
     j = sample_jamming(jammer, x, philox_stream(seed, "jamming"))
     y, z = _draw_channel(spec, x, j, philox_stream(seed, "channel"))
     t_y = empirical_type(y)
-    if code_seed is None:
-        code_seed = config.code_seed
     if code_seed is None:
         code_seed = derive_seed(seed, "code")
     cb = config.family.codebook(t_y, code_seed)

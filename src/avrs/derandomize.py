@@ -95,7 +95,6 @@ class CertificationReport:
     passed: bool
     k: int
     n: int
-    trials_per_member: int
     note: str = (
         "spot check over sampled typical sources and listed jammers; "
         "not an enumeration of all typical blocks"
@@ -166,5 +165,4 @@ def certify_ensemble(
         passed=max_excess <= mu,
         k=k,
         n=n,
-        trials_per_member=trials_per_member,
     )

@@ -32,6 +32,7 @@ __all__ = [
     "linf_deviation",
     "is_typical",
     "valid_jammer_types",
+    "consistent_kernels",
 ]
 
 # Absolute slack for threshold comparisons, so an exactly-attained bound is
@@ -189,8 +190,7 @@ def valid_jammer_types(
     if f_eps < 0:
         raise UsageError("f_eps must be >= 0")
     x_size = spec.x_alphabet.size
-    target = t_y.probabilities
-    if target.shape != (spec.y_alphabet.size,):
+    if t_y.counts.shape != (spec.y_alphabet.size,):
         raise UsageError("t_y is not a type over the Y alphabet")
 
     # every rational row with denominator <= n, once, in lowest terms
@@ -228,7 +228,15 @@ def valid_jammer_types(
     seen = np.unique(np.concatenate(blocks), axis=0)
 
     tables = numer[seen] / denom[seen][..., None]  # (M, |X|, |J|)
-    w_y = spec.w.y_marginal_kernel  # (|X|, |J|, |Y|)
-    margins = np.einsum("x,mxj,xjy->my", spec.p_x.mass, tables, w_y, optimize=True)
-    dev = np.abs(margins - target[None, :]).max(axis=1)
-    return tables[dev <= f_eps + TYPE_TOL]
+    return tables[consistent_kernels(tables, t_y, spec, f_eps)]
+
+
+def consistent_kernels(
+    kernels: np.ndarray, t_y: TypeTable, spec: "ProblemSpec", f_eps: float
+) -> np.ndarray:
+    """Mask of the jammer kernels, shape (N, |X|, |J|), whose induced
+    Y-marginal [P_X q W]_Y lies within ``f_eps`` of ``t_y`` in l-infinity."""
+    margins = np.einsum(
+        "x,nxj,xjy->ny", spec.p_x.mass, kernels, spec.w.y_marginal_kernel, optimize=True
+    )
+    return np.abs(margins - t_y.probabilities[None, :]).max(axis=1) <= f_eps + TYPE_TOL

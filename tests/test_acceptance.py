@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from avrs.adversary import DeterministicJammer, MemorylessJammer
-from avrs.bounds import GridConfig, RateBoundSolver, minimax_distortion_game, r_lower, r_upper
+from avrs.bounds import (
+    GridConfig,
+    RateBoundSolver,
+    compute_bound_report,
+    minimax_distortion_game,
+)
 from avrs.cli import main
 from avrs.coding import CodingParams, SessionConfig, simulate_session
 from avrs.derandomize import certify_ensemble, sample_ensemble
@@ -121,9 +126,10 @@ def test_criterion_2_degenerate_reduction():
     upper bound matches classical rate distortion within 0.05 bits."""
     start = time.time()
     spec = classical_spec()
+    solver = RateBoundSolver(spec, 2)  # default grid
     worst = 0.0
     for target in (0.1, 0.25):
-        value, _ = r_upper(spec, target)  # default grid
+        value = solver.r_upper_point(target).value
         oracle = _blahut_arimoto_rate(spec.p_x.mass, spec.d.entries, target)
         worst = max(worst, abs(value - oracle))
     elapsed = time.time() - start
@@ -138,8 +144,9 @@ def test_criterion_3_boundary_behavior():
     ok = True
     for spec in specs:
         d1_val = minimax_distortion_game(spec, False).value
-        for level in (d1_val + 0.1, d1_val * 1.5 + 0.05):
-            if r_upper(spec, level) != (0.0, 0.0) or r_lower(spec, level) != (0.0, 0.0):
+        report = compute_bound_report(spec, [d1_val + 0.1, d1_val * 1.5 + 0.05])
+        for p in report.points:
+            if (p.r_upper, p.uncertainty_upper, p.r_lower, p.uncertainty_lower) != (0.0,) * 4:
                 ok = False
     _report(3, "boundary behavior", ok)
 

@@ -9,15 +9,12 @@ from avrs.bounds import (
     GridConfig,
     RateBoundSolver,
     compute_bound_report,
-    d0,
-    d1,
+    minimax_distortion_game,
     per_type_rates,
-    r_lower,
-    r_upper,
     simplex_lattice,
     simplex_window,
 )
-from avrs.errors import EnumerationTooLargeError, InfeasibleDistortionError
+from avrs.errors import EnumerationTooLargeError, InfeasibleDistortionError, UsageError
 from avrs.games import solve_bilinear_game
 from avrs.mtypes import TypeTable
 from avrs.model import load_problem_spec
@@ -86,16 +83,16 @@ class TestSolverTables:
 
 class TestDistortionFloors:
     def test_decoder_sees_source(self):
-        assert d0(identity_z_spec()) <= 2e-3
-        assert d1(identity_z_spec()) <= 2e-3
+        assert minimax_distortion_game(identity_z_spec(), True).value <= 2e-3
+        assert minimax_distortion_game(identity_z_spec(), False).value <= 2e-3
 
     def test_clean_observation_no_jammer(self):
-        assert d0(classical_spec()) <= 2e-3
+        assert minimax_distortion_game(classical_spec(), True).value <= 2e-3
 
     def test_xor_jamming_erases_y(self):
         # adversary flipping with probability 1/2 makes Y useless
         spec = xor_spec()
-        val = d0(spec)
+        val = minimax_distortion_game(spec, True).value
         assert val == pytest.approx(0.5, abs=5e-3)
 
     def test_xor_d0_against_vertex_grid_oracle(self):
@@ -119,42 +116,45 @@ class TestDistortionFloors:
                             e += p_y * (col[0] * spec.d.entries[x, 0] + col[1] * spec.d.entries[x, 1])
                     worst = max(worst, e)
                 best = min(best, worst)
-        val = d0(spec)
+        val = minimax_distortion_game(spec, True).value
         assert val == pytest.approx(best, abs=5e-3)
 
     def test_d1_blind_guessing(self):
-        assert d1(identity_z_spec()) <= 2e-3
-        assert d1(classical_spec()) == pytest.approx(0.5, abs=5e-3)
-        assert d1(classical_spec(0.25)) == pytest.approx(0.25, abs=5e-3)
+        assert minimax_distortion_game(identity_z_spec(), False).value <= 2e-3
+        blind = minimax_distortion_game(classical_spec(), False).value
+        assert blind == pytest.approx(0.5, abs=5e-3)
+        blind = minimax_distortion_game(classical_spec(0.25), False).value
+        assert blind == pytest.approx(0.25, abs=5e-3)
 
 
 class TestRateUpper:
     def test_zero_above_d1(self):
-        spec = classical_spec()
-        assert r_upper(spec, 0.51) == (0.0, 0.0)
-        assert r_upper(spec, 5.0) == (0.0, 0.0)
+        report = compute_bound_report(classical_spec(), [0.51, 5.0])
+        for point in report.points:
+            assert (point.r_upper, point.uncertainty_upper) == (0.0, 0.0)
 
     def test_classical_rate_distortion(self):
-        spec = classical_spec()
+        solver = RateBoundSolver(classical_spec(), 2)  # default grid
         for target in (0.1, 0.25):
-            value, unc = r_upper(spec, target)
+            value = solver.r_upper_point(target).value
             assert value == pytest.approx(1 - h2(target), abs=0.05)
 
     def test_at_d1_in_range(self):
         spec = classical_spec()
-        level = d1(spec)
-        value, _ = r_upper(spec, level, grid=FAST_GRID)
+        level = minimax_distortion_game(spec, False).value
+        value = RateBoundSolver(spec, 2, FAST_GRID).r_upper_point(level).value
         assert 0.0 <= value <= math.log2(2)
 
     def test_infeasible_below_floor(self):
         spec = xor_spec()  # informed floor is 0.5
         with pytest.raises(InfeasibleDistortionError):
-            r_upper(spec, 0.1, grid=FAST_GRID)
+            RateBoundSolver(spec, 2, FAST_GRID).r_upper_point(0.1)
 
     def test_non_increasing_in_distortion(self):
         spec = wz_spec()
         solver = RateBoundSolver(spec, 2, FAST_GRID)
-        lo, hi = d0(spec), d1(spec)
+        lo = minimax_distortion_game(spec, True).value
+        hi = minimax_distortion_game(spec, False).value
         levels = [lo + f * (hi - lo) for f in (0.4, 0.6, 0.8)]
         points = [solver.r_upper_point(lv) for lv in levels]
         for a, b in zip(points, points[1:]):
@@ -163,20 +163,21 @@ class TestRateUpper:
 
 class TestRateLower:
     def test_zero_above_d1(self):
-        spec = classical_spec()
-        assert r_lower(spec, 0.51) == (0.0, 0.0)
+        (point,) = compute_bound_report(classical_spec(), [0.51]).points
+        assert (point.r_lower, point.uncertainty_lower) == (0.0, 0.0)
 
     def test_single_jammer_collapses_to_upper(self):
-        spec = classical_spec()
+        solver = RateBoundSolver(classical_spec(), 2, FAST_GRID)
         for target in (0.1, 0.25):
-            vu, uu = r_upper(spec, target, grid=FAST_GRID)
-            vl, ul = r_lower(spec, target, grid=FAST_GRID, u_size=2)
-            assert abs(vu - vl) <= uu + ul
+            up = solver.r_upper_point(target)
+            low = solver.r_lower_point(target)
+            assert abs(up.value - low.value) <= up.uncertainty + low.uncertainty
 
     def test_weak_duality_random_instances(self, rng):
         for _ in range(8):
             spec = structured_instance(rng)
-            lo, hi = d0(spec), d1(spec)
+            lo = minimax_distortion_game(spec, True).value
+            hi = minimax_distortion_game(spec, False).value
             if hi - lo < 0.05:
                 continue
             mid = lo + 0.6 * (hi - lo)
@@ -297,7 +298,8 @@ class TestPerTypeRates:
 class TestBoundReport:
     def test_report_orders_and_infeasible_points(self):
         spec = wz_spec()
-        lo, hi = d0(spec), d1(spec)
+        lo = minimax_distortion_game(spec, True).value
+        hi = minimax_distortion_game(spec, False).value
         levels = [lo * 0.5, lo + 0.5 * (hi - lo), hi + 0.1]
         report = compute_bound_report(
             spec, levels, FAST_GRID, u_size_upper=2, u_size_lower=2
@@ -312,7 +314,8 @@ class TestBoundReport:
 
     def test_equal_u_sizes_build_one_info_matrix(self, monkeypatch):
         spec = wz_spec()
-        lo, hi = d0(spec), d1(spec)
+        lo = minimax_distortion_game(spec, True).value
+        hi = minimax_distortion_game(spec, False).value
         levels = [lo + f * (hi - lo) for f in (0.4, 0.8)]
         separate_u = RateBoundSolver(spec, 2, FAST_GRID)
         separate_l = RateBoundSolver(spec, 2, FAST_GRID)
@@ -336,6 +339,11 @@ class TestBoundReport:
             assert point.strategy_upper["jammer_q"] == up.q_extreme.tolist()
             assert point.strategy_lower["p_u_given_y"] == low.p_u_given_y.tolist()
             assert point.strategy_lower["jammer_q"] == low.q_extreme.tolist()
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_non_finite_level_refused(self, level):
+        with pytest.raises(UsageError, match="finite"):
+            compute_bound_report(wz_spec(), [0.3, level], FAST_GRID, 2, 2)
 
     def test_one_report_solves_each_floor_once(self, monkeypatch):
         # the golden sweep 0.21, 0.23, 0.3 on the README spec; 0.3 lies above d1

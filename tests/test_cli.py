@@ -1,13 +1,16 @@
 import csv
 import filecmp
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from avrs.bounds import BoundPoint, BoundReport
 from avrs.cli import main
 from avrs.coding import CodingParams, SessionConfig, simulate_session
+from avrs.derandomize import CertificationCell, CertificationReport
 from avrs.model import load_policy, load_problem_spec
 from avrs.mtypes import SymbolVector
 from avrs.rng import derive_seed, philox_stream
@@ -266,3 +269,83 @@ class TestExitCodes:
     def test_missing_spec_file(self, tmp_path):
         rc = main(["bounds", "--spec", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])
         assert rc == 2
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+SMALL_RUNS = {
+    "bounds": [
+        "bounds", "--spec", SPEC, "--d-grid", "0.23,0.3", "--coarse-step", "0.1",
+        "--no-refine", "--u-upper", "2", "--u-lower", "2",
+    ],
+    "simulate": [
+        "simulate", "--spec", SPEC, "--policy", POLICY, "--n", "8", "--trials", "2",
+        "--eps", "0.3", "--cap", "64", "--jammers", "all-deterministic",
+    ],
+    "derandomize": [
+        "derandomize", "--spec", SPEC, "--policy", POLICY, "--n", "6", "--K", "4",
+        "--trials", "1", "--mu", "0.5", "--x-samples", "1", "--eps", "0.3", "--cap", "64",
+    ],
+    "lemmas": [
+        "lemmas", "--spec", SPEC, "--policy", POLICY, "--n", "8", "--n-ladder", "8,12",
+        "--trials", "10", "--eps", "0.3", "--cap", "64",
+    ],
+}
+
+
+class TestOutputDocuments:
+    def test_every_output_is_strict_json(self, tmp_path):
+        for name, args in SMALL_RUNS.items():
+            out = tmp_path / name
+            assert main(args + ["--out-dir", str(out)]) == 0
+            for path in sorted(out.iterdir()):
+                if path.suffix == ".json":
+                    json.loads(path.read_text(), parse_constant=_refuse_constant)
+                else:
+                    first = path.read_text().splitlines()[0]
+                    assert first.startswith("# ")
+                    json.loads(first[2:], parse_constant=_refuse_constant)
+
+    def test_json_keys_are_the_report_fields(self, tmp_path):
+        def names(cls) -> set[str]:
+            return {f.name for f in fields(cls)}
+
+        assert main(SMALL_RUNS["bounds"] + ["--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "bounds.json").read_text())
+        assert set(doc) == names(BoundReport) | {"meta"}
+        assert all(set(p) == names(BoundPoint) for p in doc["points"])
+
+        assert main(SMALL_RUNS["derandomize"] + ["--out-dir", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "derandomize.json").read_text())
+        assert set(doc) == names(CertificationReport) | {"meta", "rate_overhead", "index_bits"}
+        assert all(set(c) == names(CertificationCell) for c in doc["cells"])
+
+
+class TestRejectedValues:
+    """Invalid numbers exit 2 before any output file is written."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("bounds", "--u-upper", "0"),
+            ("bounds", "--u-lower", "0"),
+            ("bounds", "--d-grid", "nan,inf"),
+            ("bounds", "--d-grid", "0.2,abc"),
+            ("simulate", "--eps", "nan"),
+            ("simulate", "--gamma", "inf"),
+            ("derandomize", "--mu", "inf"),
+            ("lemmas", "--delta0", "inf"),
+            ("lemmas", "--n-ladder", "8,x"),
+        ],
+    )
+    def test_exit_2_without_output(self, tmp_path, command, flag, value):
+        out = tmp_path / "out"
+        args = list(SMALL_RUNS[command])
+        if flag in args:
+            args[args.index(flag) + 1] = value
+        else:
+            args += [flag, value]
+        assert main(args + ["--out-dir", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
