@@ -17,6 +17,13 @@ distortion is linear in the jamming kernel.
 The policy x jammer tables do not depend on the distortion level.  One
 :class:`RateBoundSolver` per auxiliary size builds each of them once and
 serves a whole sweep, and both bounds when their auxiliary sizes agree.
+The information tables are screened through the same Markov chain, as
+I(U;Y|Z) = H(U,Z) - H(Z) - H(U|Y), which needs U*Z logarithms per cell.  The
+screen only picks candidates: every optimum is searched among the entries
+within 2 * SCREEN_TOL of the screened optimum, and every reported rate and
+tie-break comes from ``conditional_mutual_information_bits`` evaluated on
+those candidates' rows against the whole jammer grid, so the results are the
+ones the full exact tables give.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .errors import EnumerationTooLargeError, InfeasibleDistortionError, UsageEr
 from .games import BilinearGame, GameResult, solve_bilinear_game
 from .model import AuxiliaryPolicy, ProblemSpec
 from .mtypes import TypeTable, compositions, consistent_kernels, deterministic_maps
-from .probability import conditional_mutual_information_bits, mutual_information_bits
+from .probability import conditional_mutual_information_bits, mutual_information_bits, xlog2x
 
 __all__ = [
     "GridConfig",
@@ -51,6 +58,11 @@ __all__ = [
 # Slack added to distortion-feasibility comparisons so exactly attained
 # constraints survive float rounding.
 DISTORTION_TOL = 1e-9
+
+# Bound on how far the screened information table may sit from the exact one
+# (they agree to about 2e-15).  An optimum of the exact table is searched only
+# among entries within 2 * SCREEN_TOL of the screened optimum.
+SCREEN_TOL = 1e-12
 
 # Largest policy or jammer grid enumerated before giving up with
 # EnumerationTooLargeError.
@@ -266,6 +278,34 @@ class RateBoundSolver:
             out[:, chunk] = conditional_mutual_information_bits(table)
         return out
 
+    def _screen_matrix(self, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
+        """I(U;Y|Z) for every (policy, jammer) pair through the Markov chain
+        U - Y - Z: I(U;Y|Z) = H(U,Z) - H(Z) - H(U|Y); shape (NP, NQ).
+
+        It needs U*Z logarithms per cell where :meth:`_info_matrix` needs a
+        whole joint table, and agrees with it to within SCREEN_TOL but not bit
+        for bit, so it only screens candidates for the exact evaluation.
+        """
+        spec = self.spec
+        np_, nq = p_arr.shape[0], q_arr.shape[0]
+        nu, nz = self.u_size, spec.z_alphabet.size
+        p_yz = np.einsum("x,nxj,xjyz->nyz", spec.p_x.mass, q_arr, spec.w.kernel, optimize=True)
+        h_z = -xlog2x(p_yz.sum(axis=1)).sum(axis=1)  # (N,)
+        p_y = p_yz.sum(axis=2)  # (N, Y)
+        h_u_given_y = -xlog2x(p_arr).sum(axis=2)  # H(U|Y=y) per policy, (P, Y)
+        p_cols = [np.ascontiguousarray(p_arr[:, :, u]) for u in range(nu)]  # (P, Y) each
+        out = np.empty((np_, nq))
+        for chunk in _jammer_chunks(nq, np_):
+            # H(U|Y) + H(Z) - H(U,Z), accumulated over the (u, z) cells
+            acc = h_u_given_y @ p_y[chunk].T
+            acc += h_z[chunk]
+            for u in range(nu):
+                for z in range(nz):
+                    acc += xlog2x(p_cols[u] @ p_yz[chunk, :, z].T)
+            np.negative(acc, out=acc)
+            out[:, chunk] = np.maximum(acc, 0.0, out=acc)
+        return out
+
     def _max_e_over_jammers(self, p_arr: np.ndarray) -> np.ndarray:
         """max over deterministic jammers of E[d]; shape (NP, n_zeta)."""
         spec = self.spec
@@ -287,22 +327,31 @@ class RateBoundSolver:
         """
         spec = self.spec
         np_, nq = p_arr.shape[0], q_arr.shape[0]
-        # E[d(X, xhat); Y=y, Z=z] under each jammer, shape (N, Y, Z, Xhat)
+        nu, ny, nz = self.u_size, spec.y_alphabet.size, spec.z_alphabet.size
+        nh = spec.xhat_alphabet.size
+        # E[d(X, xhat); Y=y, Z=z] under each jammer, shape (Z, Y, Xhat, N)
         cost = np.einsum(
-            "x,nxj,xjyz,xh->nyzh",
+            "x,nxj,xjyz,xh->zyhn",
             spec.p_x.mass, q_arr, spec.w.kernel, spec.d.entries, optimize=True,
         )
+        p_cols = [np.ascontiguousarray(p_arr[:, :, u]) for u in range(nu)]  # (P, Y) each
         out = np.empty((np_, nq))
-        nu, nz, nh = self.u_size, spec.z_alphabet.size, spec.xhat_alphabet.size
-        for chunk in _jammer_chunks(nq, np_ * nu * nz * nh):
-            per_hat = np.einsum("pyu,nyzh->pnuzh", p_arr, cost[chunk], optimize=True)
-            out[:, chunk] = per_hat.min(axis=-1).sum(axis=(-2, -1))
+        for chunk in _jammer_chunks(nq, np_ * nh):
+            n = chunk.stop - chunk.start
+            rhs = [cost[z, :, :, chunk].reshape(ny, nh * n) for z in range(nz)]
+            # the best reconstruction of each (u, z) cell, summed over the cells
+            total = np.zeros((np_, n))
+            for u in range(nu):
+                for z in range(nz):
+                    total += (p_cols[u] @ rhs[z]).reshape(np_, nh, n).min(axis=1)
+            out[:, chunk] = total
         return out
 
     @property
     def info_matrix(self) -> np.ndarray:
+        """The screened coarse table: it picks candidates, never values."""
         if self._i_matrix_cache is None:
-            self._i_matrix_cache = self._info_matrix(self._p_candidates, self._q_candidates)
+            self._i_matrix_cache = self._screen_matrix(self._p_candidates, self._q_candidates)
         return self._i_matrix_cache
 
     @property
@@ -318,6 +367,39 @@ class RateBoundSolver:
         return self._min_e_cache
 
     # -- helpers ------------------------------------------------------------
+
+    def _min_worst_row(self, p_arr: np.ndarray, worst: np.ndarray) -> tuple[int, np.ndarray]:
+        """The first policy of ``p_arr`` whose worst case over the coarse
+        jammers is smallest, and its exact information row.  ``worst`` is the
+        screened worst case of each policy (infinite for an infeasible one);
+        only its near-ties are evaluated exactly, each against the whole
+        coarse jammer grid."""
+        rows = np.flatnonzero(worst <= worst.min() + 2 * SCREEN_TOL)
+        exact = self._info_matrix(p_arr[rows], self._q_candidates)
+        k = int(np.argmin(exact.max(axis=1)))
+        return int(rows[k]), exact[k]
+
+    def _max_min_column(
+        self, q_arr: np.ndarray, screen: np.ndarray, feas: np.ndarray
+    ) -> tuple[int, int, float] | None:
+        """The first jammer of ``q_arr`` whose smallest information over its
+        feasible coarse policies is largest: its index, the first policy
+        attaining that smallest value, and the exact value.  None when no
+        jammer has a feasible policy.  ``screen`` is the screened table of the
+        coarse policies against ``q_arr``; only its near-ties are evaluated
+        exactly, each policy row against all of ``q_arr``."""
+        inner = screen.min(axis=0, initial=np.inf, where=feas)
+        reachable = np.isfinite(inner)
+        if not reachable.any():
+            return None
+        cols = np.flatnonzero(reachable & (inner >= inner[reachable].max() - 2 * SCREEN_TOL))
+        near = feas[:, cols] & (screen[:, cols] <= inner[cols] + 2 * SCREEN_TOL)  # (NP, C)
+        rows = np.flatnonzero(near.any(axis=1))
+        exact = self._info_matrix(self._p_candidates[rows], q_arr)[:, cols]
+        exact = np.where(near[rows], exact, np.inf)
+        col_min = exact.min(axis=0)
+        c = int(np.argmax(col_min))
+        return int(cols[c]), int(rows[np.argmin(exact[:, c])]), float(col_min[c])
 
     def _uncertainty(self, refined: float, coarse: float) -> float:
         g = self.grid
@@ -341,9 +423,9 @@ class RateBoundSolver:
                 f"no (policy, map) candidate meets E[d] <= {distortion} for every jammer; "
                 "the level is below the reachable floor at this grid"
             )
-        obj = np.where(feas_p, self.info_matrix.max(axis=1), np.inf)
-        p0 = int(np.argmin(obj))
-        v0 = float(obj[p0])
+        worst = np.where(feas_p, self.info_matrix.max(axis=1), np.inf)
+        p0, row = self._min_worst_row(self._p_candidates, worst)
+        v0 = float(row.max())
         best_p = self._p_candidates[p0]
         best_f = int(np.argmax(feas[p0]))
         value = v0
@@ -353,22 +435,19 @@ class RateBoundSolver:
             ok = np.flatnonzero(feas_local.any(axis=1))
             if ok.size:
                 # information rows only for the feasible local policies
-                info_local = self._info_matrix(local[ok], self._q_candidates)
-                worst = info_local.max(axis=1)
-                k = int(np.argmin(worst))
+                worst = self._screen_matrix(local[ok], self._q_candidates).max(axis=1)
+                k, row = self._min_worst_row(local[ok], worst)
                 p1 = int(ok[k])
                 best_p = local[p1]
                 best_f = int(np.argmax(feas_local[p1]))
-                value = float(worst[k])
-                q_inc = self._q_candidates[int(np.argmax(info_local[k]))]
-            else:
-                q_inc = self._q_candidates[int(np.argmax(self.info_matrix[p0]))]
+                value = float(row.max())
+            q_inc = self._q_candidates[int(np.argmax(row))]
             q_local = _refine_window(q_inc, self.grid)
             inner_vals = self._info_matrix(best_p[None], q_local)[0]
             value = max(value, float(inner_vals.max()))
             q_worst = q_local[int(np.argmax(inner_vals))]
         else:
-            q_worst = self._q_candidates[int(np.argmax(self.info_matrix[p0]))]
+            q_worst = self._q_candidates[int(np.argmax(row))]
         nu, nz = self.u_size, spec.z_alphabet.size
         zeta = self._zeta_maps[best_f].reshape(nu, nz)
         return _RatePoint(value, self._uncertainty(value, v0), best_p, zeta, q_worst)
@@ -381,32 +460,24 @@ class RateBoundSolver:
         against that jammer."""
         if distortion < 0:
             raise UsageError("distortion level must be >= 0")
-        spec = self.spec
         feas = self.min_e_matrix <= distortion + DISTORTION_TOL  # (NP, NQ)
         if (~feas.any(axis=0)).any():
             raise InfeasibleDistortionError(
                 "some jammer kernels admit no feasible policy on the grid; "
                 "the level is below the reachable floor"
             )
-        inner = np.where(feas, self.info_matrix, np.inf).min(axis=0)  # (NQ,)
-        n0 = int(np.argmax(inner))
-        v0 = float(inner[n0])
+        n0, p_idx, v0 = self._max_min_column(self._q_candidates, self.info_matrix, feas)
         best_q = self._q_candidates[n0]
+        best_p = self._p_candidates[p_idx]
         value = v0
-        p_inc_idx = int(np.argmin(np.where(feas[:, n0], self.info_matrix[:, n0], np.inf)))
-        best_p = self._p_candidates[p_inc_idx]
         if self.grid.refine:
             q_local = _refine_window(best_q, self.grid)
             feas_ql = self._min_e_over_zeta(self._p_candidates, q_local) <= distortion + DISTORTION_TOL
-            info_ql = self._info_matrix(self._p_candidates, q_local)
-            inner_ql = np.where(feas_ql, info_ql, np.inf).min(axis=0)
-            reachable = np.isfinite(inner_ql)
-            if reachable.any():
-                inner_ql = np.where(reachable, inner_ql, -np.inf)
-                n1 = int(np.argmax(inner_ql))
+            screen = self._screen_matrix(self._p_candidates, q_local)
+            found = self._max_min_column(q_local, screen, feas_ql)
+            if found is not None:
+                n1, p_idx, value = found
                 best_q = q_local[n1]
-                value = float(inner_ql[n1])
-                p_idx = int(np.argmin(np.where(feas_ql[:, n1], info_ql[:, n1], np.inf)))
                 best_p = self._p_candidates[p_idx]
             # polish the cooperative side at the chosen jammer
             p_local = _refine_window(best_p, self.grid)

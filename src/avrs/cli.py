@@ -113,6 +113,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type for counts: negative values are refused."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+def _positive(text: str) -> int:
+    """argparse type for worker counts: zero and negative values are refused."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _parse_list(text: str, kind, flag: str) -> list:
     """Comma-separated numbers; an entry ``kind`` cannot parse is a usage error."""
     try:
@@ -340,7 +356,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True, help="problem instance JSON file")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--threads", type=_positive, default=1, help="worker threads")
 
 
 def _add_coding(p: argparse.ArgumentParser) -> None:
@@ -370,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="compute the distortion floors and rate bounds")
     _add_common(p)
     p.add_argument("--d-grid", default=None, help="comma-separated distortion levels")
-    p.add_argument("--d-points", type=int, default=5, help="auto grid size when --d-grid absent")
+    p.add_argument("--d-points", type=_count, default=5, help="auto grid size when --d-grid absent")
     p.add_argument("--coarse-step", type=_finite_float, default=0.05)
     p.add_argument("--refine-step", type=_finite_float, default=0.005)
     p.add_argument("--no-refine", action="store_true")
@@ -381,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run coding sessions against jammers")
     _add_common(p)
     _add_coding(p)
-    p.add_argument("--trials", type=int, default=100, help="sessions per jammer")
+    p.add_argument("--trials", type=_count, default=100, help="sessions per jammer")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("derandomize", help="sample and certify a code ensemble")
@@ -398,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coding(p)
     p.add_argument("--harness", action="append", choices=_HARNESSES + ("all",))
     p.add_argument("--n-ladder", default="8,16,32")
-    p.add_argument("--trials", type=int, default=400)
+    p.add_argument("--trials", type=_count, default=400)
     p.add_argument("--delta0", type=_finite_float, default=0.1)
     p.add_argument("--delta4", type=_finite_float, default=0.35)
     p.set_defaults(func=cmd_lemmas)

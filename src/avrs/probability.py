@@ -21,6 +21,7 @@ __all__ = [
     "CondDistribution",
     "Channel",
     "DistortionMatrix",
+    "xlog2x",
     "entropy_bits",
     "mutual_information_bits",
     "conditional_mutual_information_bits",
@@ -160,15 +161,19 @@ class DistortionMatrix:
         object.__setattr__(self, "d_max", float(e.max()))
 
 
+def xlog2x(m: np.ndarray) -> np.ndarray:
+    """m·log2(m) elementwise, with 0·log 0 = 0, as a new array."""
+    # a zero entry takes the log of the smallest subnormal, a finite number
+    # that the zero factor cancels exactly
+    t = np.maximum(m, 5e-324, out=np.empty_like(m))
+    np.log2(t, out=t)
+    t *= m
+    return t
+
+
 def entropy_bits(mass: np.ndarray, axis: int | tuple[int, ...] | None = None) -> np.ndarray | float:
     """Shannon entropy in bits of a (possibly batched) non-negative table."""
-    m = np.asarray(mass, dtype=np.float64)
-    positive = m > 0.0
-    # log2 of 1 is 0, so entries outside the mask contribute exactly zero
-    t = np.where(positive, m, 1.0)
-    np.log2(t, out=t)
-    np.multiply(m, t, out=t, where=positive)
-    h = -t.sum(axis=axis)
+    h = -xlog2x(np.asarray(mass, dtype=np.float64)).sum(axis=axis)
     return float(h) if np.ndim(h) == 0 else h
 
 

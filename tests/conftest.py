@@ -71,6 +71,48 @@ def wz_spec(flip_y=0.1, jam_extra=0.25, flip_z=0.2) -> ProblemSpec:
     return make_spec([0.5, 0.5], k, [[0, 1], [1, 0]])
 
 
+def blind_y_spec() -> ProblemSpec:
+    """Y is independent of X and of the jammer, so I(U;Y|Z) = 0 for every
+    policy and jammer; Z is a jammed noisy copy of X."""
+    k = np.zeros((2, 2, 2, 2))
+    for x in range(2):
+        for j in range(2):
+            flip_z = 0.2 if j == 0 else 0.4
+            for y in range(2):
+                for z in range(2):
+                    k[x, j, y, z] = (0.3 if y == 0 else 0.7) * (1 - flip_z if z == x else flip_z)
+    return make_spec([0.4, 0.6], k, [[0, 1], [1, 0]])
+
+
+def dense_instance(rng: np.random.Generator) -> ProblemSpec:
+    """Random 3x2x2x2x3 instance with every channel entry positive."""
+    kernel = rng.dirichlet(np.ones(4), size=(3, 2)).reshape(3, 2, 2, 2)
+    d = rng.uniform(0.5, 1.5, size=(3, 3))
+    d[np.arange(3), np.arange(3)] = 0.0
+    return make_spec(rng.dirichlet(np.ones(3)) * 0.7 + 0.1, kernel, d)
+
+
+def two_view_instance(rng: np.random.Generator) -> ProblemSpec:
+    """Random 3x2x2x2x3 instance with a visible gap between the floors: Y
+    reads whether x >= 1 through a flip the jammer raises, Z reads whether
+    x <= 1 through a flip it cannot touch, and every wrong reconstruction
+    costs about 1."""
+    flip_y = (rng.uniform(0.03, 0.07), rng.uniform(0.25, 0.35))
+    flip_z = rng.uniform(0.12, 0.18)
+    k = np.zeros((3, 2, 2, 2))
+    for x in range(3):
+        for j in range(2):
+            for y in range(2):
+                for z in range(2):
+                    py = 1 - flip_y[j] if y == int(x >= 1) else flip_y[j]
+                    pz = 1 - flip_z if z == int(x <= 1) else flip_z
+                    k[x, j, y, z] = py * pz
+    d = rng.uniform(0.9, 1.1, size=(3, 3))
+    d[np.arange(3), np.arange(3)] = 0.0
+    weights = rng.uniform(0.8, 1.2, size=3)
+    return make_spec(weights / weights.sum(), k, d)
+
+
 def identity_policy(spec: ProblemSpec, u_size: int | None = None) -> AuxiliaryPolicy:
     """U = Y deterministically; reconstruction copies u (padded by need)."""
     ny = spec.y_alphabet.size

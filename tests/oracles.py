@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from avrs.bounds import DISTORTION_TOL, _refine_window
+from avrs.errors import InfeasibleDistortionError
+
 
 def matrix_game_value_oracle(payoff: np.ndarray) -> float:
     """Exact value of min_sigma max_q sigma' B q by support enumeration.
@@ -50,6 +53,87 @@ def min_e_over_zeta_oracle(spec, p_arr: np.ndarray, q_arr: np.ndarray) -> np.nda
     c = np.einsum("x,nxj,xjyz,pyu->pnxuz", spec.p_x.mass, q_arr, spec.w.kernel, p_arr)
     per_hat = np.einsum("pnxuz,xh->pnuzh", c, spec.d.entries)
     return per_hat.min(axis=-1).sum(axis=(-2, -1))
+
+
+def r_upper_point_oracle(solver, distortion: float) -> tuple:
+    """``RateBoundSolver.r_upper_point`` evaluated on the full exact coarse
+    table, as it was before the tables were screened: (value, uncertainty,
+    policy, reconstruction map, jammer)."""
+    feas = solver.max_e_matrix <= distortion + DISTORTION_TOL
+    feas_p = feas.any(axis=1)
+    if not feas_p.any():
+        raise InfeasibleDistortionError("no feasible policy")
+    p_arr, q_arr, grid = solver._p_candidates, solver._q_candidates, solver.grid
+    info = solver._info_matrix(p_arr, q_arr)
+    obj = np.where(feas_p, info.max(axis=1), np.inf)
+    p0 = int(np.argmin(obj))
+    v0 = float(obj[p0])
+    best_p = p_arr[p0]
+    best_f = int(np.argmax(feas[p0]))
+    value = v0
+    if grid.refine:
+        local = _refine_window(best_p, grid)
+        feas_local = solver._max_e_over_jammers(local) <= distortion + DISTORTION_TOL
+        ok = np.flatnonzero(feas_local.any(axis=1))
+        if ok.size:
+            info_local = solver._info_matrix(local[ok], q_arr)
+            worst = info_local.max(axis=1)
+            k = int(np.argmin(worst))
+            p1 = int(ok[k])
+            best_p = local[p1]
+            best_f = int(np.argmax(feas_local[p1]))
+            value = float(worst[k])
+            q_inc = q_arr[int(np.argmax(info_local[k]))]
+        else:
+            q_inc = q_arr[int(np.argmax(info[p0]))]
+        q_local = _refine_window(q_inc, grid)
+        inner_vals = solver._info_matrix(best_p[None], q_local)[0]
+        value = max(value, float(inner_vals.max()))
+        q_worst = q_local[int(np.argmax(inner_vals))]
+    else:
+        q_worst = q_arr[int(np.argmax(info[p0]))]
+    zeta = solver._zeta_maps[best_f].reshape(solver.u_size, solver.spec.z_alphabet.size)
+    return value, solver._uncertainty(value, v0), best_p, zeta, q_worst
+
+
+def r_lower_point_oracle(solver, distortion: float) -> tuple:
+    """``RateBoundSolver.r_lower_point`` evaluated on full exact tables, as it
+    was before the tables were screened; returns like
+    :func:`r_upper_point_oracle`."""
+    feas = solver.min_e_matrix <= distortion + DISTORTION_TOL
+    if (~feas.any(axis=0)).any():
+        raise InfeasibleDistortionError("a jammer admits no feasible policy")
+    p_arr, q_arr, grid = solver._p_candidates, solver._q_candidates, solver.grid
+    info = solver._info_matrix(p_arr, q_arr)
+    inner = np.where(feas, info, np.inf).min(axis=0)
+    n0 = int(np.argmax(inner))
+    v0 = float(inner[n0])
+    best_q = q_arr[n0]
+    value = v0
+    best_p = p_arr[int(np.argmin(np.where(feas[:, n0], info[:, n0], np.inf)))]
+    if grid.refine:
+        q_local = _refine_window(best_q, grid)
+        feas_ql = solver._min_e_over_zeta(p_arr, q_local) <= distortion + DISTORTION_TOL
+        info_ql = solver._info_matrix(p_arr, q_local)
+        inner_ql = np.where(feas_ql, info_ql, np.inf).min(axis=0)
+        reachable = np.isfinite(inner_ql)
+        if reachable.any():
+            inner_ql = np.where(reachable, inner_ql, -np.inf)
+            n1 = int(np.argmax(inner_ql))
+            best_q = q_local[n1]
+            value = float(inner_ql[n1])
+            best_p = p_arr[int(np.argmin(np.where(feas_ql[:, n1], info_ql[:, n1], np.inf)))]
+        p_local = _refine_window(best_p, grid)
+        feas_pl = solver._min_e_over_zeta(p_local, best_q[None])[:, 0] <= distortion + DISTORTION_TOL
+        if feas_pl.any():
+            info_pl = solver._info_matrix(p_local, best_q[None])[:, 0]
+            masked = np.where(feas_pl, info_pl, np.inf)
+            p2 = int(np.argmin(masked))
+            if masked[p2] < value:
+                value = float(masked[p2])
+                best_p = p_local[p2]
+    zeta = solver._best_zeta(best_p, best_q)
+    return value, solver._uncertainty(value, v0), best_p, zeta, best_q
 
 
 def _supports(k):

@@ -6,6 +6,7 @@ import pytest
 
 import avrs.bounds
 from avrs.bounds import (
+    SCREEN_TOL,
     GridConfig,
     RateBoundSolver,
     compute_bound_report,
@@ -20,15 +21,18 @@ from avrs.mtypes import TypeTable
 from avrs.model import load_problem_spec
 
 from conftest import (
+    blind_y_spec,
     classical_spec,
     identity_policy,
     identity_z_spec,
+    dense_instance,
     make_spec,
     structured_instance,
+    two_view_instance,
     wz_spec,
     xor_spec,
 )
-from oracles import min_e_over_zeta_oracle
+from oracles import min_e_over_zeta_oracle, r_lower_point_oracle, r_upper_point_oracle
 
 
 def h2(p):
@@ -36,6 +40,14 @@ def h2(p):
 
 
 FAST_GRID = GridConfig(coarse_step=0.05, refine_step=0.01)
+
+
+def table_instances(rng):
+    """Every fixed conftest instance and two random ones of each random kind."""
+    specs = [classical_spec(0.3), xor_spec(), identity_z_spec(), wz_spec(), blind_y_spec()]
+    for build in (lambda: structured_instance(rng, nx=3), lambda: dense_instance(rng)):
+        specs += [build(), build()]
+    return specs + [two_view_instance(rng) for _ in range(2)]
 
 
 class TestGrids:
@@ -56,15 +68,29 @@ class TestSolverTables:
     GRID = GridConfig(coarse_step=0.1, refine_step=0.05)
 
     @pytest.mark.parametrize("chunk_cells", [1 << 20, 64])
-    def test_info_rows_on_a_policy_subset_are_bit_equal(self, monkeypatch, chunk_cells):
-        # the upper refinement evaluates only its feasible policies and must
-        # pick what it would pick from the full rows
-        solver = RateBoundSolver(wz_spec(), 2, self.GRID)
-        p_arr, q_arr = solver._p_candidates, solver._q_candidates
-        full = solver._info_matrix(p_arr, q_arr)
-        monkeypatch.setattr(avrs.bounds, "CHUNK_CELLS", chunk_cells)
-        for rows in (np.arange(0, p_arr.shape[0], 3), np.array([5])):
-            assert np.array_equal(solver._info_matrix(p_arr[rows], q_arr), full[rows])
+    def test_info_rows_on_a_policy_subset_are_bit_equal(self, monkeypatch, rng, chunk_cells):
+        # the bounds evaluate only their near-tie policies exactly, each row
+        # against a whole jammer grid, and must read the bits the full table holds
+        for spec in table_instances(rng):
+            solver = RateBoundSolver(spec, 2, self.GRID)
+            p_arr, q_arr = solver._p_candidates, solver._q_candidates
+            q_local = avrs.bounds._refine_window(q_arr[rng.integers(q_arr.shape[0])], self.GRID)
+            for jammers in (q_arr, q_local):
+                full = solver._info_matrix(p_arr, jammers)
+                random_rows = np.sort(rng.choice(p_arr.shape[0], 7, replace=False))
+                with monkeypatch.context() as patch:
+                    patch.setattr(avrs.bounds, "CHUNK_CELLS", chunk_cells)
+                    for rows in (np.arange(0, p_arr.shape[0], 3), np.array([5]), random_rows):
+                        sub = solver._info_matrix(p_arr[rows], jammers)
+                        assert np.array_equal(sub, full[rows])
+
+    def test_screen_tracks_the_exact_table(self, rng):
+        cases = [(spec, 2) for spec in table_instances(rng)] + [(wz_spec(), 3)]
+        for spec, u_size in cases:
+            solver = RateBoundSolver(spec, u_size, self.GRID)
+            p_arr, q_arr = solver._p_candidates, solver._q_candidates
+            screen = solver._screen_matrix(p_arr, q_arr)
+            assert np.abs(screen - solver._info_matrix(p_arr, q_arr)).max() <= SCREEN_TOL / 100
 
     def test_min_e_matches_joint_table_oracle(self, rng):
         specs = [classical_spec(0.3), xor_spec(), identity_z_spec(), wz_spec()]
@@ -186,6 +212,38 @@ class TestRateLower:
             up = solver_u.r_upper_point(mid)
             low = solver_l.r_lower_point(mid)
             assert low.value <= up.value + up.uncertainty + low.uncertainty
+
+
+class TestScreenedPoints:
+    """Both bounds pick what the full exact tables pick, to the bit."""
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_points_equal_the_full_table_oracle(self, rng, refine):
+        grid = GridConfig(coarse_step=0.1, refine_step=0.05, refine=refine)
+        # blind_y_spec is the tie-heavy case: I(U;Y|Z) is float noise around 0
+        specs = [blind_y_spec(), structured_instance(rng, nx=3)]
+        cases = [(spec, 2) for spec in specs + [two_view_instance(rng) for _ in range(2)]]
+        for spec, u_size in cases + [(structured_instance(rng), 3)]:
+            lo = minimax_distortion_game(spec, True).value
+            hi = minimax_distortion_game(spec, False).value
+            solver = RateBoundSolver(spec, u_size, grid)
+            for level in [lo + f * (hi - lo) for f in (0.0, 0.3, 0.6, 1.0)] + [hi + 0.05]:
+                for method, oracle in (
+                    (solver.r_upper_point, r_upper_point_oracle),
+                    (solver.r_lower_point, r_lower_point_oracle),
+                ):
+                    try:
+                        expected = oracle(solver, level)
+                    except InfeasibleDistortionError:
+                        with pytest.raises(InfeasibleDistortionError):
+                            method(level)
+                        continue
+                    got = method(level)
+                    value, uncertainty, policy, zeta, jammer = expected
+                    assert (got.value, got.uncertainty) == (value, uncertainty)
+                    assert np.array_equal(got.p_u_given_y, policy)
+                    assert np.array_equal(got.zeta, zeta)
+                    assert np.array_equal(got.q_extreme, jammer)
 
 
 class TestVertexFeasibilityReduction:
@@ -322,14 +380,14 @@ class TestBoundReport:
         expected = [(separate_u.r_upper_point(v), separate_l.r_lower_point(v)) for v in levels]
 
         coarse_builds = []
-        build = RateBoundSolver._info_matrix
+        build = RateBoundSolver._screen_matrix
 
         def counting(solver, p_arr, q_arr):
             if p_arr is solver._p_candidates and q_arr is solver._q_candidates:
                 coarse_builds.append(solver)
             return build(solver, p_arr, q_arr)
 
-        monkeypatch.setattr(RateBoundSolver, "_info_matrix", counting)
+        monkeypatch.setattr(RateBoundSolver, "_screen_matrix", counting)
         report = compute_bound_report(spec, levels, FAST_GRID, u_size_upper=2, u_size_lower=2)
         assert len(coarse_builds) == 1
         for point, (up, low) in zip(report.points, expected):

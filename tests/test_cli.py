@@ -338,6 +338,11 @@ class TestRejectedValues:
             ("derandomize", "--mu", "inf"),
             ("lemmas", "--delta0", "inf"),
             ("lemmas", "--n-ladder", "8,x"),
+            ("bounds", "--d-points", "-3"),
+            ("simulate", "--trials", "-5"),
+            ("lemmas", "--trials", "-1"),
+            ("simulate", "--threads", "0"),
+            ("simulate", "--threads", "-4"),
         ],
     )
     def test_exit_2_without_output(self, tmp_path, command, flag, value):

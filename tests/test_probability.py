@@ -94,6 +94,17 @@ class TestEntropy:
         assert np.array_equal(got, expected)
         assert not np.isnan(got).any()
 
+    def test_bit_equal_on_a_transposed_view(self, rng):
+        # the rate tables sum over strided views; the summation order follows
+        # the memory layout, so the kernel must keep the layout of its input
+        m = rng.dirichlet(np.ones(8), size=(5, 40)).reshape(5, 2, 2, 2, 40)
+        m[rng.random(m.shape) < 0.2] = 0.0
+        view = m.transpose(0, 4, 2, 1, 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(view > 0, view * np.log2(np.where(view > 0, view, 1.0)), 0.0)
+        for axis in ((-3, -2, -1), (-2, -1)):
+            assert np.array_equal(entropy_bits(view, axis=axis), -t.sum(axis=axis))
+
     def test_zero_dim_input(self):
         assert entropy_bits(np.float64(0.25)) == 0.5
         assert entropy_bits(0.0) == 0.0
