@@ -17,7 +17,6 @@ from .probability import (
     CondDistribution,
     Distribution,
     DistortionMatrix,
-    conditional_mutual_information_bits,
     entropy_bits,
     mutual_information_bits,
 )

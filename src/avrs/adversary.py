@@ -32,7 +32,6 @@ __all__ = [
     "sample_jamming",
     "deterministic_jammer_family",
     "jammer_from_dict",
-    "jammer_to_dict",
     "load_jammers",
     "worst_case_search",
     "WorstCaseResult",
@@ -146,16 +145,6 @@ def jammer_from_dict(doc: dict, spec, source: str = "<dict>") -> JammerStrategy:
             raise ConfigurationError(f"{source}: fixed-vector jammer needs a 'vector' list")
         return fixed_vector_jammer(np.asarray(vec), spec.j_alphabet, "fixed-vector")
     raise ConfigurationError(f"{source}: unknown jammer kind {kind!r}")
-
-
-def jammer_to_dict(jammer: JammerStrategy) -> dict:
-    if isinstance(jammer, MemorylessJammer):
-        return {"kind": "memoryless", "q": jammer.q.matrix.tolist()}
-    if isinstance(jammer, DeterministicJammer):
-        return {"kind": "deterministic", "map": list(jammer.mapping)}
-    if isinstance(jammer, BlockJammer):
-        return {"kind": "block", "descriptor": jammer.descriptor}
-    raise UsageError(f"unknown jammer strategy {jammer!r}")
 
 
 def load_jammers(path: str | Path, spec) -> list[JammerStrategy]:

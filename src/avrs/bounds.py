@@ -17,17 +17,17 @@ distortion is linear in the jamming kernel.
 The policy x jammer tables do not depend on the distortion level.  One
 :class:`RateBoundSolver` per auxiliary size builds each of them once and
 serves a whole sweep, and both bounds when their auxiliary sizes agree.
-The information tables are screened through the same Markov chain, as
-I(U;Y|Z) = H(U,Z) - H(Z) - H(U|Y), which needs U*Z logarithms per cell.  The
-screen only picks candidates: every optimum is searched among the entries
-within 2 * SCREEN_TOL of the screened optimum, and every reported rate and
-tie-break comes from ``conditional_mutual_information_bits`` evaluated on
-those candidates' rows against the whole jammer grid, so the results are the
-ones the full exact tables give.
+I(U;Y|Z) has one evaluator, the Markov-chain identity
+I(U;Y|Z) = H(U,Z) - H(Z) - H(U|Y).  It loops in Python over the alphabet
+cells, so every numpy operation is elementwise over the (policy, jammer)
+cells and a cell's bits never depend on which policies, jammers or chunk it
+is evaluated with: a single cell, a row or a refinement window reads exactly
+what the full table holds, and the searches take plain argmins and argmaxes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -38,7 +38,7 @@ from .errors import EnumerationTooLargeError, InfeasibleDistortionError, UsageEr
 from .games import BilinearGame, GameResult, solve_bilinear_game
 from .model import AuxiliaryPolicy, ProblemSpec
 from .mtypes import TypeTable, compositions, consistent_kernels, deterministic_maps
-from .probability import conditional_mutual_information_bits, mutual_information_bits, xlog2x
+from .probability import mutual_information_bits, xlog2x
 
 __all__ = [
     "GridConfig",
@@ -59,18 +59,13 @@ __all__ = [
 # constraints survive float rounding.
 DISTORTION_TOL = 1e-9
 
-# Bound on how far the screened information table may sit from the exact one
-# (they agree to about 2e-15).  An optimum of the exact table is searched only
-# among entries within 2 * SCREEN_TOL of the screened optimum.
-SCREEN_TOL = 1e-12
-
 # Largest policy or jammer grid enumerated before giving up with
 # EnumerationTooLargeError.
 MAX_CANDIDATES = 1_000_000
 
-# Cells of one chunk of a policy x jammer table (8 MB of float64), so that a
+# Cells of one chunk of a policy x jammer table (2 MB of float64), so that a
 # chunk and its temporaries stay near the cache whatever the grid size.
-CHUNK_CELLS = 1 << 20
+CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -153,18 +148,16 @@ def column_product(column_grids: list[np.ndarray]) -> np.ndarray:
 
 
 def _jammer_chunks(nq: int, cells_per_jammer: int) -> Iterator[slice]:
-    """Slices of about CHUNK_CELLS cells over ``nq`` jammers.
+    """Consecutive slices of about CHUNK_CELLS cells over ``nq`` jammers;
+    the first is the widest."""
+    step = max(1, CHUNK_CELLS // max(1, cells_per_jammer))
+    for lo in range(0, nq, step):
+        yield slice(lo, min(lo + step, nq))
 
-    No chunk holds a single jammer unless ``nq`` is 1: numpy sums a table
-    with a unit jammer axis in another order, so a one-jammer tail would
-    change the last bits of its column with the chunking.
-    """
-    cell = max(2, CHUNK_CELLS // max(1, cells_per_jammer))
-    lo = 0
-    while lo < nq:
-        hi = lo + cell if nq - lo - cell > 1 else nq
-        yield slice(lo, hi)
-        lo = hi
+
+def _cell_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of ``terms`` in list order."""
+    return functools.reduce(np.add, terms)
 
 
 def _refine_window(center: np.ndarray, grid: GridConfig) -> np.ndarray:
@@ -260,50 +253,57 @@ class RateBoundSolver:
         return self._q_cache
 
     def _info_matrix(self, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
-        """I(U;Y|Z) for every (policy, jammer) pair; shape (NP, NQ)."""
-        spec = self.spec
-        np_, nq = p_arr.shape[0], q_arr.shape[0]
-        nu, ny, nz = self.u_size, spec.y_alphabet.size, spec.z_alphabet.size
-        p_yz = np.einsum("x,nxj,xjyz->nyz", spec.p_x.mass, q_arr, spec.w.kernel, optimize=True)
-        # p(u|y) as (P, 1, U, Y, 1) times p(y,z) as (1, N, 1, Y, Z) is the
-        # (P, N, U, Y, Z) joint table; it is stored in (P, Y, U, Z, N) order,
-        # which fixes the summation order of every entropy below
-        p_u = p_arr.transpose(0, 2, 1)[:, None, :, :, None]
-        p_yz = p_yz[None, :, None, :, :]
-        out = np.empty((np_, nq))
-        for chunk in _jammer_chunks(nq, np_ * nu * ny * nz):
-            n = chunk.stop - chunk.start
-            table = np.empty((np_, ny, nu, nz, n)).transpose(0, 4, 2, 1, 3)
-            np.multiply(p_u, p_yz[:, chunk], out=table)
-            out[:, chunk] = conditional_mutual_information_bits(table)
-        return out
+        """I(U;Y|Z) = H(U,Z) - H(Z) - H(U|Y) for every (policy, jammer) pair;
+        shape (NP, NQ).
 
-    def _screen_matrix(self, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
-        """I(U;Y|Z) for every (policy, jammer) pair through the Markov chain
-        U - Y - Z: I(U;Y|Z) = H(U,Z) - H(Z) - H(U|Y); shape (NP, NQ).
-
-        It needs U*Z logarithms per cell where :meth:`_info_matrix` needs a
-        whole joint table, and agrees with it to within SCREEN_TOL but not bit
-        for bit, so it only screens candidates for the exact evaluation.
+        The sums over the alphabet cells run in a fixed order and every
+        array operation is elementwise, so each entry is bit-equal whatever
+        else is evaluated with it.  The u-terms of each z (and of each y) are
+        summed before they are accumulated, which makes a row invariant to
+        swapping two U labels.
         """
         spec = self.spec
         np_, nq = p_arr.shape[0], q_arr.shape[0]
-        nu, nz = self.u_size, spec.z_alphabet.size
-        p_yz = np.einsum("x,nxj,xjyz->nyz", spec.p_x.mass, q_arr, spec.w.kernel, optimize=True)
-        h_z = -xlog2x(p_yz.sum(axis=1)).sum(axis=1)  # (N,)
-        p_y = p_yz.sum(axis=2)  # (N, Y)
-        h_u_given_y = -xlog2x(p_arr).sum(axis=2)  # H(U|Y=y) per policy, (P, Y)
-        p_cols = [np.ascontiguousarray(p_arr[:, :, u]) for u in range(nu)]  # (P, Y) each
+        nx, nj = spec.x_alphabet.size, spec.j_alphabet.size
+        nu, ny, nz = self.u_size, spec.y_alphabet.size, spec.z_alphabet.size
+        weights = spec.p_x.mass[:, None, None, None] * spec.w.kernel  # p(x) w(y,z|x,j)
+        # p(y, z) of every jammer, one (NQ,) column per (y, z) cell
+        p_yz = [
+            [
+                _cell_sum([q_arr[:, x, j] * weights[x, j, y, z] for x in range(nx) for j in range(nj)])
+                for z in range(nz)
+            ]
+            for y in range(ny)
+        ]
+        p_y = [_cell_sum(p_yz[y]) for y in range(ny)]
+        minus_h_z = _cell_sum([xlog2x(_cell_sum([p_yz[y][z] for y in range(ny)])) for z in range(nz)])
+        # p(u|y) as (NP,) columns, and -H(U|Y=y) of every policy
+        p_cols = [[np.ascontiguousarray(p_arr[:, y, u]) for u in range(nu)] for y in range(ny)]
+        minus_h_u_y = [_cell_sum([xlog2x(col) for col in p_cols[y]]) for y in range(ny)]
         out = np.empty((np_, nq))
+        buffers = None
         for chunk in _jammer_chunks(nq, np_):
-            # H(U|Y) + H(Z) - H(U,Z), accumulated over the (u, z) cells
-            acc = h_u_given_y @ p_y[chunk].T
-            acc += h_z[chunk]
-            for u in range(nu):
-                for z in range(nz):
-                    acc += xlog2x(p_cols[u] @ p_yz[chunk, :, z].T)
-            np.negative(acc, out=acc)
-            out[:, chunk] = np.maximum(acc, 0.0, out=acc)
+            shape = (np_, chunk.stop - chunk.start)
+            if buffers is None:
+                buffers = np.empty((4, shape[0] * shape[1]))
+            acc, z_sum, p_uz, term = (b[: shape[0] * shape[1]].reshape(shape) for b in buffers)
+            # -H(U|Y) - H(Z) + H(U,Z), accumulated cell by cell
+            acc.fill(0.0)
+            for y in range(ny):
+                acc += np.multiply(minus_h_u_y[y][:, None], p_y[y][chunk], out=term)
+            acc += minus_h_z[chunk]
+            for z in range(nz):
+                for u in range(nu):
+                    # p(u, z) = sum over y of p(u|y) p(y, z)
+                    np.multiply(p_cols[0][u][:, None], p_yz[0][z][chunk], out=p_uz)
+                    for y in range(1, ny):
+                        p_uz += np.multiply(p_cols[y][u][:, None], p_yz[y][z][chunk], out=term)
+                    if u == 0:
+                        xlog2x(p_uz, out=z_sum)
+                    else:
+                        z_sum += xlog2x(p_uz, out=term)
+                acc -= z_sum
+            np.maximum(acc, 0.0, out=out[:, chunk])
         return out
 
     def _max_e_over_jammers(self, p_arr: np.ndarray) -> np.ndarray:
@@ -349,9 +349,9 @@ class RateBoundSolver:
 
     @property
     def info_matrix(self) -> np.ndarray:
-        """The screened coarse table: it picks candidates, never values."""
+        """I(U;Y|Z) of every coarse policy against every coarse jammer."""
         if self._i_matrix_cache is None:
-            self._i_matrix_cache = self._screen_matrix(self._p_candidates, self._q_candidates)
+            self._i_matrix_cache = self._info_matrix(self._p_candidates, self._q_candidates)
         return self._i_matrix_cache
 
     @property
@@ -368,38 +368,17 @@ class RateBoundSolver:
 
     # -- helpers ------------------------------------------------------------
 
-    def _min_worst_row(self, p_arr: np.ndarray, worst: np.ndarray) -> tuple[int, np.ndarray]:
-        """The first policy of ``p_arr`` whose worst case over the coarse
-        jammers is smallest, and its exact information row.  ``worst`` is the
-        screened worst case of each policy (infinite for an infeasible one);
-        only its near-ties are evaluated exactly, each against the whole
-        coarse jammer grid."""
-        rows = np.flatnonzero(worst <= worst.min() + 2 * SCREEN_TOL)
-        exact = self._info_matrix(p_arr[rows], self._q_candidates)
-        k = int(np.argmin(exact.max(axis=1)))
-        return int(rows[k]), exact[k]
-
-    def _max_min_column(
-        self, q_arr: np.ndarray, screen: np.ndarray, feas: np.ndarray
-    ) -> tuple[int, int, float] | None:
-        """The first jammer of ``q_arr`` whose smallest information over its
-        feasible coarse policies is largest: its index, the first policy
-        attaining that smallest value, and the exact value.  None when no
-        jammer has a feasible policy.  ``screen`` is the screened table of the
-        coarse policies against ``q_arr``; only its near-ties are evaluated
-        exactly, each policy row against all of ``q_arr``."""
-        inner = screen.min(axis=0, initial=np.inf, where=feas)
+    @staticmethod
+    def _max_min_column(info: np.ndarray, feas: np.ndarray) -> tuple[int, int] | None:
+        """The first jammer column whose smallest information over its
+        feasible policies is largest, and the first policy attaining that
+        smallest value; None when no jammer has a feasible policy."""
+        inner = info.min(axis=0, initial=np.inf, where=feas)
         reachable = np.isfinite(inner)
         if not reachable.any():
             return None
-        cols = np.flatnonzero(reachable & (inner >= inner[reachable].max() - 2 * SCREEN_TOL))
-        near = feas[:, cols] & (screen[:, cols] <= inner[cols] + 2 * SCREEN_TOL)  # (NP, C)
-        rows = np.flatnonzero(near.any(axis=1))
-        exact = self._info_matrix(self._p_candidates[rows], q_arr)[:, cols]
-        exact = np.where(near[rows], exact, np.inf)
-        col_min = exact.min(axis=0)
-        c = int(np.argmax(col_min))
-        return int(cols[c]), int(rows[np.argmin(exact[:, c])]), float(col_min[c])
+        c = int(np.argmax(np.where(reachable, inner, -np.inf)))
+        return c, int(np.argmin(np.where(feas[:, c], info[:, c], np.inf)))
 
     def _uncertainty(self, refined: float, coarse: float) -> float:
         g = self.grid
@@ -424,8 +403,9 @@ class RateBoundSolver:
                 "the level is below the reachable floor at this grid"
             )
         worst = np.where(feas_p, self.info_matrix.max(axis=1), np.inf)
-        p0, row = self._min_worst_row(self._p_candidates, worst)
-        v0 = float(row.max())
+        p0 = int(np.argmin(worst))
+        row = self.info_matrix[p0]
+        v0 = float(worst[p0])
         best_p = self._p_candidates[p0]
         best_f = int(np.argmax(feas[p0]))
         value = v0
@@ -435,8 +415,9 @@ class RateBoundSolver:
             ok = np.flatnonzero(feas_local.any(axis=1))
             if ok.size:
                 # information rows only for the feasible local policies
-                worst = self._screen_matrix(local[ok], self._q_candidates).max(axis=1)
-                k, row = self._min_worst_row(local[ok], worst)
+                info_local = self._info_matrix(local[ok], self._q_candidates)
+                k = int(np.argmin(info_local.max(axis=1)))
+                row = info_local[k]
                 p1 = int(ok[k])
                 best_p = local[p1]
                 best_f = int(np.argmax(feas_local[p1]))
@@ -466,19 +447,21 @@ class RateBoundSolver:
                 "some jammer kernels admit no feasible policy on the grid; "
                 "the level is below the reachable floor"
             )
-        n0, p_idx, v0 = self._max_min_column(self._q_candidates, self.info_matrix, feas)
+        info = self.info_matrix
+        n0, p_idx = self._max_min_column(info, feas)
         best_q = self._q_candidates[n0]
         best_p = self._p_candidates[p_idx]
-        value = v0
+        v0 = value = float(info[p_idx, n0])
         if self.grid.refine:
             q_local = _refine_window(best_q, self.grid)
             feas_ql = self._min_e_over_zeta(self._p_candidates, q_local) <= distortion + DISTORTION_TOL
-            screen = self._screen_matrix(self._p_candidates, q_local)
-            found = self._max_min_column(q_local, screen, feas_ql)
+            info_ql = self._info_matrix(self._p_candidates, q_local)
+            found = self._max_min_column(info_ql, feas_ql)
             if found is not None:
-                n1, p_idx, value = found
+                n1, p_idx = found
                 best_q = q_local[n1]
                 best_p = self._p_candidates[p_idx]
+                value = float(info_ql[p_idx, n1])
             # polish the cooperative side at the chosen jammer
             p_local = _refine_window(best_p, self.grid)
             feas_pl = self._min_e_over_zeta(p_local, best_q[None])[:, 0] <= distortion + DISTORTION_TOL

@@ -168,22 +168,6 @@ def problem_spec_from_dict(doc: dict, source: str = "<dict>") -> ProblemSpec:
     return spec
 
 
-def problem_spec_to_dict(spec: ProblemSpec) -> dict:
-    return {
-        "name": spec.name,
-        "alphabets": {
-            "x": spec.x_alphabet.size,
-            "j": spec.j_alphabet.size,
-            "y": spec.y_alphabet.size,
-            "z": spec.z_alphabet.size,
-            "xhat": spec.xhat_alphabet.size,
-        },
-        "p_x": spec.p_x.mass.tolist(),
-        "w": spec.w.kernel.tolist(),
-        "d": spec.d.entries.tolist(),
-    }
-
-
 def read_json(path: str | Path) -> object:
     """Parse a JSON file; a read or syntax failure becomes a
     ConfigurationError naming the file (and the line and column)."""
@@ -228,13 +212,6 @@ def policy_from_dict(doc: dict, spec: ProblemSpec, source: str = "<dict>") -> Au
     except ConfigurationError as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
     return policy
-
-
-def policy_to_dict(policy: AuxiliaryPolicy) -> dict:
-    return {
-        "p_u_given_y": policy.p_u_given_y.matrix.tolist(),
-        "zeta": policy.zeta.tolist(),
-    }
 
 
 def load_policy(path: str | Path, spec: ProblemSpec) -> AuxiliaryPolicy:

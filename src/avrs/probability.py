@@ -24,7 +24,6 @@ __all__ = [
     "xlog2x",
     "entropy_bits",
     "mutual_information_bits",
-    "conditional_mutual_information_bits",
 ]
 
 PROB_TOL = 1e-9
@@ -161,11 +160,12 @@ class DistortionMatrix:
         object.__setattr__(self, "d_max", float(e.max()))
 
 
-def xlog2x(m: np.ndarray) -> np.ndarray:
-    """m·log2(m) elementwise, with 0·log 0 = 0, as a new array."""
+def xlog2x(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """m·log2(m) elementwise, with 0·log 0 = 0, as a new array or into
+    ``out`` (which must not share memory with ``m``)."""
     # a zero entry takes the log of the smallest subnormal, a finite number
     # that the zero factor cancels exactly
-    t = np.maximum(m, 5e-324, out=np.empty_like(m))
+    t = np.maximum(m, 5e-324, out=np.empty_like(m) if out is None else out)
     np.log2(t, out=t)
     t *= m
     return t
@@ -186,13 +186,3 @@ def mutual_information_bits(p: np.ndarray) -> np.ndarray | float:
     h_b = entropy_bits(p.sum(axis=-2), axis=-1)
     h_ab = entropy_bits(p, axis=(-2, -1))
     return np.maximum(h_a + h_b - h_ab, 0.0)
-
-
-def conditional_mutual_information_bits(p: np.ndarray) -> np.ndarray | float:
-    """I(A;B|C) in bits for (possibly batched) joint tables of shape
-    (..., A, B, C), as H(A,C) + H(B,C) - H(A,B,C) - H(C) clamped at zero."""
-    h_ac = entropy_bits(p.sum(axis=-2), axis=(-2, -1))
-    h_bc = entropy_bits(p.sum(axis=-3), axis=(-2, -1))
-    h_abc = entropy_bits(p, axis=(-3, -2, -1))
-    h_c = entropy_bits(p.sum(axis=(-3, -2)), axis=-1)
-    return np.maximum(h_ac + h_bc - h_abc - h_c, 0.0)

@@ -7,6 +7,7 @@ import numpy as np
 
 from avrs.bounds import DISTORTION_TOL, _refine_window
 from avrs.errors import InfeasibleDistortionError
+from avrs.probability import entropy_bits
 
 
 def matrix_game_value_oracle(payoff: np.ndarray) -> float:
@@ -46,6 +47,25 @@ def vertex_expanded_matrix(payoff: np.ndarray, min_blocks, max_blocks) -> np.nda
     )
 
 
+def conditional_mutual_information_bits(p: np.ndarray) -> np.ndarray | float:
+    """I(A;B|C) in bits for (possibly batched) joint tables of shape
+    (..., A, B, C), as H(A,C) + H(B,C) - H(A,B,C) - H(C) clamped at zero."""
+    h_ac = entropy_bits(p.sum(axis=-2), axis=(-2, -1))
+    h_bc = entropy_bits(p.sum(axis=-3), axis=(-2, -1))
+    h_abc = entropy_bits(p, axis=(-3, -2, -1))
+    h_c = entropy_bits(p.sum(axis=(-3, -2)), axis=-1)
+    return np.maximum(h_ac + h_bc - h_abc - h_c, 0.0)
+
+
+def info_matrix_oracle(spec, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
+    """I(U;Y|Z) for every (policy, jammer) pair straight from the whole
+    joint table p(u, y, z) of each pair, with no use of the Markov chain
+    U - Y - Z.  Shape (policies, jammers)."""
+    p_yz = np.einsum("x,nxj,xjyz->nyz", spec.p_x.mass, q_arr, spec.w.kernel)
+    table = p_arr.transpose(0, 2, 1)[:, None, :, :, None] * p_yz[None, :, None, :, :]
+    return conditional_mutual_information_bits(table)
+
+
 def min_e_over_zeta_oracle(spec, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
     """min over reconstruction maps of E[d] for every (policy, jammer) pair,
     straight from the joint p(x, u, z) of each pair: the best reconstruction
@@ -56,9 +76,9 @@ def min_e_over_zeta_oracle(spec, p_arr: np.ndarray, q_arr: np.ndarray) -> np.nda
 
 
 def r_upper_point_oracle(solver, distortion: float) -> tuple:
-    """``RateBoundSolver.r_upper_point`` evaluated on the full exact coarse
-    table, as it was before the tables were screened: (value, uncertainty,
-    policy, reconstruction map, jammer)."""
+    """``RateBoundSolver.r_upper_point`` searched on the full coarse table
+    and full refinement tables: (value, uncertainty, policy, reconstruction
+    map, jammer)."""
     feas = solver.max_e_matrix <= distortion + DISTORTION_TOL
     feas_p = feas.any(axis=1)
     if not feas_p.any():
@@ -97,9 +117,8 @@ def r_upper_point_oracle(solver, distortion: float) -> tuple:
 
 
 def r_lower_point_oracle(solver, distortion: float) -> tuple:
-    """``RateBoundSolver.r_lower_point`` evaluated on full exact tables, as it
-    was before the tables were screened; returns like
-    :func:`r_upper_point_oracle`."""
+    """``RateBoundSolver.r_lower_point`` searched on full tables; returns
+    like :func:`r_upper_point_oracle`."""
     feas = solver.min_e_matrix <= distortion + DISTORTION_TOL
     if (~feas.any(axis=0)).any():
         raise InfeasibleDistortionError("a jammer admits no feasible policy")

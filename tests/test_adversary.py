@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from avrs.adversary import (
     deterministic_jammer_family,
     fixed_vector_jammer,
     jammer_from_dict,
-    jammer_to_dict,
     load_jammers,
     sample_jamming,
     worst_case_search,
@@ -91,7 +92,7 @@ class TestJammerIO:
             CondDistribution(spec.x_alphabet, spec.j_alphabet, [[0.7, 0.3], [0.2, 0.8]])
         )
         path = tmp_path / "jam.json"
-        path.write_text(__import__("json").dumps(jammer_to_dict(jam)))
+        path.write_text(json.dumps({"kind": "memoryless", "q": jam.q.matrix.tolist()}))
         back = load_jammers(path, spec)
         assert len(back) == 1
         assert np.allclose(back[0].q.matrix, jam.q.matrix)

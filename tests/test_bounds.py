@@ -6,7 +6,6 @@ import pytest
 
 import avrs.bounds
 from avrs.bounds import (
-    SCREEN_TOL,
     GridConfig,
     RateBoundSolver,
     compute_bound_report,
@@ -32,7 +31,12 @@ from conftest import (
     wz_spec,
     xor_spec,
 )
-from oracles import min_e_over_zeta_oracle, r_lower_point_oracle, r_upper_point_oracle
+from oracles import (
+    info_matrix_oracle,
+    min_e_over_zeta_oracle,
+    r_lower_point_oracle,
+    r_upper_point_oracle,
+)
 
 
 def h2(p):
@@ -67,10 +71,20 @@ class TestGrids:
 class TestSolverTables:
     GRID = GridConfig(coarse_step=0.1, refine_step=0.05)
 
+    # the |U| = 3 tables use a coarser grid to keep the oracle's joint tables small
+    GRID_U3 = GridConfig(coarse_step=0.2, refine_step=0.1)
+
+    def kernel_cases(self, rng):
+        """(solver, policies, jammers) on every table instance at |U| = 2 and 3."""
+        for spec in table_instances(rng):
+            for u_size, grid in ((2, self.GRID), (3, self.GRID_U3)):
+                solver = RateBoundSolver(spec, u_size, grid)
+                yield solver, solver._p_candidates, solver._q_candidates
+
     @pytest.mark.parametrize("chunk_cells", [1 << 20, 64])
     def test_info_rows_on_a_policy_subset_are_bit_equal(self, monkeypatch, rng, chunk_cells):
-        # the bounds evaluate only their near-tie policies exactly, each row
-        # against a whole jammer grid, and must read the bits the full table holds
+        # refinement evaluates rows of a window of policies against a whole
+        # jammer grid and must read the bits the full table holds
         for spec in table_instances(rng):
             solver = RateBoundSolver(spec, 2, self.GRID)
             p_arr, q_arr = solver._p_candidates, solver._q_candidates
@@ -84,13 +98,38 @@ class TestSolverTables:
                         sub = solver._info_matrix(p_arr[rows], jammers)
                         assert np.array_equal(sub, full[rows])
 
+    def test_info_columns_and_cells_are_bit_equal(self, rng):
+        # refinement and the lower bound's polish evaluate a few jammer
+        # columns, or a single cell, and compare them with table entries
+        for solver, p_arr, q_arr in self.kernel_cases(rng):
+            full = solver._info_matrix(p_arr, q_arr)
+            for cols in (np.arange(1, q_arr.shape[0], 4), np.array([q_arr.shape[0] - 1])):
+                assert np.array_equal(solver._info_matrix(p_arr, q_arr[cols]), full[:, cols])
+            for r, c in zip(rng.integers(p_arr.shape[0], size=5), rng.integers(q_arr.shape[0], size=5)):
+                assert solver._info_matrix(p_arr[r : r + 1], q_arr[c : c + 1])[0, 0] == full[r, c]
+
+    def test_info_table_does_not_depend_on_the_chunking(self, monkeypatch, rng):
+        for solver, p_arr, q_arr in self.kernel_cases(rng):
+            full = solver._info_matrix(p_arr, q_arr)
+            # down to one jammer per chunk, and chunks that leave a lone jammer
+            for jammers_per_chunk, jammers in ((1, 7), (2, 7), (7, q_arr.shape[0])):
+                monkeypatch.setattr(avrs.bounds, "CHUNK_CELLS", jammers_per_chunk * p_arr.shape[0])
+                table = solver._info_matrix(p_arr, q_arr[:jammers])
+                assert np.array_equal(table, full[:, :jammers])
+            monkeypatch.undo()
+
+    def test_swapping_two_u_labels_keeps_every_bit(self, rng):
+        # exact relabeling ties must be ties, so the search keeps the first
+        for solver, p_arr, q_arr in self.kernel_cases(rng):
+            if solver.u_size == 2:
+                swapped = solver._info_matrix(p_arr[:, :, ::-1], q_arr)
+                assert np.array_equal(swapped, solver._info_matrix(p_arr, q_arr))
+
     def test_screen_tracks_the_exact_table(self, rng):
-        cases = [(spec, 2) for spec in table_instances(rng)] + [(wz_spec(), 3)]
-        for spec, u_size in cases:
-            solver = RateBoundSolver(spec, u_size, self.GRID)
-            p_arr, q_arr = solver._p_candidates, solver._q_candidates
-            screen = solver._screen_matrix(p_arr, q_arr)
-            assert np.abs(screen - solver._info_matrix(p_arr, q_arr)).max() <= SCREEN_TOL / 100
+        # the kernel uses the Markov chain U - Y - Z; the oracle does not
+        for solver, p_arr, q_arr in self.kernel_cases(rng):
+            expected = info_matrix_oracle(solver.spec, p_arr, q_arr)
+            assert np.abs(solver._info_matrix(p_arr, q_arr) - expected).max() <= 1e-14
 
     def test_min_e_matches_joint_table_oracle(self, rng):
         specs = [classical_spec(0.3), xor_spec(), identity_z_spec(), wz_spec()]
@@ -380,14 +419,14 @@ class TestBoundReport:
         expected = [(separate_u.r_upper_point(v), separate_l.r_lower_point(v)) for v in levels]
 
         coarse_builds = []
-        build = RateBoundSolver._screen_matrix
+        build = RateBoundSolver._info_matrix
 
         def counting(solver, p_arr, q_arr):
             if p_arr is solver._p_candidates and q_arr is solver._q_candidates:
                 coarse_builds.append(solver)
             return build(solver, p_arr, q_arr)
 
-        monkeypatch.setattr(RateBoundSolver, "_screen_matrix", counting)
+        monkeypatch.setattr(RateBoundSolver, "_info_matrix", counting)
         report = compute_bound_report(spec, levels, FAST_GRID, u_size_upper=2, u_size_lower=2)
         assert len(coarse_builds) == 1
         for point, (up, low) in zip(report.points, expected):

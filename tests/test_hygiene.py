@@ -56,3 +56,41 @@ def test_no_unused_top_level_import(module):
         if name not in used
     )
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+# entry points that the package reaches from outside its own modules
+ENTRY_POINTS = {("cli.py", "main")}
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Name -> line number of each public top-level function and class."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    """Names a module reads: bare names, attributes and imported names."""
+    loaded = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            loaded.update(alias.name for alias in node.names)
+    return loaded
+
+
+def test_every_public_definition_is_used_by_the_package():
+    # a public name that only __init__.py re-exports (or only tests call)
+    # is API that no run of the program reaches
+    package = {name: ast.parse(path.read_text()) for name, path in MODULES.items() if "/" not in name}
+    loaded = set().union(*(_loaded_names(tree) for tree in package.values()))
+    unused = sorted(
+        f"{module}:{line}: {name}"
+        for module, tree in package.items()
+        for name, line in _public_definitions(tree).items()
+        if name not in loaded and (module, name) not in ENTRY_POINTS
+    )
+    assert not unused, "public definitions no package module uses:\n" + "\n".join(unused)

@@ -9,12 +9,32 @@ from avrs.model import (
     load_policy,
     load_problem_spec,
     policy_from_dict,
-    policy_to_dict,
     problem_spec_from_dict,
-    problem_spec_to_dict,
 )
 
 from conftest import identity_policy, wz_spec
+
+
+def spec_to_dict(spec):
+    """The JSON document of a problem spec, as ``load_problem_spec`` reads it."""
+    return {
+        "name": spec.name,
+        "alphabets": {
+            "x": spec.x_alphabet.size,
+            "j": spec.j_alphabet.size,
+            "y": spec.y_alphabet.size,
+            "z": spec.z_alphabet.size,
+            "xhat": spec.xhat_alphabet.size,
+        },
+        "p_x": spec.p_x.mass.tolist(),
+        "w": spec.w.kernel.tolist(),
+        "d": spec.d.entries.tolist(),
+    }
+
+
+def policy_to_dict(policy):
+    """The JSON document of a policy, as ``load_policy`` reads it."""
+    return {"p_u_given_y": policy.p_u_given_y.matrix.tolist(), "zeta": policy.zeta.tolist()}
 
 
 def spec_doc():
@@ -34,7 +54,7 @@ class TestProblemSpecIO:
     def test_roundtrip(self, tmp_path):
         spec = problem_spec_from_dict(spec_doc())
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(problem_spec_to_dict(spec)))
+        path.write_text(json.dumps(spec_to_dict(spec)))
         again = load_problem_spec(path)
         assert again.digest() == spec.digest()
         assert again.name == "toy"

@@ -10,10 +10,11 @@ from avrs.probability import (
     CondDistribution,
     Distribution,
     DistortionMatrix,
-    conditional_mutual_information_bits,
     entropy_bits,
     mutual_information_bits,
 )
+
+from oracles import conditional_mutual_information_bits
 
 AX = Alphabet("X", 2)
 AJ = Alphabet("J", 2)
