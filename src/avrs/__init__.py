@@ -59,6 +59,7 @@ from .coding import (
     encode,
     reconstruct,
     simulate_session,
+    simulate_sessions,
 )
 from .derandomize import (
     Ensemble,

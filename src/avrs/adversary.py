@@ -88,31 +88,36 @@ def fixed_vector_jammer(vector: np.ndarray, j_alphabet: Alphabet, label: str) ->
 
 
 def sample_jamming(
-    jammer: JammerStrategy, x: SymbolVector, rng: np.random.Generator
-) -> SymbolVector:
-    """Draw the jamming vector for the given source block.
+    jammer: JammerStrategy,
+    xs: np.ndarray,
+    streams: Callable[[int], np.random.Generator],
+) -> np.ndarray:
+    """Draw the jamming blocks, shape (T, n), for the source blocks ``xs``.
 
-    Deterministic rows of a memoryless kernel consume no randomness, so a
-    kernel whose rows are all point masses reproduces the matching
-    deterministic map bit for bit under any generator state.
+    ``streams(t)`` is the generator of row t.  Only a row that meets a
+    random row of a memoryless kernel asks for it, so deterministic rows
+    consume no randomness and a kernel whose rows are all point masses
+    reproduces the matching deterministic map bit for bit.
     """
-    n = len(x)
     if isinstance(jammer, DeterministicJammer):
-        mapping = np.asarray(jammer.mapping, dtype=np.int64)
-        return SymbolVector(jammer.j_alphabet, mapping[x.symbols])
+        return np.asarray(jammer.mapping, dtype=np.int64)[xs]
     if isinstance(jammer, BlockJammer):
-        out = np.asarray(jammer.fn(x.symbols), dtype=np.int64)
-        if out.shape != (n,):
-            raise UsageError("block jammer returned a vector of the wrong length")
-        return SymbolVector(jammer.j_alphabet, out)
+        out = np.empty(xs.shape, dtype=np.int64)
+        for t, row in enumerate(xs):
+            block = np.asarray(jammer.fn(row), dtype=np.int64)
+            if block.shape != row.shape:
+                raise UsageError("block jammer returned a vector of the wrong length")
+            if block.min() < 0 or block.max() >= jammer.j_alphabet.size:
+                raise UsageError("block jammer returned a symbol outside the J alphabet")
+            out[t] = block
+        return out
     if isinstance(jammer, MemorylessJammer):
-        q = jammer.q.matrix
-        rows = q[x.symbols]  # (n, |J|)
-        out = np.argmax(rows, axis=1)
-        random_pos = rows.max(axis=1) < 1.0
-        if np.any(random_pos):
-            out[random_pos] = sample_rows(rng, rows[random_pos])
-        return SymbolVector(jammer.j_alphabet, out)
+        rows = jammer.q.matrix[xs]  # (T, n, |J|)
+        out = np.argmax(rows, axis=-1)
+        random_pos = rows.max(axis=-1) < 1.0
+        for t in np.flatnonzero(random_pos.any(axis=1)).tolist():
+            out[t, random_pos[t]] = sample_rows(streams(t), rows[t, random_pos[t]])
+        return out
     raise UsageError(f"unknown jammer strategy {jammer!r}")
 
 
@@ -185,19 +190,24 @@ def worst_case_search(
     the code distribution.  The per-type data comes from ``config.family``
     and is shared by all sessions.
     """
-    from .coding import simulate_session  # local import to avoid a cycle
+    from .coding import simulate_sessions  # local import to avoid a cycle
 
     if budget < 1:
         raise UsageError("search budget must be >= 1")
     n = len(x)
     nj = config.spec.j_alphabet.size
     rng = philox_stream(seed, "worst-case-search")
+    xs = np.broadcast_to(x.symbols, (trials_per_estimate, n))
+
+    def distortions(jam: BlockJammer, seed_label: str) -> np.ndarray:
+        seeds = [derive_seed(seed, seed_label, t) for t in range(trials_per_estimate)]
+        return simulate_sessions(xs, jam, config, seeds).distortion
 
     def estimate(vector: np.ndarray, seed_label: str) -> float:
         jam = fixed_vector_jammer(vector, config.spec.j_alphabet, "search-candidate")
         total = 0.0
-        for t in range(trials_per_estimate):
-            total += simulate_session(x, jam, config, derive_seed(seed, seed_label, t)).distortion
+        for value in distortions(jam, seed_label).tolist():
+            total += value
         return total / trials_per_estimate
 
     evaluations = 0
@@ -232,9 +242,6 @@ def worst_case_search(
 
     # fresh-seed re-measurement of the incumbent
     jam = fixed_vector_jammer(best_vec, config.spec.j_alphabet, f"greedy-search[{seed}]")
-    values = []
-    for t in range(trials_per_estimate):
-        values.append(simulate_session(x, jam, config, derive_seed(seed, "final", t)).distortion)
-    arr = np.asarray(values)
+    arr = distortions(jam, "final")
     std_err = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return WorstCaseResult(jam, float(arr.mean()), std_err, evaluations)

@@ -1,5 +1,6 @@
-"""Batch front end: compute bound sweeps, run coding simulations, certify
-derandomized ensembles and run the lemma harnesses, emitting CSV and JSON.
+"""Batch front end: compute bound sweeps, run coding simulations, write
+single-session transcripts, certify derandomized ensembles and run the
+lemma harnesses, emitting CSV and JSON.
 
 Every output file embeds the semantic invocation (inputs and seed, not
 execution knobs like --threads or --out-dir), so identical invocations give
@@ -15,7 +16,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +30,12 @@ from .adversary import (
 )
 from .bounds import GridConfig, compute_bound_report
 from .coding import (
+    SESSION_CHUNK,
     CodingParams,
     SessionConfig,
     sample_typical_sources,
     simulate_session,
+    simulate_sessions,
 )
 from .derandomize import certify_ensemble, sample_ensemble
 from .errors import AvrsError, ConfigurationError, UsageError
@@ -218,22 +221,31 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _trial_source(spec, seed: int, jam_id: int, trial: int, n: int) -> tuple[int, np.ndarray]:
+    """Session seed and source block of one trial of ``simulate``."""
+    s = derive_seed(seed, "trial", jam_id, trial)
+    return s, sample_indices(philox_stream(s, "x"), spec.p_x.mass, n)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_problem_spec(args.spec)
     policy = load_policy(args.policy, spec)
     config = _coding_config(args, spec, policy)
     jammers = _resolve_jammers(args.jammers, spec, config, args.n, args.seed, args.search_budget)
 
-    def one(task: tuple[int, int]) -> tuple:
-        jam_id, trial = task
-        s = derive_seed(args.seed, "trial", jam_id, trial)
-        draw = sample_indices(philox_stream(s, "x"), spec.p_x.mass, args.n)
-        x = SymbolVector(spec.x_alphabet, draw)
-        rep = simulate_session(x, jammers[jam_id], config, s)
-        return (args.n, jam_id, rep.distortion, rep.e_enc, rep.e_dec1, rep.e_dec2)
+    def run(task: tuple[int, range]) -> list[tuple]:
+        jam_id, trials = task
+        seeds, xs = zip(*(_trial_source(spec, args.seed, jam_id, t, args.n) for t in trials))
+        rep = simulate_sessions(np.stack(xs), jammers[jam_id], config, seeds)
+        flags = zip(rep.distortion.tolist(), rep.e_enc.tolist(), rep.e_dec1.tolist(), rep.e_dec2.tolist())
+        return [(args.n, jam_id, *row) for row in flags]
 
-    tasks = [(j, t) for j in range(len(jammers)) for t in range(args.trials)]
-    rows = _parallel_map(one, tasks, args.threads)
+    tasks = [
+        (j, range(lo, min(lo + SESSION_CHUNK, args.trials)))
+        for j in range(len(jammers))
+        for lo in range(0, args.trials, SESSION_CHUNK)
+    ]
+    rows = [row for chunk in _parallel_map(run, tasks, args.threads) for row in chunk]
 
     meta = _metadata("simulate", args, skip=())
     out = Path(args.out_dir)
@@ -259,6 +271,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             }
         )
     _write_json(out / "simulate.json", meta, {"jammers": summary})
+    return EXIT_OK
+
+
+def cmd_session(args: argparse.Namespace) -> int:
+    spec = load_problem_spec(args.spec)
+    policy = load_policy(args.policy, spec)
+    config = _coding_config(args, spec, policy)
+    jammers = _resolve_jammers(args.jammers, spec, config, args.n, args.seed, args.search_budget)
+    sessions = []
+    for jam_id, jammer in enumerate(jammers):
+        s, draw = _trial_source(spec, args.seed, jam_id, 0, args.n)
+        rep = simulate_session(SymbolVector(spec.x_alphabet, draw), jammer, config, s)
+        entry = {"jammer_id": jam_id, "descriptor": jammer.descriptor}
+        for f in fields(rep):
+            value = getattr(rep, f.name)
+            entry[f.name] = value.symbols.tolist() if isinstance(value, SymbolVector) else value
+        sessions.append(entry)
+    meta = _metadata("session", args, skip=())
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "session.json", meta, {"sessions": sessions})
     return EXIT_OK
 
 
@@ -400,13 +433,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count, default=100, help="sessions per jammer")
     p.set_defaults(func=cmd_simulate)
 
+    p = sub.add_parser("session", help="write one session's transcript per jammer")
+    _add_common(p)
+    _add_coding(p)
+    p.set_defaults(func=cmd_session)
+
     p = sub.add_parser("derandomize", help="sample and certify a code ensemble")
     _add_common(p)
     _add_coding(p)
-    p.add_argument("--K", type=int, default=None, help="ensemble size (default n^2)")
+    p.add_argument("--K", type=_count, default=None, help="ensemble size (default n^2)")
     p.add_argument("--mu", type=_finite_float, default=0.02)
-    p.add_argument("--trials", type=int, default=1, help="sessions per ensemble member")
-    p.add_argument("--x-samples", type=int, default=2)
+    p.add_argument("--trials", type=_count, default=1, help="sessions per ensemble member")
+    p.add_argument("--x-samples", type=_count, default=2)
     p.set_defaults(func=cmd_derandomize)
 
     p = sub.add_parser("lemmas", help="run the statistical lemma harnesses")

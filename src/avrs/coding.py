@@ -8,13 +8,16 @@ the bin index; the decoder resolves within the bin using its side
 information and the set of jammer conditional types consistent with the
 announced type.
 
-A codebook is materialized on first use, from a counter-mode stream keyed
-by (seed, type), and then kept for every later session with that code.
+A codebook is drawn from a counter-mode stream keyed by (seed, type).  A
+:class:`Codebook` keeps its matrix once drawn; the session engine
+:func:`simulate_sessions` draws each distinct (type, code seed) once per
+encoder call over the sessions of a step that share a type.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,14 @@ from .mtypes import (
     valid_jammer_types,
 )
 from .probability import Alphabet, Distribution
-from .rng import derive_seed, philox_key, philox_stream, sample_indices, sample_rows
+from .rng import (
+    derive_seed,
+    inverse_cdf,
+    philox_key,
+    philox_stream,
+    rekey,
+    sample_indices,
+)
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -43,14 +53,34 @@ __all__ = [
     "CodebookFamily",
     "EncodeResult",
     "SessionReport",
+    "SessionBatch",
     "encode",
     "decode",
     "decoder_membership",
     "reconstruct",
     "simulate_session",
+    "simulate_sessions",
 ]
 
 DEFAULT_SIZE_CAP = 2**20
+
+# Sessions that simulate_sessions runs in one numpy step.  The step's working
+# set (stacked codebooks, their pair counts) grows with it: on the README
+# derandomize run, 16 peaks about 0.5 MB above running one session at a
+# time, and each doubling adds about 0.25 MB more at n = 16, for 15-25%
+# less time.
+SESSION_CHUNK = 16
+
+# Codeword symbols (sessions x codewords x n) that one encoder and decoder
+# call over a Y-type group holds, at about 5 bytes each (one-byte codewords
+# and the float32 pair-count indicator).  A group whose codebooks exceed it
+# runs in parts, down to one session per call, so larger blocks and caps
+# hold no more codebooks at once than fit in it, or one codebook if that
+# alone is larger.  No group of the README runs at n <= 24 (at most 1514
+# codewords) is split.  At n = 32 with --cap 65536 (simulate, 64 trials,
+# trivial jammer; up to 17 380 codewords) the run peaks at 53.7 MB RSS,
+# against 54.4 MB one session at a time and 70.8 MB with no limit.
+GROUP_SYMBOLS = 2**20
 
 # Source blocks drawn by sample_typical_sources before it reports that too
 # few are typical.
@@ -108,18 +138,23 @@ class SessionConfig:
 @dataclass(frozen=True)
 class _TypeData:
     """Per-type quantities shared by every code draw: rates, geometry, the
-    sampling pmf and the decoder's consistency targets."""
+    sampling pmf and its CDF, and the encoder's and decoder's targets."""
 
     t_y: TypeTable
     n: int
     rates: PerTypeRates
     p_u: np.ndarray
+    cdf: np.ndarray
     encoder_target: np.ndarray  # (U, Y): p(u|y) * t_y(y)
     decoder_targets: np.ndarray  # (K, U, Z)
     num_codewords: int
     num_bins: int
     bin_size: int
     truncated: bool
+
+    @property
+    def message_bits(self) -> int:
+        return math.ceil(math.log2(self.num_bins)) if self.num_bins > 1 else 0
 
 
 def _ceil_pow2(rate_bits: float, n: int, cap: int) -> tuple[int, bool]:
@@ -166,6 +201,8 @@ class CodebookFamily:
             num_bins = math.ceil(num_cw / bin_size)
         p_uy = policy.p_u_given_y.matrix  # (Y, U)
         p_u = t_y.probabilities @ p_uy
+        cdf = np.cumsum(p_u)
+        cdf[-1] = 1.0
         encoder_target = (t_y.probabilities[:, None] * p_uy).T
         jam_types = valid_jammer_types(t_y, spec, params.f_eps, n)
         targets = np.unique(np.round(joint_uz(spec, jam_types, p_uy), 12), axis=0)
@@ -174,6 +211,7 @@ class CodebookFamily:
             n,
             rates,
             p_u,
+            cdf,
             encoder_target,
             targets,
             num_cw,
@@ -186,6 +224,31 @@ class CodebookFamily:
 
     def codebook(self, t_y: TypeTable, seed: int) -> "Codebook":
         return Codebook(self, self.type_data(t_y), seed)
+
+
+def _codewords(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Inverse-CDF symbols of the uniforms ``u``: the number of k < |U| - 1
+    with u >= cdf[k].  That is ``np.searchsorted(cdf, u, side="right")``,
+    because cdf[-1] is 1.0 and u < 1, in the smallest integer type that
+    holds |U| - 1."""
+    out = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size - 1))
+    for edge in cdf[:-1]:
+        out += u >= edge
+    return out
+
+
+def _codebook_key(data: _TypeData, seed: int) -> np.ndarray:
+    return philox_key(seed, "codebook", *map(int, data.t_y.counts.ravel()), data.n)
+
+
+def _draw_codewords(gen: np.random.Generator, data: _TypeData) -> np.ndarray:
+    """Every codeword, (num_codewords, n), of one type's code, from a
+    generator at the start of that code's stream."""
+    # Each row draws whole 4-double Philox blocks and drops the padding;
+    # drawing exactly n per row would change every codeword of every seed.
+    width = math.ceil(data.n / 4) * 4
+    u = gen.random(data.num_codewords * width).reshape(data.num_codewords, width)
+    return _codewords(u[:, : data.n], data.cdf)
 
 
 class Codebook:
@@ -205,9 +268,7 @@ class Codebook:
         self.bin_size = data.bin_size
         self.truncated = data.truncated
         self.p_u = Distribution(family.config.policy.u_alphabet, data.p_u)
-        self._key = philox_key(seed, "codebook", *map(int, data.t_y.counts.ravel()), data.n)
-        self._cdf = np.cumsum(data.p_u)
-        self._cdf[-1] = 1.0
+        self._key = _codebook_key(data, seed)
         self._matrix: np.ndarray | None = None
 
     @property
@@ -215,17 +276,10 @@ class Codebook:
         return self.family.config.policy.u_alphabet
 
     def matrix(self) -> np.ndarray:
-        """All codewords as an int array (num_codewords, n)."""
+        """All codewords as an integer array (num_codewords, n)."""
         if self._matrix is None:
             gen = np.random.Generator(np.random.Philox(key=self._key))
-            # Each row draws whole 4-double Philox blocks and drops the
-            # padding; drawing exactly n per row would change every codeword
-            # of every seed.
-            width = math.ceil(self.n / 4) * 4
-            u = gen.random(self.num_codewords * width).reshape(self.num_codewords, width)
-            self._matrix = np.searchsorted(self._cdf, u[:, : self.n], side="right").astype(
-                np.int64
-            )
+            self._matrix = _draw_codewords(gen, self._data)
         return self._matrix
 
     def bin_indices(self, m: int) -> np.ndarray:
@@ -246,6 +300,26 @@ class EncodeResult:
     fallback_used: bool
 
 
+def _encoder_satisfied(
+    codewords: np.ndarray, y: np.ndarray, data: _TypeData, delta2: float
+) -> np.ndarray:
+    """Flags (..., N) of the codewords (..., N, n) whose joint type with y
+    (..., n) lies within delta2 of the type-induced joint p(u|y) t_y(y)."""
+    nu, ny = data.encoder_target.shape
+    counts = pair_counts(codewords, y, nu, ny)
+    dev = np.abs(counts / data.n - data.encoder_target).max(axis=(-2, -1))
+    return dev <= delta2 + TYPE_TOL
+
+
+def _choose(satisfied: np.ndarray, rng: np.random.Generator) -> int | None:
+    """Uniform choice, through ``rng``, of one flagged codeword; None if no
+    codeword is flagged (and then ``rng`` is not used)."""
+    hits = np.flatnonzero(satisfied)
+    if hits.size == 0:
+        return None
+    return int(hits[rng.integers(hits.size)])
+
+
 def encode(
     y: SymbolVector, cb: Codebook, delta2: float, rng: np.random.Generator
 ) -> EncodeResult:
@@ -258,54 +332,45 @@ def encode(
     t_y = empirical_type(y)
     if t_y != cb.t_y:
         raise UsageError("input type does not match the codebook's type")
-    mat = cb.matrix()
-    counts = pair_counts(mat, y.symbols, cb.u_alphabet.size, y.alphabet.size)
-    dev = np.abs(counts / cb.n - cb._data.encoder_target[None]).max(axis=(1, 2))
-    satisfiers = np.where(dev <= delta2 + TYPE_TOL)[0]
-    if satisfiers.size == 0:
+    g = _choose(_encoder_satisfied(cb.matrix(), y.symbols, cb._data, delta2), rng)
+    if g is None:
         return EncodeResult(t_y, 0, (0, 0), True)
-    g = int(satisfiers[rng.integers(satisfiers.size)])
     m, l = divmod(g, cb.bin_size)
     return EncodeResult(t_y, m, (m, l), False)
 
 
 def decoder_membership(
-    m: int, z: SymbolVector, cb: Codebook, gamma: float
+    rows: np.ndarray, z: np.ndarray, targets: np.ndarray, gamma: float
 ) -> np.ndarray:
-    """Flags, per codeword of bin m, of membership in the decoder's list:
-    joint type with z within gamma of some jammer-consistent target."""
-    targets = cb._data.decoder_targets
-    idx = cb.bin_indices(m)
-    rows = cb.matrix()[idx]
-    counts = pair_counts(rows, z.symbols, cb.u_alphabet.size, z.alphabet.size)
-    if targets.shape[0] == 0:
-        return np.zeros(idx.size, dtype=bool)
-    types = counts / cb.n
-    dev = np.abs(types[:, None, :, :] - targets[None]).max(axis=(2, 3))
-    return dev.min(axis=1) <= gamma + TYPE_TOL
+    """Flags (..., B) of membership in the decoder's list for the codewords
+    ``rows`` (..., B, n) of a bin against the side information ``z`` (..., n):
+    joint type within gamma of some jammer-consistent target of ``targets``
+    (K, U, Z)."""
+    k, nu, nz = targets.shape
+    if k == 0:
+        return np.zeros(rows.shape[:-1], dtype=bool)
+    types = pair_counts(rows, z, nu, nz).reshape(rows.shape[:-1] + (1, nu * nz)) / rows.shape[-1]
+    cells = targets.reshape(k, nu * nz)
+    # the l-infinity gap to every target, one (u, z) cell at a time, so no
+    # (..., B, K, U, Z) temporary is held
+    dev = np.abs(types[..., 0] - cells[:, 0])
+    for c in range(1, nu * nz):
+        np.maximum(dev, np.abs(types[..., c] - cells[:, c]), out=dev)
+    return dev.min(axis=-1) <= gamma + TYPE_TOL
 
 
-def decode(m: int, z: SymbolVector, cb: Codebook, gamma: float) -> tuple[np.ndarray, int]:
-    """List-decode bin m against the side information.
-
-    Returns the bin's membership flags (see :func:`decoder_membership`) and
-    the decoded codeword's global index: the unique list member, else the
-    bin's first codeword.
-    """
-    member = decoder_membership(m, z, cb, gamma)
-    first = m * cb.bin_size
-    if int(member.sum()) == 1:
-        return member, first + int(np.argmax(member))
-    return member, first
+def decode(member: np.ndarray) -> np.ndarray:
+    """The list-decoding rule on a bin's membership flags (..., B): the local
+    index of the unique list member, else 0, the bin's first codeword."""
+    return np.where(member.sum(axis=-1) == 1, member.argmax(axis=-1), 0)
 
 
-def reconstruct(u: SymbolVector, z: SymbolVector, zeta: np.ndarray) -> SymbolVector:
-    """Symbolwise reconstruction x̂_i = zeta(u_i, z_i)."""
-    if len(u) != len(z):
-        raise UsageError(f"reconstruct with lengths {len(u)} != {len(z)}")
-    zeta = np.asarray(zeta, dtype=np.int64)
-    out = zeta[u.symbols, z.symbols]
-    return SymbolVector(Alphabet("Xhat", int(zeta.max()) + 1), out)
+def reconstruct(u: np.ndarray, z: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Symbolwise reconstruction x̂_i = zeta(u_i, z_i) of equally shaped
+    symbol arrays."""
+    if u.shape != z.shape:
+        raise UsageError(f"reconstruct with shapes {u.shape} != {z.shape}")
+    return np.asarray(zeta, dtype=np.int64)[u, z]
 
 
 @dataclass(frozen=True)
@@ -331,18 +396,177 @@ class SessionReport:
     code_seed: int
 
 
-def _draw_channel(
-    spec: ProblemSpec, x: SymbolVector, j: SymbolVector, rng: np.random.Generator
-) -> tuple[SymbolVector, SymbolVector]:
-    n = len(x)
-    nz = spec.z_alphabet.size
-    ny = spec.y_alphabet.size
-    flat = spec.w.kernel[x.symbols, j.symbols].reshape(n, ny * nz)
-    pick = sample_rows(rng, flat)
-    return (
-        SymbolVector(spec.y_alphabet, pick // nz),
-        SymbolVector(spec.z_alphabet, pick % nz),
-    )
+@dataclass(frozen=True)
+class SessionBatch:
+    """The outcomes of T coding sessions, row t for the t-th session: the
+    symbol blocks have shape (T, n), every other field shape (T,)."""
+
+    x: np.ndarray
+    j: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    u_encoded: np.ndarray
+    u_decoded: np.ndarray
+    x_hat: np.ndarray
+    distortion: np.ndarray
+    e_enc: np.ndarray
+    e_dec1: np.ndarray
+    e_dec2: np.ndarray
+    bin_index: np.ndarray
+    message_bits: np.ndarray
+    r_u: np.ndarray
+    r_tilde: np.ndarray
+    r_bin: np.ndarray
+    code_seed: tuple[int, ...]
+
+
+def simulate_sessions(
+    xs: np.ndarray,
+    jammer: JammerStrategy,
+    config: SessionConfig,
+    seeds: Sequence[int],
+    code_seeds: Sequence[int] | None = None,
+) -> SessionBatch:
+    """Run jamming, channel, encoder, decoder and reconstruction for T
+    sessions, one per row of the source blocks ``xs`` (T, n).
+
+    Session t draws from its own streams ``philox_stream(seeds[t], label)``
+    for the labels "jamming", "channel" and "encoder", so its outcome does
+    not depend on the other rows.  Its code is ``code_seeds[t]`` (a fixed
+    code across sessions), else a fresh draw ``derive_seed(seeds[t],
+    "code")``, which realizes the shared-randomness reading of the scheme.
+    The numpy work runs ``SESSION_CHUNK`` sessions at a time, one call per
+    group of sessions that observe the same Y-type, and each step draws
+    each distinct (type, code seed) codebook once.
+    """
+    xs = np.array(xs, dtype=np.int64)
+    seeds = [int(s) for s in seeds]
+    if xs.ndim != 2 or xs.shape[0] != len(seeds) or xs.shape[0] < 1 or xs.shape[1] < 1:
+        raise UsageError(
+            f"source blocks of shape {xs.shape} for {len(seeds)} seeds; "
+            "expected one non-empty row per seed"
+        )
+    if xs.min() < 0 or xs.max() >= config.spec.x_alphabet.size:
+        raise UsageError("source symbol outside the X alphabet")
+    xs.setflags(write=False)
+    if code_seeds is None:
+        codes = tuple(derive_seed(s, "code") for s in seeds)
+    else:
+        codes = tuple(int(c) for c in code_seeds)
+        if len(codes) != len(seeds):
+            raise UsageError(f"{len(codes)} code seeds for {len(seeds)} sessions")
+    gen = philox_stream(0)  # re-keyed for every stream it serves
+    steps = []
+    for lo in range(0, len(seeds), SESSION_CHUNK):
+        part = slice(lo, lo + SESSION_CHUNK)
+        steps.append(_run_step(xs[part], seeds[part], codes[part], jammer, config, gen))
+    fields = {name: np.concatenate([step[name] for step in steps]) for name in steps[0]}
+    return SessionBatch(x=xs, code_seed=codes, **fields)
+
+
+def _run_step(
+    xs: np.ndarray,
+    seeds: list[int],
+    codes: tuple[int, ...],
+    jammer: JammerStrategy,
+    config: SessionConfig,
+    gen: np.random.Generator,
+) -> dict[str, np.ndarray]:
+    """One engine step over at most ``SESSION_CHUNK`` sessions."""
+    spec = config.spec
+    count, n = xs.shape
+    ny, nz = spec.y_alphabet.size, spec.z_alphabet.size
+
+    j = sample_jamming(jammer, xs, lambda t: rekey(gen, philox_key(seeds[t], "jamming")))
+    u = np.empty((count, n))
+    for t, seed in enumerate(seeds):
+        u[t] = rekey(gen, philox_key(seed, "channel")).random(n)
+    pick = inverse_cdf(spec.w.kernel[xs, j].reshape(count, n, ny * nz), u)
+    y, z = pick // nz, pick % nz
+
+    out = {
+        "j": j,
+        "y": y,
+        "z": z,
+        "u_encoded": np.empty((count, n), dtype=np.int64),
+        "u_decoded": np.empty((count, n), dtype=np.int64),
+        "x_hat": np.empty((count, n), dtype=np.int64),
+        "e_enc": np.empty(count, dtype=bool),
+        "e_dec1": np.empty(count, dtype=bool),
+        "e_dec2": np.empty(count, dtype=bool),
+        "bin_index": np.empty(count, dtype=np.int64),
+        "message_bits": np.empty(count, dtype=np.int64),
+        "r_u": np.empty(count),
+        "r_tilde": np.empty(count),
+        "r_bin": np.empty(count),
+    }
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for t, counts in enumerate((y[:, :, None] == np.arange(ny)).sum(axis=1).tolist()):
+        groups.setdefault(tuple(counts), []).append(t)
+    for counts, members in groups.items():
+        data = config.family.type_data(TypeTable(np.array(counts), n))
+        per = max(1, GROUP_SYMBOLS // (data.num_codewords * n))
+        for lo in range(0, len(members), per):
+            _run_group(out, members[lo : lo + per], data, y, z, seeds, codes, config, gen)
+    out["distortion"] = spec.d.entries[xs, out["x_hat"]].mean(axis=1)
+    return out
+
+
+def _run_group(
+    out: dict[str, np.ndarray],
+    members: list[int],
+    data: _TypeData,
+    y: np.ndarray,
+    z: np.ndarray,
+    seeds: list[int],
+    codes: tuple[int, ...],
+    config: SessionConfig,
+    gen: np.random.Generator,
+) -> None:
+    """Encoder, decoder and reconstruction for the step rows ``members``,
+    which all observe the Y-type of ``data``; fills their rows of ``out``."""
+    params = config.params
+    rows = np.array(members)
+    size = rows.size
+
+    # each distinct code seed is drawn once; a repeat copies its first row
+    cws = None
+    first: dict[int, int] = {}
+    for i, t in enumerate(members):
+        k = first.setdefault(codes[t], i)
+        book = _draw_codewords(rekey(gen, _codebook_key(data, codes[t])), data) if k == i else cws[k]
+        if cws is None:
+            cws = np.empty((size,) + book.shape, dtype=book.dtype)
+        cws[i] = book
+
+    satisfied = _encoder_satisfied(cws, y[rows], data, params.delta2)
+    g_enc = np.zeros(size, dtype=np.int64)
+    for i, t in enumerate(members):
+        g = _choose(satisfied[i], rekey(gen, philox_key(seeds[t], "encoder")))
+        out["e_enc"][t] = g is None
+        g_enc[i] = 0 if g is None else g
+    m, local = np.divmod(g_enc, data.bin_size)
+
+    first_cw = m * data.bin_size
+    span = first_cw[:, None] + np.arange(data.bin_size)
+    in_book = span < data.num_codewords  # a truncated last bin is short
+    arange = np.arange(size)
+    bins = cws[arange[:, None], np.minimum(span, data.num_codewords - 1)]
+    member = decoder_membership(bins, z[rows], data.decoder_targets, params.gamma) & in_book
+    g_dec = first_cw + decode(member)
+    sent_listed = member[arange, local]
+
+    u_decoded = cws[arange, g_dec]
+    out["u_encoded"][rows] = cws[arange, g_enc]
+    out["u_decoded"][rows] = u_decoded
+    out["x_hat"][rows] = reconstruct(u_decoded, z[rows], config.policy.zeta)
+    out["e_dec1"][rows] = ~sent_listed
+    out["e_dec2"][rows] = member.sum(axis=1) - sent_listed > 0
+    out["bin_index"][rows] = m
+    out["message_bits"][rows] = data.message_bits
+    out["r_u"][rows] = data.rates.r_u
+    out["r_tilde"][rows] = data.rates.r_tilde
+    out["r_bin"][rows] = data.rates.r_bin
 
 
 def simulate_session(
@@ -352,49 +576,30 @@ def simulate_session(
     seed: int,
     code_seed: int | None = None,
 ) -> SessionReport:
-    """Run jamming, channel, encoder, decoder and reconstruction once.
-
-    All randomness is derived from ``seed``; the code draw itself comes from
-    ``code_seed`` when given (fixed code across sessions), else it is
-    refreshed per session, which realizes the shared-randomness reading of
-    the scheme.
-    """
-    spec, policy, params = config.spec, config.policy, config.params
-    j = sample_jamming(jammer, x, philox_stream(seed, "jamming"))
-    y, z = _draw_channel(spec, x, j, philox_stream(seed, "channel"))
-    t_y = empirical_type(y)
-    if code_seed is None:
-        code_seed = derive_seed(seed, "code")
-    cb = config.family.codebook(t_y, code_seed)
-    enc = encode(y, cb, params.delta2, philox_stream(seed, "encoder"))
-    member, g_dec = decode(enc.bin_index, z, cb, params.gamma)
-    u_decoded = SymbolVector(cb.u_alphabet, cb.matrix()[g_dec])
-    local = enc.codeword_index[1]
-    g_enc = enc.bin_index * cb.bin_size + local
-    u_encoded = SymbolVector(cb.u_alphabet, cb.matrix()[g_enc])
-    x_hat = reconstruct(u_decoded, z, policy.zeta)
-    distortion = float(spec.d.entries[x.symbols, x_hat.symbols].mean())
-    e_dec1 = not bool(member[local])
-    e_dec2 = bool(member.sum() - int(member[local]) > 0)
-    message_bits = math.ceil(math.log2(cb.num_bins)) if cb.num_bins > 1 else 0
+    """One coding session: the one-row view of :func:`simulate_sessions`."""
+    batch = simulate_sessions(
+        x.symbols[None], jammer, config, [seed], None if code_seed is None else [code_seed]
+    )
+    spec, policy = config.spec, config.policy
+    xhat_alphabet = Alphabet("Xhat", int(policy.zeta.max()) + 1)
     return SessionReport(
         x=x,
-        j=j,
-        y=y,
-        z=z,
-        u_encoded=u_encoded,
-        u_decoded=u_decoded,
-        x_hat=x_hat,
-        distortion=distortion,
-        e_enc=enc.fallback_used,
-        e_dec1=e_dec1,
-        e_dec2=e_dec2,
-        bin_index=enc.bin_index,
-        message_bits=message_bits,
-        r_u=cb.r_u,
-        r_tilde=cb.r_tilde,
-        r_bin=cb.r_bin,
-        code_seed=code_seed,
+        j=SymbolVector(jammer.j_alphabet, batch.j[0]),
+        y=SymbolVector(spec.y_alphabet, batch.y[0]),
+        z=SymbolVector(spec.z_alphabet, batch.z[0]),
+        u_encoded=SymbolVector(policy.u_alphabet, batch.u_encoded[0]),
+        u_decoded=SymbolVector(policy.u_alphabet, batch.u_decoded[0]),
+        x_hat=SymbolVector(xhat_alphabet, batch.x_hat[0]),
+        distortion=float(batch.distortion[0]),
+        e_enc=bool(batch.e_enc[0]),
+        e_dec1=bool(batch.e_dec1[0]),
+        e_dec2=bool(batch.e_dec2[0]),
+        bin_index=int(batch.bin_index[0]),
+        message_bits=int(batch.message_bits[0]),
+        r_u=float(batch.r_u[0]),
+        r_tilde=float(batch.r_tilde[0]),
+        r_bin=float(batch.r_bin[0]),
+        code_seed=batch.code_seed[0],
     )
 
 

@@ -12,13 +12,15 @@ costs the rate overhead log2(K)/n that ``Ensemble.rate_overhead`` reports.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import JammerStrategy
-from .coding import SessionConfig, sample_typical_sources, simulate_session
+from .coding import SESSION_CHUNK, SessionConfig, sample_typical_sources, simulate_sessions
 from .errors import UsageError
 from .rng import derive_seed
 
@@ -101,6 +103,29 @@ class CertificationReport:
     )
 
 
+def _parent_sessions(seed: int, ij: int, x_count: int, count: int) -> Iterator[tuple[int, int, int]]:
+    """(x index, seed, fresh code seed) of each parent session of jammer ij."""
+    for ix in range(x_count):
+        for t in range(count):
+            s = derive_seed(seed, "parent", ix, ij, t)
+            yield ix, s, derive_seed(s, "fresh-code")
+
+
+def _distortions(
+    sessions: Iterator[tuple[int, int, int]],
+    x_block: np.ndarray,
+    jammer: JammerStrategy,
+    config: SessionConfig,
+) -> np.ndarray:
+    """Distortion of each (x index, seed, code seed) session, handed to the
+    engine ``SESSION_CHUNK`` sessions at a time."""
+    out = []
+    while chunk := list(itertools.islice(sessions, SESSION_CHUNK)):
+        ix, seeds, codes = zip(*chunk)
+        out.append(simulate_sessions(x_block[list(ix)], jammer, config, seeds, codes).distortion)
+    return np.concatenate(out)
+
+
 def certify_ensemble(
     ensemble: Ensemble,
     jammer_set: list[JammerStrategy],
@@ -121,6 +146,11 @@ def certify_ensemble(
         raise UsageError("mu must be > 0")
     if trials_per_member < 1:
         raise UsageError("trials_per_member must be >= 1")
+    if ensemble.size * trials_per_member < 2:
+        raise UsageError(
+            "ensemble size times trials_per_member must be >= 2: a cell's standard "
+            "error needs two sessions on each side"
+        )
     if x_count < 1:
         raise UsageError("x_count must be >= 1")
     if not jammer_set:
@@ -130,24 +160,29 @@ def certify_ensemble(
     if delta0 is None:
         delta0 = n ** (-1.0 / 3.0)
     xs = sample_typical_sources(cfg.spec, n, delta0, x_count, derive_seed(seed, "x"))
+    x_block = np.stack([x.symbols for x in xs])
     k = ensemble.size
+    trials = trials_per_member
+    ens = np.empty((len(jammer_set), k, x_count, trials))
+    par = np.empty((len(jammer_set), x_count, k * trials))
+    for ij, jam in enumerate(jammer_set):
+        # member sessions run member-major, so a member's sessions on every
+        # x share an engine step and draw its codebook once per type
+        members = (
+            (ix, derive_seed(seed, "ens", ix, ij, i, t), code)
+            for i, code in enumerate(ensemble.member_seeds)
+            for ix in range(x_count)
+            for t in range(trials)
+        )
+        ens[ij] = _distortions(members, x_block, jam, cfg).reshape(k, x_count, trials)
+        parents = _parent_sessions(seed, ij, x_count, k * trials)
+        par[ij] = _distortions(parents, x_block, jam, cfg).reshape(x_count, k * trials)
     cells = []
     max_excess = -math.inf
-    for ix, x in enumerate(xs):
-        for ij, jam in enumerate(jammer_set):
-            ens_vals = np.empty(k * trials_per_member)
-            for i, member_seed in enumerate(ensemble.member_seeds):
-                for t in range(trials_per_member):
-                    s = derive_seed(seed, "ens", ix, ij, i, t)
-                    ens_vals[i * trials_per_member + t] = simulate_session(
-                        x, jam, cfg, s, code_seed=member_seed
-                    ).distortion
-            par_vals = np.empty(k * trials_per_member)
-            for t in range(k * trials_per_member):
-                s = derive_seed(seed, "parent", ix, ij, t)
-                par_vals[t] = simulate_session(
-                    x, jam, cfg, s, code_seed=derive_seed(s, "fresh-code")
-                ).distortion
+    for ix in range(x_count):
+        for ij in range(len(jammer_set)):
+            ens_vals = ens[ij, :, ix, :].ravel()
+            par_vals = par[ij, ix]
             ens_mean = float(ens_vals.mean())
             par_mean = float(par_vals.mean())
             se = float(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import SessionConfig, simulate_session
+from .coding import SessionConfig, simulate_sessions
 from .adversary import JammerStrategy
 from .errors import UsageError
 from .mtypes import (
@@ -174,15 +174,11 @@ def run_packing(
         raise UsageError("trials must be >= 1")
     spec = config.spec
     gen = philox_stream(seed, "packing-sources")
-    false_candidates = 0
-    effective = 0
-    for t in range(trials):
-        x = SymbolVector(spec.x_alphabet, sample_indices(gen, spec.p_x.mass, n))
-        report = simulate_session(x, jammer, config, derive_seed(seed, "trial", t))
-        if report.e_enc:
-            continue
-        effective += 1
-        false_candidates += 1 if report.e_dec2 else 0
+    xs = np.stack([sample_indices(gen, spec.p_x.mass, n) for _ in range(trials)])
+    seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
+    batch = simulate_sessions(xs, jammer, config, seeds)
+    effective = int((~batch.e_enc).sum())
+    false_candidates = int((~batch.e_enc & batch.e_dec2).sum())
     rate = false_candidates / effective if effective else 0.0
     return HarnessResult(
         "packing", n, rate, None, _binomial_sigma(rate, effective), effective, False
@@ -211,12 +207,11 @@ def run_markov_conclusion(
     ny, nz = spec.y_alphabet.size, spec.z_alphabet.size
     nu = policy.u_size
     gen = philox_stream(seed, "markov-sources")
+    x_block = np.stack([sample_indices(gen, spec.p_x.mass, n) for _ in range(trials)])
+    seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
+    batch = simulate_sessions(x_block, jammer, config, seeds)
     violations = 0
-    for t in range(trials):
-        x = SymbolVector(spec.x_alphabet, sample_indices(gen, spec.p_x.mass, n))
-        report = simulate_session(x, jammer, config, derive_seed(seed, "trial", t))
-        xs, js = report.x.symbols, report.j.symbols
-        ys, zs, us = report.y.symbols, report.z.symbols, report.u_encoded.symbols
+    for xs, js, ys, zs, us in zip(batch.x, batch.j, batch.y, batch.z, batch.u_encoded):
         pair = pair_counts(xs[None, :], js, nx, nj)[0]
         x_counts = pair.sum(axis=1)
         t_j_given_x = np.empty((nx, nj))

@@ -129,13 +129,19 @@ def empirical_type(x: SymbolVector) -> TypeTable:
 def pair_counts(rows: np.ndarray, other: np.ndarray, a_size: int, b_size: int) -> np.ndarray:
     """Joint pair counts of each row of ``rows`` against ``other``.
 
-    rows: (B, n) ints < a_size; other: (n,) ints < b_size -> (B, a_size, b_size).
+    rows: (..., B, n) ints < a_size; other: (..., n) ints < b_size, one
+    sequence per stack of rows or one for all -> (..., B, a_size, b_size).
+    The counts of symbol a are one float32 product of the rows' indicator
+    of a with the one-hot table of ``other``: sums of 0/1 terms, exact
+    while n < 2^24, at 4 bytes per row symbol.
     """
-    b = rows.shape[0]
-    comp = rows * b_size + other[None, :]
-    comp = comp + (np.arange(b)[:, None] * a_size * b_size)
-    counts = np.bincount(comp.ravel(), minlength=b * a_size * b_size)
-    return counts.reshape(b, a_size, b_size)
+    onehot = (np.asarray(other)[..., :, None] == np.arange(b_size)).astype(np.float32)
+    counts = np.empty(rows.shape[:-1] + (a_size, b_size), dtype=np.int64)
+    indicator = np.empty(rows.shape, dtype=np.float32)
+    for a in range(a_size):
+        np.equal(rows, a, out=indicator)
+        counts[..., a, :] = indicator @ onehot
+    return counts
 
 
 def nearest_type(p: np.ndarray, n: int) -> TypeTable:

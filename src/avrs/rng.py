@@ -13,7 +13,15 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "philox_key", "philox_stream", "sample_indices", "sample_rows"]
+__all__ = [
+    "derive_seed",
+    "philox_key",
+    "philox_stream",
+    "rekey",
+    "sample_indices",
+    "inverse_cdf",
+    "sample_rows",
+]
 
 
 def _encode(part: int | str) -> bytes:
@@ -55,6 +63,25 @@ def philox_stream(seed: int, *path: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=philox_key(seed, *path)))
 
 
+def rekey(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
+    """Reset a Philox-backed ``gen`` to the start of the stream of ``key``.
+
+    Afterwards ``gen`` draws exactly what
+    ``np.random.Generator(np.random.Philox(key=key))`` would, without the
+    entropy gathering a fresh Philox does before its key is set.  Every
+    caller re-keys its own generator, so no two threads share one.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def sample_indices(gen: np.random.Generator, pmf: np.ndarray, size: int) -> np.ndarray:
     """Draw ``size`` symbols from a pmf by inverse-CDF on uniform variates.
 
@@ -68,13 +95,16 @@ def sample_indices(gen: np.random.Generator, pmf: np.ndarray, size: int) -> np.n
     return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
-def sample_rows(gen: np.random.Generator, rows: np.ndarray) -> np.ndarray:
-    """Draw one symbol per row of an (m, k) stack of pmfs by inverse CDF.
+def inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The symbol of each pmf of a (..., k) stack of rows at the uniform
+    variate of the same position of ``u`` (shape (...)); symbols with zero
+    probability are never produced."""
+    cdf = np.cumsum(rows, axis=-1)
+    cdf[..., -1] = 1.0
+    return (u[..., None] >= cdf).sum(axis=-1)
 
-    One uniform variate per row is taken from ``gen``, in row order; symbols
-    with zero probability are never produced.
-    """
-    cdf = np.cumsum(rows, axis=1)
-    cdf[:, -1] = 1.0
-    u = gen.random(rows.shape[0])
-    return (u[:, None] >= cdf).sum(axis=1)
+
+def sample_rows(gen: np.random.Generator, rows: np.ndarray) -> np.ndarray:
+    """Draw one symbol per row of an (m, k) stack of pmfs by inverse CDF,
+    taking one uniform variate per row from ``gen``, in row order."""
+    return inverse_cdf(rows, gen.random(rows.shape[0]))

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from avrs.adversary import BlockJammer, DeterministicJammer
 from avrs.bounds import DISTORTION_TOL, _refine_window
 from avrs.errors import InfeasibleDistortionError
+from avrs.mtypes import TYPE_TOL, SymbolVector, empirical_type
 from avrs.probability import entropy_bits
+from avrs.rng import derive_seed, philox_key, philox_stream, sample_rows
 
 
 def matrix_game_value_oracle(payoff: np.ndarray) -> float:
@@ -232,3 +235,85 @@ def _count_rows(total, parts):
         for combo in itertools.product(range(total + 1), repeat=parts)
         if sum(combo) == total
     ]
+
+
+def session_oracle(x, jammer, config, seed, code_seed=None) -> dict:
+    """One coding session computed symbol block by symbol block, the way
+    the package ran a lone session before sessions were batched: fresh
+    Philox streams, ``searchsorted`` codewords and one codebook per call.
+    Returns the ``SessionReport`` fields as plain values and arrays."""
+    spec, policy, params = config.spec, config.policy, config.params
+    xs = x.symbols
+    n = xs.size
+    if isinstance(jammer, DeterministicJammer):
+        j = np.asarray(jammer.mapping, dtype=np.int64)[xs]
+    elif isinstance(jammer, BlockJammer):
+        j = np.asarray(jammer.fn(xs), dtype=np.int64)
+    else:
+        rows = jammer.q.matrix[xs]
+        j = np.argmax(rows, axis=1)
+        random_pos = rows.max(axis=1) < 1.0
+        if np.any(random_pos):
+            j[random_pos] = sample_rows(philox_stream(seed, "jamming"), rows[random_pos])
+
+    ny, nz = spec.y_alphabet.size, spec.z_alphabet.size
+    flat = spec.w.kernel[xs, j].reshape(n, ny * nz)
+    cdf_yz = np.cumsum(flat, axis=1)
+    cdf_yz[:, -1] = 1.0
+    u_yz = philox_stream(seed, "channel").random(n)
+    pick = np.array([np.searchsorted(c, v, side="right") for c, v in zip(cdf_yz, u_yz)])
+    y, z = pick // nz, pick % nz
+    t_y = empirical_type(SymbolVector(spec.y_alphabet, y))
+    if code_seed is None:
+        code_seed = derive_seed(seed, "code")
+    data = config.family.type_data(t_y)
+    num, size = data.num_codewords, data.bin_size
+    gen = np.random.Generator(
+        np.random.Philox(key=philox_key(code_seed, "codebook", *map(int, t_y.counts), n))
+    )
+    width = -(-n // 4) * 4
+    u = gen.random(num * width).reshape(num, width)[:, :n]
+    mat = np.searchsorted(data.cdf, u, side="right").astype(np.int64)
+
+    def joint_counts(rows, other, a, b):
+        counts = np.zeros((rows.shape[0], a, b), dtype=np.int64)
+        for r, row in enumerate(rows):
+            np.add.at(counts[r], (row, other), 1)
+        return counts
+
+    nu = policy.u_size
+    enc_dev = np.abs(joint_counts(mat, y, nu, ny) / n - data.encoder_target[None]).max(axis=(1, 2))
+    satisfiers = np.where(enc_dev <= params.delta2 + TYPE_TOL)[0]
+    e_enc = satisfiers.size == 0
+    g_enc = 0 if e_enc else int(satisfiers[philox_stream(seed, "encoder").integers(satisfiers.size)])
+    m, local = divmod(g_enc, size)
+
+    first = m * size
+    bin_rows = mat[first : min(first + size, num)]
+    targets = data.decoder_targets
+    if targets.shape[0] == 0:
+        member = np.zeros(bin_rows.shape[0], dtype=bool)
+    else:
+        types = joint_counts(bin_rows, z, nu, nz) / n
+        dev = np.abs(types[:, None, :, :] - targets[None]).max(axis=(2, 3))
+        member = dev.min(axis=1) <= params.gamma + TYPE_TOL
+    g_dec = first + int(np.argmax(member)) if int(member.sum()) == 1 else first
+    x_hat = policy.zeta[mat[g_dec], z]
+    return {
+        "j": j,
+        "y": y,
+        "z": z,
+        "u_encoded": mat[g_enc],
+        "u_decoded": mat[g_dec],
+        "x_hat": x_hat,
+        "distortion": float(spec.d.entries[xs, x_hat].mean()),
+        "e_enc": bool(e_enc),
+        "e_dec1": not bool(member[local]),
+        "e_dec2": bool(member.sum() - int(member[local]) > 0),
+        "bin_index": m,
+        "message_bits": int(np.ceil(np.log2(data.num_bins))) if data.num_bins > 1 else 0,
+        "r_u": data.rates.r_u,
+        "r_tilde": data.rates.r_tilde,
+        "r_bin": data.rates.r_bin,
+        "code_seed": code_seed,
+    }

@@ -21,6 +21,11 @@ from avrs.rng import derive_seed, philox_stream
 from conftest import identity_policy, make_spec, noisy_policy, wz_spec, xor_spec
 
 
+def _jam_block(jam, x, gen):
+    """The jamming of one source block through the row-batched sampler."""
+    return sample_jamming(jam, x.symbols[None], lambda t: gen)[0]
+
+
 class TestSampling:
     def test_single_letter_jammer(self):
         k = np.zeros((2, 1, 2, 1))
@@ -28,15 +33,15 @@ class TestSampling:
         spec = make_spec([0.5, 0.5], k, [[0, 1], [1, 0]])
         jam = deterministic_jammer_family(spec)[0]
         x = SymbolVector(spec.x_alphabet, [0, 1, 1, 0])
-        out = sample_jamming(jam, x, philox_stream(0))
-        assert np.array_equal(out.symbols, [0, 0, 0, 0])
+        out = _jam_block(jam, x, philox_stream(0))
+        assert np.array_equal(out, [0, 0, 0, 0])
 
     def test_identity_map(self):
         spec = xor_spec()
         jam = DeterministicJammer((0, 1), spec.j_alphabet)
         x = SymbolVector(spec.x_alphabet, [0, 1, 1, 0])
-        out = sample_jamming(jam, x, philox_stream(0))
-        assert np.array_equal(out.symbols, x.symbols)
+        out = _jam_block(jam, x, philox_stream(0))
+        assert np.array_equal(out, x.symbols)
 
     def test_memoryless_frequency(self):
         spec = xor_spec()
@@ -44,8 +49,8 @@ class TestSampling:
             CondDistribution(spec.x_alphabet, spec.j_alphabet, [[0.7, 0.3], [0.7, 0.3]])
         )
         x = SymbolVector(spec.x_alphabet, np.zeros(10_000, dtype=int))
-        out = sample_jamming(jam, x, philox_stream(123))
-        freq = float(np.mean(out.symbols))
+        out = _jam_block(jam, x, philox_stream(123))
+        freq = float(np.mean(out))
         sigma = np.sqrt(0.3 * 0.7 / 10_000)
         assert abs(freq - 0.3) <= 3 * sigma
 
@@ -59,18 +64,29 @@ class TestSampling:
         x = SymbolVector(spec.x_alphabet, [0, 1, 1, 0, 0])
         g1 = philox_stream(7)
         g2 = philox_stream(7)
-        a = sample_jamming(memoryless, x, g1)
-        b = sample_jamming(det, x, g2)
-        assert np.array_equal(a.symbols, b.symbols)
+        a = _jam_block(memoryless, x, g1)
+        b = _jam_block(det, x, g2)
+        assert np.array_equal(a, b)
         # generator state untouched: both draw the same value afterwards
         assert g1.random() == g2.random()
+
+    def test_rows_draw_from_their_own_streams(self):
+        spec = xor_spec()
+        jam = MemorylessJammer(
+            CondDistribution(spec.x_alphabet, spec.j_alphabet, [[0.5, 0.5], [1.0, 0.0]])
+        )
+        xs = philox_stream(4).integers(0, 2, (5, 12))
+        block = sample_jamming(jam, xs, lambda t: philox_stream(t, "jam"))
+        for t, row in enumerate(xs):
+            one = sample_jamming(jam, row[None], lambda _: philox_stream(t, "jam"))
+            assert np.array_equal(block[t], one[0])
 
     def test_block_jammer_applies_function(self):
         spec = xor_spec()
         jam = fixed_vector_jammer(np.array([1, 0, 1]), spec.j_alphabet, "fixed")
         x = SymbolVector(spec.x_alphabet, [0, 0, 0])
-        out = sample_jamming(jam, x, philox_stream(0))
-        assert np.array_equal(out.symbols, [1, 0, 1])
+        out = _jam_block(jam, x, philox_stream(0))
+        assert np.array_equal(out, [1, 0, 1])
 
 
 class TestFamily:
@@ -199,6 +215,6 @@ class TestWorstCaseSearch:
             CondDistribution(spec.x_alphabet, spec.j_alphabet, [[0.5, 0.5], [0.5, 0.5]])
         )
         x = SymbolVector(spec.x_alphabet, rng.integers(0, 2, 64))
-        out = sample_jamming(jam, x, philox_stream(1))
-        assert out.symbols.min() >= 0
-        assert out.symbols.max() < spec.j_alphabet.size
+        out = _jam_block(jam, x, philox_stream(1))
+        assert out.min() >= 0
+        assert out.max() < spec.j_alphabet.size

@@ -9,7 +9,7 @@ import pytest
 
 from avrs.bounds import BoundPoint, BoundReport
 from avrs.cli import main
-from avrs.coding import CodingParams, SessionConfig, simulate_session
+from avrs.coding import CodingParams, SessionConfig, SessionReport, simulate_session
 from avrs.derandomize import CertificationCell, CertificationReport
 from avrs.model import load_policy, load_problem_spec
 from avrs.mtypes import SymbolVector
@@ -174,6 +174,31 @@ class TestSimulateCommand:
         assert (row["E_enc"] == "true") == rep.e_enc
 
 
+class TestSessionCommand:
+    ARGS = ["session"] + [a for a in TestSimulateCommand.ARGS[1:] if a not in ("--trials", "40")]
+
+    def test_transcript_is_trial_zero_of_simulate(self, tmp_path):
+        assert main(TestSimulateCommand.ARGS + ["--out-dir", str(tmp_path / "sim")]) == 0
+        assert main(self.ARGS + ["--out-dir", str(tmp_path / "one")]) == 0
+        rows = read_rows(tmp_path / "sim" / "trials.csv")
+        doc = json.loads((tmp_path / "one" / "session.json").read_text())
+        assert [s["jammer_id"] for s in doc["sessions"]] == [0, 1, 2, 3]
+        for s in doc["sessions"]:
+            assert set(s) == {f.name for f in fields(SessionReport)} | {"jammer_id", "descriptor"}
+            assert all(len(s[k]) == 12 for k in ("x", "j", "y", "z", "u_encoded", "x_hat"))
+            row = rows[40 * s["jammer_id"]]
+            assert float(row["distortion"]) == s["distortion"]
+            assert [row[k] == "true" for k in ("E_enc", "E_dec1", "E_dec2")] == [
+                s["e_enc"], s["e_dec1"], s["e_dec2"]
+            ]
+
+    def test_byte_identical_reruns(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(self.ARGS + ["--out-dir", str(a)]) == 0
+        assert main(self.ARGS + ["--out-dir", str(b), "--threads", "2"]) == 0
+        assert_same_files(a, b, ["session.json"])
+
+
 class TestDerandomizeCommand:
     def test_report_written_and_reproducible(self, tmp_path):
         args = [
@@ -213,6 +238,15 @@ class TestDerandomizeCommand:
     def test_zero_trials_rejected(self, tmp_path):
         out = tmp_path / "out"
         assert main(self.SMALL + ["--x-samples", "1", "--trials", "0", "--out-dir", str(out)]) == 2
+        assert not (out / "derandomize.json").exists()
+
+    def test_single_session_per_side_rejected(self, tmp_path, capsys):
+        # one member and one trial leave a cell's standard error undefined
+        out = tmp_path / "out"
+        args = list(self.SMALL)
+        args[args.index("--K") + 1] = "1"
+        assert main(args + ["--x-samples", "1", "--out-dir", str(out)]) == 2
+        assert "two sessions" in capsys.readouterr().err
         assert not (out / "derandomize.json").exists()
 
     def test_empty_jammer_file_rejected(self, tmp_path, capsys):
@@ -284,6 +318,10 @@ SMALL_RUNS = {
         "simulate", "--spec", SPEC, "--policy", POLICY, "--n", "8", "--trials", "2",
         "--eps", "0.3", "--cap", "64", "--jammers", "all-deterministic",
     ],
+    "session": [
+        "session", "--spec", SPEC, "--policy", POLICY, "--n", "8", "--eps", "0.3",
+        "--cap", "64", "--jammers", "all-deterministic",
+    ],
     "derandomize": [
         "derandomize", "--spec", SPEC, "--policy", POLICY, "--n", "6", "--K", "4",
         "--trials", "1", "--mu", "0.5", "--x-samples", "1", "--eps", "0.3", "--cap", "64",
@@ -335,12 +373,17 @@ class TestRejectedValues:
             ("bounds", "--d-grid", "0.2,abc"),
             ("simulate", "--eps", "nan"),
             ("simulate", "--gamma", "inf"),
+            ("session", "--delta2", "nan"),
             ("derandomize", "--mu", "inf"),
             ("lemmas", "--delta0", "inf"),
             ("lemmas", "--n-ladder", "8,x"),
             ("bounds", "--d-points", "-3"),
             ("simulate", "--trials", "-5"),
             ("lemmas", "--trials", "-1"),
+            ("derandomize", "--K", "-1"),
+            ("derandomize", "--K", "1"),
+            ("derandomize", "--trials", "-1"),
+            ("derandomize", "--x-samples", "-2"),
             ("simulate", "--threads", "0"),
             ("simulate", "--threads", "-4"),
         ],

@@ -1,21 +1,27 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from avrs.adversary import DeterministicJammer, MemorylessJammer
+import avrs.coding
+from avrs.adversary import DeterministicJammer, MemorylessJammer, fixed_vector_jammer
 from avrs.coding import (
+    SESSION_CHUNK,
     CodebookFamily,
     CodingParams,
     SessionConfig,
+    _codewords,
     decode,
     decoder_membership,
     encode,
     reconstruct,
     sample_typical_sources,
     simulate_session,
+    simulate_sessions,
 )
 from avrs.errors import UsageError
+from avrs.model import load_policy, load_problem_spec
 from avrs.mtypes import SymbolVector, TypeTable, empirical_type, nearest_type, type_template
 from avrs.probability import Alphabet, CondDistribution
 from avrs.rng import derive_seed, philox_stream
@@ -27,6 +33,13 @@ from conftest import (
     noisy_policy,
     wz_spec,
 )
+from oracles import session_oracle
+
+
+def _membership(cb, m, z, gamma):
+    """Decoder list flags of bin m of ``cb`` against the side information z."""
+    targets = cb.family.type_data(cb.t_y).decoder_targets
+    return decoder_membership(cb.matrix()[cb.bin_indices(m)], z.symbols, targets, gamma)
 
 
 def wz_config(eps=0.2, cap=512, **kw):
@@ -91,6 +104,26 @@ class TestCodebookConstruction:
             cb.bin_indices(cb.num_bins)
         with pytest.raises(UsageError):
             cb.bin_indices(-1)
+
+
+class TestCodewordKernel:
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_equals_searchsorted(self, nu):
+        pick = np.random.default_rng(nu)
+        for trial in range(200):
+            p = pick.dirichlet(np.ones(nu))
+            if nu == 3 and trial % 4 == 0:
+                p[trial % 3] = 0.0  # a zero-probability symbol repeats a CDF edge
+                p /= p.sum()
+            cdf = np.cumsum(p)
+            cdf[-1] = 1.0
+            u = pick.random((6, 16))
+            edges = cdf[:-1][cdf[:-1] < 1.0]
+            u[0, : edges.size] = edges  # uniforms exactly on the edges
+            u[1, 0] = 0.0
+            got = _codewords(u, cdf)
+            assert got.dtype.itemsize == 1
+            assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
 
 
 class TestEncode:
@@ -191,10 +224,9 @@ class TestDecode:
             cb = family.codebook(t_y, seed)
             z = SymbolVector(spec.z_alphabet, philox_stream(seed, "z").integers(0, 2, n))
             for m in range(cb.num_bins):
-                member = decoder_membership(m, z, cb, config.params.gamma)
+                member = _membership(cb, m, z, config.params.gamma)
                 if member.sum() == 1:
-                    got_member, g = decode(m, z, cb, config.params.gamma)
-                    assert np.array_equal(got_member, member)
+                    g = cb.bin_indices(m)[decode(member)]
                     assert g == cb.bin_indices(m)[int(np.argmax(member))]
                     return
         pytest.fail("no uniquely-decodable bin found in the sweep")
@@ -206,11 +238,10 @@ class TestDecode:
         t_y = nearest_type(np.array([0.5, 0.5]), n)
         cb = family.codebook(t_y, 3)
         z = SymbolVector(config.spec.z_alphabet, philox_stream(8).integers(0, 2, n))
-        member = decoder_membership(0, z, cb, 0.0)
+        member = _membership(cb, 0, z, 0.0)
         if member.any():
             pytest.skip("seed produced an exact type match")
-        _, g = decode(0, z, cb, 0.0)
-        assert g == cb.bin_indices(0)[0]
+        assert cb.bin_indices(0)[decode(member)] == cb.bin_indices(0)[0]
 
     def test_multiple_members_fall_back_to_first(self):
         # a clean side-information channel keeps the within-bin rate positive,
@@ -227,10 +258,9 @@ class TestDecode:
             cb = family.codebook(t_y, seed)
             z = SymbolVector(spec.z_alphabet, philox_stream(seed, "zz").integers(0, 2, n))
             for m in range(cb.num_bins):
-                member = decoder_membership(m, z, cb, config.params.gamma)
+                member = _membership(cb, m, z, config.params.gamma)
                 if member.sum() >= 2:
-                    _, g = decode(m, z, cb, config.params.gamma)
-                    assert g == cb.bin_indices(m)[0]
+                    assert cb.bin_indices(m)[decode(member)] == cb.bin_indices(m)[0]
                     return
         pytest.fail("no multi-member bin found in the sweep")
 
@@ -241,43 +271,40 @@ class TestDecode:
         t_y = nearest_type(np.array([0.5, 0.5]), n)
         cb = family.codebook(t_y, 4)
         z = SymbolVector(config.spec.z_alphabet, philox_stream(2).integers(0, 2, n))
-        member_a, g_a = decode(0, z, cb, 0.3)
-        member_b, g_b = decode(0, z, cb, 0.3)
-        assert g_a == g_b
+        member_a = _membership(cb, 0, z, 0.3)
+        member_b = _membership(cb, 0, z, 0.3)
+        assert decode(member_a) == decode(member_b)
         assert np.array_equal(member_a, member_b)
 
 
 class TestReconstruct:
     def test_copy_side_information(self):
         zeta = np.array([[0, 1], [0, 1]])  # zeta(u, z) = z
-        u = SymbolVector(Alphabet("U", 2), [0, 1, 1])
-        z = SymbolVector(Alphabet("Z", 2), [1, 0, 1])
+        u = np.array([0, 1, 1])
+        z = np.array([1, 0, 1])
         out = reconstruct(u, z, zeta)
-        assert np.array_equal(out.symbols, z.symbols)
+        assert np.array_equal(out, z)
 
     def test_constant_map(self):
         zeta = np.ones((2, 2), dtype=int)
-        u = SymbolVector(Alphabet("U", 2), [0, 1, 0])
-        z = SymbolVector(Alphabet("Z", 2), [1, 0, 0])
+        u = np.array([0, 1, 0])
+        z = np.array([1, 0, 0])
         out = reconstruct(u, z, zeta)
-        assert np.array_equal(out.symbols, [1, 1, 1])
+        assert np.array_equal(out, [1, 1, 1])
 
     def test_random_table_elementwise(self, rng):
         zeta = rng.integers(0, 3, (4, 2))
-        u = SymbolVector(Alphabet("U", 4), rng.integers(0, 4, 16))
-        z = SymbolVector(Alphabet("Z", 2), rng.integers(0, 2, 16))
+        u = rng.integers(0, 4, (3, 16))
+        z = rng.integers(0, 2, (3, 16))
         out = reconstruct(u, z, zeta)
-        for i in range(16):
-            assert out.symbols[i] == zeta[u.symbols[i], z.symbols[i]]
+        for t in range(3):
+            for i in range(16):
+                assert out[t, i] == zeta[u[t, i], z[t, i]]
 
     def test_length_mismatch(self):
         zeta = np.zeros((2, 2), dtype=int)
         with pytest.raises(UsageError):
-            reconstruct(
-                SymbolVector(Alphabet("U", 2), [0, 1]),
-                SymbolVector(Alphabet("Z", 2), [0]),
-                zeta,
-            )
+            reconstruct(np.array([0, 1]), np.array([0]), zeta)
 
 
 class TestSessions:
@@ -356,6 +383,126 @@ class TestSessions:
         cb = family.codebook(empirical_type(rep.y), rep.code_seed)
         expected = math.ceil(math.log2(cb.num_bins)) if cb.num_bins > 1 else 0
         assert rep.message_bits == expected
+
+
+def _edge_config(delta2=0.12):
+    """Truncated codes (cap 40) with short last bins, bins of 6 codewords
+    and single-bin types without decoder targets."""
+    spec = wz_spec(flip_y=0.05, jam_extra=0.1, flip_z=0.05)
+    params = CodingParams(eps=0.2, f_eps=0.1, delta2=delta2, size_cap=40)
+    return SessionConfig(spec, noisy_policy(spec, stay=0.95), params)
+
+
+def _readme_config():
+    """The README instance at its CLI defaults; at n = 16 it has single-bin
+    types of 13 and 28 codewords with no decoder targets."""
+    spec = load_problem_spec("tests/data/spec_binary.json")
+    policy = load_policy("tests/data/policy_binary.json", spec)
+    return SessionConfig(spec, policy, CodingParams(eps=0.2, size_cap=4096))
+
+
+def _jammer(kind, spec, n):
+    if kind == "deterministic":
+        return DeterministicJammer((1, 0), spec.j_alphabet)
+    if kind == "block":
+        return fixed_vector_jammer(np.arange(n) % 2, spec.j_alphabet, "alternate")
+    rows = [[0.6, 0.4], [1.0, 0.0]]  # random only where x = 0
+    return MemorylessJammer(CondDistribution(spec.x_alphabet, spec.j_alphabet, rows))
+
+
+def _check_against_oracle(config, jammer, xs, seeds, code_seeds=None):
+    """Every field of every session, from the engine and from the one-row
+    view, bit for bit against the oracle; returns the engine's batch."""
+    batch = simulate_sessions(xs, jammer, config, seeds, code_seeds)
+    for t, seed in enumerate(seeds):
+        x = SymbolVector(config.spec.x_alphabet, xs[t])
+        code = None if code_seeds is None else code_seeds[t]
+        one = simulate_session(x, jammer, config, seed, code)
+        assert np.array_equal(one.x.symbols, xs[t])
+        for name, want in session_oracle(x, jammer, config, seed, code).items():
+            row = getattr(batch, name)[t]
+            view = getattr(one, name)
+            if isinstance(view, SymbolVector):
+                view = view.symbols
+            else:
+                assert type(view) is type(want), name
+            assert np.array_equal(row, want), (t, name)
+            assert np.array_equal(view, want), (t, name)
+    return batch
+
+
+class TestSessionEngine:
+    @pytest.mark.parametrize("kind", ["deterministic", "block", "memoryless"])
+    @pytest.mark.parametrize("count", [1, SESSION_CHUNK - 1, SESSION_CHUNK, SESSION_CHUNK + 1])
+    def test_matches_oracle(self, kind, count):
+        config = _edge_config()
+        n = 12
+        xs = philox_stream(count, "xs").integers(0, 2, (count, n))
+        seeds = [derive_seed(31, kind, t) for t in range(count)]
+        _check_against_oracle(config, _jammer(kind, config.spec, n), xs, seeds)
+
+    def test_pinned_codes_repeat_within_a_step(self):
+        # three codes over 2 chunks and a bit, as ensemble members repeat
+        config = _edge_config()
+        count, n = 2 * SESSION_CHUNK + 3, 12
+        xs = philox_stream(4, "xs").integers(0, 2, (count, n))
+        seeds = [derive_seed(32, t) for t in range(count)]
+        codes = [derive_seed(33, t % 3) for t in range(count)]
+        batch = _check_against_oracle(config, _jammer("memoryless", config.spec, n), xs, seeds, codes)
+        assert batch.code_seed == tuple(codes)
+
+    def test_groups_over_the_symbol_budget_run_in_parts(self, monkeypatch):
+        # a budget of two full (40-codeword) books per call at n = 12
+        config = _edge_config()
+        count, n = SESSION_CHUNK, 12
+        budget = 2 * 40 * n
+        monkeypatch.setattr(avrs.coding, "GROUP_SYMBOLS", budget)
+        calls = []
+        run_group = avrs.coding._run_group
+
+        def recording(out, members, data, *rest):
+            calls.append((len(members), data.num_codewords, data.t_y.key()))
+            return run_group(out, members, data, *rest)
+
+        monkeypatch.setattr(avrs.coding, "_run_group", recording)
+        xs = philox_stream(5, "xs").integers(0, 2, (count, n))
+        seeds = [derive_seed(35, t) for t in range(count)]
+        codes = [derive_seed(36, t % 3) for t in range(count)]
+        jam = _jammer("block", config.spec, n)
+        simulate_sessions(xs, jam, config, seeds, codes)
+        batched = list(calls)
+        _check_against_oracle(config, jam, xs, seeds, codes)
+        assert all(size == 1 or size * cws * n <= budget for size, cws, _ in batched)
+        assert sum(size for size, _, _ in batched) == count
+        assert max(Counter(key for _, _, key in batched).values()) > 1  # a group ran in parts
+
+    def test_cases_reach_the_edge_geometries(self):
+        seen = set()
+        cases = ((_edge_config(), 12, 48), (_edge_config(delta2=0.05), 12, 17), (_readme_config(), 16, 64))
+        for config, n, count in cases:
+            xs = philox_stream(n, "xs").integers(0, 2, (count, n))
+            seeds = [derive_seed(34, n, t) for t in range(count)]
+            batch = _check_against_oracle(config, _jammer("deterministic", config.spec, n), xs, seeds)
+            for t in range(count):
+                data = config.family.type_data(empirical_type(SymbolVector(config.spec.y_alphabet, batch.y[t])))
+                last = int(batch.bin_index[t]) == data.num_bins - 1
+                seen.add(("short last bin", last and data.num_codewords % data.bin_size != 0))
+                seen.add(("bins of several codewords", data.bin_size > 1 and data.num_bins > 1))
+                seen.add(("no decoder targets", data.decoder_targets.shape[0] == 0))
+                seen.add(("single bin of 13 or 28", data.num_bins == 1 and data.bin_size in (13, 28)))
+            seen.add(("fallback", bool(batch.e_enc.any())))
+            seen.add(("false candidate", bool(batch.e_dec2.any())))
+        assert {name for name, hit in seen if hit} == {name for name, _ in seen}
+
+    def test_rejects_mismatched_inputs(self):
+        config = _edge_config()
+        jam = _jammer("deterministic", config.spec, 4)
+        with pytest.raises(UsageError):
+            simulate_sessions(np.zeros((2, 4), dtype=int), jam, config, [1])
+        with pytest.raises(UsageError):
+            simulate_sessions(np.full((1, 4), 2), jam, config, [1])
+        with pytest.raises(UsageError):
+            simulate_sessions(np.zeros((2, 4), dtype=int), jam, config, [1, 2], [5])
 
 
 class TestDecodeErrorTrend:

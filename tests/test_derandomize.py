@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -102,3 +103,36 @@ class TestStochasticCode:
         e = sample_ensemble(config, n=16, k=1, master_seed=0)
         assert e.rate_overhead == 0.0
         assert e.index_bits == 0
+
+
+class TestPinnedCodebooks:
+    def test_each_type_and_code_is_drawn_once(self, monkeypatch, tmp_path):
+        # the README certify run: K = 256 members on 4 source blocks
+        import avrs.coding
+        import avrs.derandomize
+        from avrs.cli import main
+
+        draws = []
+        pairs = set()
+        draw, engine = avrs.coding._codewords, avrs.derandomize.simulate_sessions
+
+        def counting_draw(u, cdf):
+            draws.append(hashlib.sha256(u.tobytes()).hexdigest())
+            return draw(u, cdf)
+
+        def recording_engine(xs, jammer, config, seeds, code_seeds):
+            batch = engine(xs, jammer, config, seeds, code_seeds)
+            for y, code in zip(batch.y, batch.code_seed):
+                pairs.add((tuple(np.bincount(y, minlength=2)), code))
+            return batch
+
+        monkeypatch.setattr(avrs.coding, "_codewords", counting_draw)
+        monkeypatch.setattr(avrs.derandomize, "simulate_sessions", recording_engine)
+        args = [
+            "derandomize", "--spec", "tests/data/spec_binary.json",
+            "--policy", "tests/data/policy_binary.json", "--n", "16", "--x-samples", "4",
+            "--trials", "1", "--seed", "1", "--out-dir", str(tmp_path),
+        ]
+        assert main(args) == 0
+        assert len(set(draws)) == len(draws)
+        assert len(draws) == len(pairs)

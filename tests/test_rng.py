@@ -1,6 +1,6 @@
 import numpy as np
 
-from avrs.rng import philox_stream, sample_rows
+from avrs.rng import philox_key, philox_stream, rekey, sample_rows
 
 
 class TestSampleRows:
@@ -29,3 +29,32 @@ class TestSampleRows:
         ref = philox_stream(7)
         ref.random(4)
         assert gen.random() == ref.random()
+
+
+class TestRekey:
+    def test_draws_equal_a_fresh_stream(self):
+        pick = np.random.default_rng(5)
+        gen = philox_stream(0)
+        # every pass after the first re-keys a generator left part-way
+        # through a Philox block, some with a spare 32-bit word buffered
+        for seed in pick.integers(0, 2**62, 1000).tolist():
+            n = int(pick.integers(1, 40))
+            k = int(pick.choice([2, 7, 2**31 + 5, 2**40]))
+            fresh = philox_stream(seed, "rekey")
+            assert rekey(gen, philox_key(seed, "rekey")) is gen
+            assert np.array_equal(gen.random(n), fresh.random(n))
+            assert gen.integers(k) == fresh.integers(k)
+            spare = int(pick.integers(0, 3))
+            assert np.array_equal(
+                gen.integers(2**31, size=spare, dtype=np.uint32),
+                fresh.integers(2**31, size=spare, dtype=np.uint32),
+            )
+
+    def test_integers_first(self):
+        gen = philox_stream(0)
+        gen.integers(9, size=3, dtype=np.uint32)
+        for seed in range(50):
+            fresh = philox_stream(seed)
+            rekey(gen, philox_key(seed))
+            assert gen.integers(1000) == fresh.integers(1000)
+            assert np.array_equal(gen.random(5), fresh.random(5))
