@@ -21,9 +21,7 @@ from .probability import (
     mutual_information_bits,
 )
 from .mtypes import (
-    SymbolVector,
     TypeTable,
-    empirical_type,
     is_typical,
     valid_jammer_types,
 )

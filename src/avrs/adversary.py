@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError, UsageError
 from .model import read_json
 from .probability import Alphabet, CondDistribution
-from .mtypes import SymbolVector, deterministic_maps
+from .mtypes import deterministic_maps
 from .rng import derive_seed, philox_stream, sample_rows
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -171,13 +171,14 @@ class WorstCaseResult:
 
 def worst_case_search(
     config: "SessionConfig",
-    x: SymbolVector,
+    x: np.ndarray,
     budget: int,
     seed: int,
     restarts: int = 4,
     trials_per_estimate: int = 32,
 ) -> WorstCaseResult:
-    """Greedy coordinate-ascent search for a damaging jamming vector.
+    """Greedy coordinate-ascent search for a jamming vector that damages the
+    sessions on the source block x (n,).
 
     Starting from random jamming vectors, single-position changes are kept
     whenever the estimated distortion rises.  Candidate comparisons reuse one
@@ -197,7 +198,7 @@ def worst_case_search(
     n = len(x)
     nj = config.spec.j_alphabet.size
     rng = philox_stream(seed, "worst-case-search")
-    xs = np.broadcast_to(x.symbols, (trials_per_estimate, n))
+    xs = np.broadcast_to(x, (trials_per_estimate, n))
 
     def distortions(jam: BlockJammer, seed_label: str) -> np.ndarray:
         seeds = [derive_seed(seed, seed_label, t) for t in range(trials_per_estimate)]

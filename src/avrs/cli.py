@@ -48,7 +48,7 @@ from .lemmas import (
     trend_check,
 )
 from .model import load_policy, load_problem_spec
-from .mtypes import SymbolVector, nearest_type
+from .mtypes import nearest_type
 from .probability import CondDistribution
 from .rng import derive_seed, philox_stream, sample_indices
 
@@ -72,10 +72,10 @@ def _file_fingerprint(path_str: str) -> str:
     return f"{p.name}:{digest}"
 
 
-def _metadata(command: str, args: argparse.Namespace, skip: tuple[str, ...]) -> dict:
+def _metadata(command: str, args: argparse.Namespace) -> dict:
     semantic = {}
     for k, v in sorted(vars(args).items()):
-        if k in skip + ("func", "command", "out_dir", "threads") or v is None:
+        if k in ("func", "command", "out_dir", "threads") or v is None:
             continue
         if k in ("spec", "policy") or (k == "jammers" and Path(str(v)).is_file()):
             semantic[k] = _file_fingerprint(str(v))
@@ -153,7 +153,8 @@ def _trivial_jammer(spec) -> DeterministicJammer:
     return DeterministicJammer((0,) * spec.x_alphabet.size, spec.j_alphabet, "trivial")
 
 
-def _resolve_jammers(name_or_path: str, spec, config, n: int, seed: int, budget: int):
+def _resolve_jammers(name_or_path: str, config: SessionConfig, n: int, seed: int, budget: int):
+    spec = config.spec
     if name_or_path == "trivial":
         return [_trivial_jammer(spec)]
     if name_or_path == "all-deterministic":
@@ -204,7 +205,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         u_size_upper=args.u_upper,
         u_size_lower=args.u_lower,
     )
-    meta = _metadata("bounds", args, skip=())
+    meta = _metadata("bounds", args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = [
@@ -231,7 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = load_problem_spec(args.spec)
     policy = load_policy(args.policy, spec)
     config = _coding_config(args, spec, policy)
-    jammers = _resolve_jammers(args.jammers, spec, config, args.n, args.seed, args.search_budget)
+    jammers = _resolve_jammers(args.jammers, config, args.n, args.seed, args.search_budget)
 
     def run(task: tuple[int, range]) -> list[tuple]:
         jam_id, trials = task
@@ -247,7 +248,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ]
     rows = [row for chunk in _parallel_map(run, tasks, args.threads) for row in chunk]
 
-    meta = _metadata("simulate", args, skip=())
+    meta = _metadata("simulate", args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
@@ -278,17 +279,19 @@ def cmd_session(args: argparse.Namespace) -> int:
     spec = load_problem_spec(args.spec)
     policy = load_policy(args.policy, spec)
     config = _coding_config(args, spec, policy)
-    jammers = _resolve_jammers(args.jammers, spec, config, args.n, args.seed, args.search_budget)
+    jammers = _resolve_jammers(args.jammers, config, args.n, args.seed, args.search_budget)
     sessions = []
     for jam_id, jammer in enumerate(jammers):
-        s, draw = _trial_source(spec, args.seed, jam_id, 0, args.n)
-        rep = simulate_session(SymbolVector(spec.x_alphabet, draw), jammer, config, s)
+        s, x = _trial_source(spec, args.seed, jam_id, 0, args.n)
+        batch = simulate_session(x, jammer, config, s)
         entry = {"jammer_id": jam_id, "descriptor": jammer.descriptor}
-        for f in fields(rep):
-            value = getattr(rep, f.name)
-            entry[f.name] = value.symbols.tolist() if isinstance(value, SymbolVector) else value
+        for f in fields(batch):
+            # row 0: symbol blocks become integer lists, numpy scalars plain
+            # values; the code seeds are a tuple of Python ints
+            value = getattr(batch, f.name)[0]
+            entry[f.name] = value if isinstance(value, int) else value.tolist()
         sessions.append(entry)
-    meta = _metadata("session", args, skip=())
+    meta = _metadata("session", args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "session.json", meta, {"sessions": sessions})
@@ -299,9 +302,8 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
     spec = load_problem_spec(args.spec)
     policy = load_policy(args.policy, spec)
     config = _coding_config(args, spec, policy)
-    jammers = _resolve_jammers(args.jammers, spec, config, args.n, args.seed, args.search_budget)
-    k = args.K if args.K is not None else args.n * args.n
-    ensemble = sample_ensemble(config, args.n, k, master_seed=derive_seed(args.seed, "ensemble"))
+    jammers = _resolve_jammers(args.jammers, config, args.n, args.seed, args.search_budget)
+    ensemble = sample_ensemble(config, args.n, args.K, master_seed=derive_seed(args.seed, "ensemble"))
     report = certify_ensemble(
         ensemble,
         jammers,
@@ -310,7 +312,7 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
         mu=args.mu,
         seed=derive_seed(args.seed, "certify"),
     )
-    meta = _metadata("derandomize", args, skip=())
+    meta = _metadata("derandomize", args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -369,7 +371,7 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
             verdict = "pass" if tc.ok else "fail"
             rows.append([f"{name}-trend", series[-1].n, change, None, 0.0, verdict])
 
-    meta = _metadata("lemmas", args, skip=())
+    meta = _metadata("lemmas", args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(

@@ -9,9 +9,10 @@ information and the set of jammer conditional types consistent with the
 announced type.
 
 A codebook is drawn from a counter-mode stream keyed by (seed, type).  A
-:class:`Codebook` keeps its matrix once drawn; the session engine
-:func:`simulate_sessions` draws each distinct (type, code seed) once per
-encoder call over the sessions of a step that share a type.
+:class:`Codebook` is a (type, seed) handle that keeps its matrix once
+drawn; the session engine :func:`simulate_sessions` draws each distinct
+(type, code seed) once per encoder call over the sessions of a step that
+share a type.  Symbol blocks are integer arrays, one row per session.
 """
 
 from __future__ import annotations
@@ -26,17 +27,9 @@ from .adversary import JammerStrategy, sample_jamming
 from .bounds import PerTypeRates, joint_uz, per_type_rates
 from .errors import UsageError
 from .model import AuxiliaryPolicy, ProblemSpec
-from .mtypes import (
-    TYPE_TOL,
-    SymbolVector,
-    TypeTable,
-    empirical_type,
-    is_typical,
-    pair_counts,
-    valid_jammer_types,
-)
-from .probability import Alphabet, Distribution
+from .mtypes import TYPE_TOL, TypeTable, is_typical, pair_counts, valid_jammer_types
 from .rng import (
+    cumulative,
     derive_seed,
     inverse_cdf,
     philox_key,
@@ -52,7 +45,6 @@ __all__ = [
     "Codebook",
     "CodebookFamily",
     "EncodeResult",
-    "SessionReport",
     "SessionBatch",
     "encode",
     "decode",
@@ -138,12 +130,11 @@ class SessionConfig:
 @dataclass(frozen=True)
 class _TypeData:
     """Per-type quantities shared by every code draw: rates, geometry, the
-    sampling pmf and its CDF, and the encoder's and decoder's targets."""
+    CDF of the codeword symbols, and the encoder's and decoder's targets."""
 
     t_y: TypeTable
     n: int
     rates: PerTypeRates
-    p_u: np.ndarray
     cdf: np.ndarray
     encoder_target: np.ndarray  # (U, Y): p(u|y) * t_y(y)
     decoder_targets: np.ndarray  # (K, U, Z)
@@ -200,9 +191,6 @@ class CodebookFamily:
             bin_size = min(bin_size, num_cw)
             num_bins = math.ceil(num_cw / bin_size)
         p_uy = policy.p_u_given_y.matrix  # (Y, U)
-        p_u = t_y.probabilities @ p_uy
-        cdf = np.cumsum(p_u)
-        cdf[-1] = 1.0
         encoder_target = (t_y.probabilities[:, None] * p_uy).T
         jam_types = valid_jammer_types(t_y, spec, params.f_eps, n)
         targets = np.unique(np.round(joint_uz(spec, jam_types, p_uy), 12), axis=0)
@@ -210,8 +198,7 @@ class CodebookFamily:
             t_y,
             n,
             rates,
-            p_u,
-            cdf,
+            cumulative(t_y.probabilities @ p_uy),
             encoder_target,
             targets,
             num_cw,
@@ -221,20 +208,6 @@ class CodebookFamily:
         )
         self._cache[key] = data
         return data
-
-    def codebook(self, t_y: TypeTable, seed: int) -> "Codebook":
-        return Codebook(self, self.type_data(t_y), seed)
-
-
-def _codewords(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """Inverse-CDF symbols of the uniforms ``u``: the number of k < |U| - 1
-    with u >= cdf[k].  That is ``np.searchsorted(cdf, u, side="right")``,
-    because cdf[-1] is 1.0 and u < 1, in the smallest integer type that
-    holds |U| - 1."""
-    out = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size - 1))
-    for edge in cdf[:-1]:
-        out += u >= edge
-    return out
 
 
 def _codebook_key(data: _TypeData, seed: int) -> np.ndarray:
@@ -248,45 +221,32 @@ def _draw_codewords(gen: np.random.Generator, data: _TypeData) -> np.ndarray:
     # drawing exactly n per row would change every codeword of every seed.
     width = math.ceil(data.n / 4) * 4
     u = gen.random(data.num_codewords * width).reshape(data.num_codewords, width)
-    return _codewords(u[:, : data.n], data.cdf)
+    return inverse_cdf(data.cdf, u[:, : data.n])
 
 
 class Codebook:
-    """One realized per-type binned codebook, materialized lazily."""
+    """The code of seed ``seed`` for the type of ``data``; its codewords are
+    drawn on the first :meth:`matrix` call and kept."""
 
-    def __init__(self, family: CodebookFamily, data: _TypeData, seed: int):
-        self.family = family
-        self._data = data
+    def __init__(self, data: _TypeData, seed: int):
+        self.data = data
         self.seed = seed
-        self.t_y = data.t_y
-        self.n = data.n
-        self.r_u = data.rates.r_u
-        self.r_tilde = data.rates.r_tilde
-        self.r_bin = data.rates.r_bin
-        self.num_codewords = data.num_codewords
-        self.num_bins = data.num_bins
-        self.bin_size = data.bin_size
-        self.truncated = data.truncated
-        self.p_u = Distribution(family.config.policy.u_alphabet, data.p_u)
-        self._key = _codebook_key(data, seed)
         self._matrix: np.ndarray | None = None
-
-    @property
-    def u_alphabet(self) -> Alphabet:
-        return self.family.config.policy.u_alphabet
 
     def matrix(self) -> np.ndarray:
         """All codewords as an integer array (num_codewords, n)."""
         if self._matrix is None:
-            gen = np.random.Generator(np.random.Philox(key=self._key))
-            self._matrix = _draw_codewords(gen, self._data)
+            gen = np.random.Generator(np.random.Philox(key=_codebook_key(self.data, self.seed)))
+            self._matrix = _draw_codewords(gen, self.data)
         return self._matrix
 
     def bin_indices(self, m: int) -> np.ndarray:
-        if not 0 <= m < self.num_bins:
-            raise UsageError(f"bin index {m} out of range [0, {self.num_bins})")
-        lo = m * self.bin_size
-        hi = min(lo + self.bin_size, self.num_codewords)
+        """Codeword indices of bin m; the last bin of a truncated code is short."""
+        data = self.data
+        if not 0 <= m < data.num_bins:
+            raise UsageError(f"bin index {m} out of range [0, {data.num_bins})")
+        lo = m * data.bin_size
+        hi = min(lo + data.bin_size, data.num_codewords)
         if lo >= hi:
             raise UsageError(f"bin {m} holds no codewords under the current truncation")
         return np.arange(lo, hi)
@@ -294,9 +254,10 @@ class Codebook:
 
 @dataclass(frozen=True)
 class EncodeResult:
-    t_y: TypeTable
-    bin_index: int
-    codeword_index: tuple[int, int]
+    """The sent codeword's index (bin m holds the indices from m * bin_size)
+    and whether no codeword met the threshold, so codeword 0 was sent."""
+
+    codeword: int
     fallback_used: bool
 
 
@@ -320,23 +281,23 @@ def _choose(satisfied: np.ndarray, rng: np.random.Generator) -> int | None:
     return int(hits[rng.integers(hits.size)])
 
 
-def encode(
-    y: SymbolVector, cb: Codebook, delta2: float, rng: np.random.Generator
-) -> EncodeResult:
-    """Pick a codeword jointly typical with y under the type-induced joint.
+def encode(y: np.ndarray, cb: Codebook, delta2: float, rng: np.random.Generator) -> EncodeResult:
+    """Pick a codeword jointly typical with the Y block y (a one-dimensional
+    integer array of the codebook's type) under the type-induced joint.
 
     All satisfying codewords are collected and one is chosen uniformly via
     ``rng``; if none satisfies the threshold the first codeword of the first
     bin is sent and flagged.
     """
-    t_y = empirical_type(y)
-    if t_y != cb.t_y:
+    data = cb.data
+    y = np.asarray(y)
+    ny = data.t_y.counts.size
+    if y.ndim != 1 or y.size != data.n or y.min() < 0 or y.max() >= ny:
+        raise UsageError(f"a Y block must be {data.n} symbols below {ny}")
+    if not np.array_equal(np.bincount(y, minlength=ny), data.t_y.counts):
         raise UsageError("input type does not match the codebook's type")
-    g = _choose(_encoder_satisfied(cb.matrix(), y.symbols, cb._data, delta2), rng)
-    if g is None:
-        return EncodeResult(t_y, 0, (0, 0), True)
-    m, l = divmod(g, cb.bin_size)
-    return EncodeResult(t_y, m, (m, l), False)
+    g = _choose(_encoder_satisfied(cb.matrix(), y, data, delta2), rng)
+    return EncodeResult(0 if g is None else g, g is None)
 
 
 def decoder_membership(
@@ -371,29 +332,6 @@ def reconstruct(u: np.ndarray, z: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     if u.shape != z.shape:
         raise UsageError(f"reconstruct with shapes {u.shape} != {z.shape}")
     return np.asarray(zeta, dtype=np.int64)[u, z]
-
-
-@dataclass(frozen=True)
-class SessionReport:
-    """Everything observable from one coding session."""
-
-    x: SymbolVector
-    j: SymbolVector
-    y: SymbolVector
-    z: SymbolVector
-    u_encoded: SymbolVector
-    u_decoded: SymbolVector
-    x_hat: SymbolVector
-    distortion: float
-    e_enc: bool
-    e_dec1: bool
-    e_dec2: bool
-    bin_index: int
-    message_bits: int
-    r_u: float
-    r_tilde: float
-    r_bin: float
-    code_seed: int
 
 
 @dataclass(frozen=True)
@@ -481,7 +419,7 @@ def _run_step(
     u = np.empty((count, n))
     for t, seed in enumerate(seeds):
         u[t] = rekey(gen, philox_key(seed, "channel")).random(n)
-    pick = inverse_cdf(spec.w.kernel[xs, j].reshape(count, n, ny * nz), u)
+    pick = inverse_cdf(cumulative(spec.w.kernel[xs, j].reshape(count, n, ny * nz)), u)
     y, z = pick // nz, pick % nz
 
     out = {
@@ -570,50 +508,30 @@ def _run_group(
 
 
 def simulate_session(
-    x: SymbolVector,
+    x: np.ndarray,
     jammer: JammerStrategy,
     config: SessionConfig,
     seed: int,
     code_seed: int | None = None,
-) -> SessionReport:
-    """One coding session: the one-row view of :func:`simulate_sessions`."""
-    batch = simulate_sessions(
-        x.symbols[None], jammer, config, [seed], None if code_seed is None else [code_seed]
-    )
-    spec, policy = config.spec, config.policy
-    xhat_alphabet = Alphabet("Xhat", int(policy.zeta.max()) + 1)
-    return SessionReport(
-        x=x,
-        j=SymbolVector(jammer.j_alphabet, batch.j[0]),
-        y=SymbolVector(spec.y_alphabet, batch.y[0]),
-        z=SymbolVector(spec.z_alphabet, batch.z[0]),
-        u_encoded=SymbolVector(policy.u_alphabet, batch.u_encoded[0]),
-        u_decoded=SymbolVector(policy.u_alphabet, batch.u_decoded[0]),
-        x_hat=SymbolVector(xhat_alphabet, batch.x_hat[0]),
-        distortion=float(batch.distortion[0]),
-        e_enc=bool(batch.e_enc[0]),
-        e_dec1=bool(batch.e_dec1[0]),
-        e_dec2=bool(batch.e_dec2[0]),
-        bin_index=int(batch.bin_index[0]),
-        message_bits=int(batch.message_bits[0]),
-        r_u=float(batch.r_u[0]),
-        r_tilde=float(batch.r_tilde[0]),
-        r_bin=float(batch.r_bin[0]),
-        code_seed=batch.code_seed[0],
+) -> SessionBatch:
+    """One coding session on the source block x (n,): the one-row batch of
+    :func:`simulate_sessions`."""
+    return simulate_sessions(
+        np.asarray(x)[None], jammer, config, [seed], None if code_seed is None else [code_seed]
     )
 
 
 def sample_typical_sources(
     spec: ProblemSpec, n: int, delta0: float, count: int, seed: int
-) -> list[SymbolVector]:
-    """Draw i.i.d. source blocks conditioned on delta0-typicality, giving up
-    after ``MAX_SOURCE_DRAWS`` draws."""
+) -> np.ndarray:
+    """Draw ``count`` i.i.d. source blocks conditioned on delta0-typicality
+    as a (count, n) array, giving up after ``MAX_SOURCE_DRAWS`` draws."""
     gen = philox_stream(seed, "sources")
-    out: list[SymbolVector] = []
+    out: list[np.ndarray] = []
     for _ in range(MAX_SOURCE_DRAWS):
         if len(out) == count:
             break
-        x = SymbolVector(spec.x_alphabet, sample_indices(gen, spec.p_x.mass, n))
+        x = sample_indices(gen, spec.p_x.mass, n)
         if is_typical(x, spec.p_x, delta0):
             out.append(x)
     if len(out) < count:
@@ -621,4 +539,4 @@ def sample_typical_sources(
             f"found only {len(out)}/{count} delta0-typical source blocks at n={n}, "
             f"delta0={delta0}; enlarge delta0 or n"
         )
-    return out
+    return np.stack(out)

@@ -159,8 +159,7 @@ def certify_ensemble(
     n = ensemble.n
     if delta0 is None:
         delta0 = n ** (-1.0 / 3.0)
-    xs = sample_typical_sources(cfg.spec, n, delta0, x_count, derive_seed(seed, "x"))
-    x_block = np.stack([x.symbols for x in xs])
+    x_block = sample_typical_sources(cfg.spec, n, delta0, x_count, derive_seed(seed, "x"))
     k = ensemble.size
     trials = trials_per_member
     ens = np.empty((len(jammer_set), k, x_count, trials))

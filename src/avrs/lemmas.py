@@ -17,17 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import SessionConfig, simulate_sessions
+from .coding import Codebook, SessionConfig, encode, simulate_sessions
 from .adversary import JammerStrategy
 from .errors import UsageError
-from .mtypes import (
-    TYPE_TOL,
-    SymbolVector,
-    TypeTable,
-    nearest_type,
-    pair_counts,
-    type_template,
-)
+from .mtypes import TYPE_TOL, TypeTable, nearest_type, pair_counts, type_template
 from .probability import CondDistribution, Distribution
 from .rng import derive_seed, philox_stream, sample_indices, sample_rows
 
@@ -144,18 +137,16 @@ def run_covering(
 ) -> HarnessResult:
     """Success rate of the encoder (no fallback) over uniform draws from the
     type class of ``t_y`` and fresh code draws."""
-    from .coding import encode
-
     if trials < 1:
         raise UsageError("trials must be >= 1")
     n = t_y.n
     template = type_template(t_y)
+    data = config.family.type_data(t_y)
     gen = philox_stream(seed, "covering")
     successes = 0
     for t in range(trials):
-        y = SymbolVector(config.spec.y_alphabet, gen.permutation(template))
-        cb = config.family.codebook(t_y, derive_seed(seed, "code", t))
-        res = encode(y, cb, config.params.delta2, philox_stream(seed, "enc", t))
+        cb = Codebook(data, derive_seed(seed, "code", t))
+        res = encode(gen.permutation(template), cb, config.params.delta2, philox_stream(seed, "enc", t))
         successes += 0 if res.fallback_used else 1
     rate = successes / trials
     return HarnessResult("covering", n, rate, None, _binomial_sigma(rate, trials), trials, False)
@@ -174,7 +165,7 @@ def run_packing(
         raise UsageError("trials must be >= 1")
     spec = config.spec
     gen = philox_stream(seed, "packing-sources")
-    xs = np.stack([sample_indices(gen, spec.p_x.mass, n) for _ in range(trials)])
+    xs = sample_indices(gen, spec.p_x.mass, (trials, n))
     seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
     batch = simulate_sessions(xs, jammer, config, seeds)
     effective = int((~batch.e_enc).sum())
@@ -207,7 +198,7 @@ def run_markov_conclusion(
     ny, nz = spec.y_alphabet.size, spec.z_alphabet.size
     nu = policy.u_size
     gen = philox_stream(seed, "markov-sources")
-    x_block = np.stack([sample_indices(gen, spec.p_x.mass, n) for _ in range(trials)])
+    x_block = sample_indices(gen, spec.p_x.mass, (trials, n))
     seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
     batch = simulate_sessions(x_block, jammer, config, seeds)
     violations = 0

@@ -7,7 +7,6 @@ with a symbolwise reconstruction map zeta(u, z).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,13 +68,6 @@ class ProblemSpec:
     def xhat_alphabet(self) -> Alphabet:
         return self.d.xhat_alphabet
 
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for arr in (self.p_x.mass, self.w.kernel, self.d.entries):
-            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-            h.update(str(arr.shape).encode())
-        return h.hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class AuxiliaryPolicy:
@@ -102,13 +94,6 @@ class AuxiliaryPolicy:
     @property
     def u_size(self) -> int:
         return self.u_alphabet.size
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.p_u_given_y.matrix).tobytes())
-        h.update(self.zeta.tobytes())
-        h.update(str(self.zeta.shape).encode())
-        return h.hexdigest()[:16]
 
 
 def _require(cond: bool, msg: str) -> None:

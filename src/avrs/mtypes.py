@@ -1,8 +1,9 @@
-"""Method-of-types machinery: empirical types, typical sets, and the
+"""Method-of-types machinery: type tables, typical sets, and the
 enumeration of blocklength-realizable jammer conditional types.
 
-Type tables keep exact integer counts; floats appear only when a table is
-compared against a target distribution.
+Symbol blocks are plain integer arrays.  Type tables keep exact integer
+counts; floats appear only when a table is compared against a target
+distribution.
 """
 
 from __future__ import annotations
@@ -15,21 +16,18 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .errors import EnumerationTooLargeError, UsageError
-from .probability import Alphabet, Distribution
+from .probability import Distribution
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ProblemSpec
 
 __all__ = [
-    "SymbolVector",
     "TypeTable",
     "compositions",
     "deterministic_maps",
-    "empirical_type",
     "pair_counts",
     "nearest_type",
     "type_template",
-    "linf_deviation",
     "is_typical",
     "valid_jammer_types",
     "consistent_kernels",
@@ -42,30 +40,6 @@ TYPE_TOL = 1e-12
 # Largest number of distinct jammer conditional types enumerated at one
 # blocklength before giving up with EnumerationTooLargeError.
 MAX_JAMMER_TYPES = 2_000_000
-
-
-@dataclass(frozen=True)
-class SymbolVector:
-    """A length-n sequence of symbol indices over one alphabet."""
-
-    alphabet: Alphabet
-    symbols: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.symbols, dtype=np.int64)
-        if s.ndim != 1 or s.size < 1:
-            raise UsageError("symbol vector must be one-dimensional and non-empty")
-        if s.min() < 0 or s.max() >= self.alphabet.size:
-            raise UsageError(
-                f"symbol out of range for alphabet {self.alphabet.name!r} "
-                f"of size {self.alphabet.size}"
-            )
-        s = np.ascontiguousarray(s)
-        s.setflags(write=False)
-        object.__setattr__(self, "symbols", s)
-
-    def __len__(self) -> int:
-        return int(self.symbols.size)
 
 
 @dataclass(frozen=True)
@@ -120,12 +94,6 @@ def deterministic_maps(domain: int, codomain: int) -> np.ndarray:
     return np.array(list(itertools.product(range(codomain), repeat=domain)), dtype=np.int64)
 
 
-def empirical_type(x: SymbolVector) -> TypeTable:
-    """The type (normalized histogram) of a sequence."""
-    counts = np.bincount(x.symbols, minlength=x.alphabet.size)
-    return TypeTable(counts, len(x))
-
-
 def pair_counts(rows: np.ndarray, other: np.ndarray, a_size: int, b_size: int) -> np.ndarray:
     """Joint pair counts of each row of ``rows`` against ``other``.
 
@@ -165,19 +133,21 @@ def type_template(table: TypeTable) -> np.ndarray:
     return np.repeat(np.arange(table.counts.size, dtype=np.int64), table.counts)
 
 
-def linf_deviation(table: TypeTable, target: np.ndarray) -> float:
-    """Largest absolute entry-wise gap between a type and a target table."""
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != table.counts.shape:
-        raise UsageError(f"target shape {t.shape} does not match type shape {table.counts.shape}")
-    return float(np.abs(table.probabilities - t).max())
-
-
-def is_typical(x: SymbolVector, p: Distribution, eps: float) -> bool:
-    """Membership of x in the eps-typical set of p (l-infinity criterion)."""
+def is_typical(x: np.ndarray, p: Distribution, eps: float) -> bool:
+    """Membership of the symbol block x (a one-dimensional integer array) in
+    the eps-typical set of p: every symbol's frequency within eps of its
+    probability."""
     if eps < 0:
         raise UsageError("typicality radius must be >= 0")
-    return linf_deviation(empirical_type(x), p.mass) <= eps + TYPE_TOL
+    x = np.asarray(x)
+    size = p.alphabet.size
+    if x.ndim != 1 or x.size < 1 or x.min() < 0 or x.max() >= size:
+        raise UsageError(
+            f"a symbol block must be one-dimensional, non-empty and below {size} "
+            f"(the size of alphabet {p.alphabet.name!r})"
+        )
+    freq = np.bincount(x, minlength=size) / float(x.size)
+    return float(np.abs(freq - p.mass).max()) <= eps + TYPE_TOL
 
 
 def valid_jammer_types(

@@ -18,8 +18,9 @@ __all__ = [
     "philox_key",
     "philox_stream",
     "rekey",
-    "sample_indices",
+    "cumulative",
     "inverse_cdf",
+    "sample_indices",
     "sample_rows",
 ]
 
@@ -82,29 +83,40 @@ def rekey(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
     return gen
 
 
-def sample_indices(gen: np.random.Generator, pmf: np.ndarray, size: int) -> np.ndarray:
-    """Draw ``size`` symbols from a pmf by inverse-CDF on uniform variates.
-
-    Symbols with zero probability are never produced: their CDF interval is
-    empty.  The uniform draws come from ``gen``, so the output is reproducible
-    for a fixed generator state.
-    """
-    cdf = np.cumsum(pmf)
-    cdf[-1] = 1.0
-    u = gen.random(size)
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)
-
-
-def inverse_cdf(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The symbol of each pmf of a (..., k) stack of rows at the uniform
-    variate of the same position of ``u`` (shape (...)); symbols with zero
-    probability are never produced."""
-    cdf = np.cumsum(rows, axis=-1)
+def cumulative(pmf: np.ndarray) -> np.ndarray:
+    """The CDF of each pmf along the last axis, its last entry set to exactly
+    1.0, so :func:`inverse_cdf` never passes the last symbol."""
+    cdf = np.cumsum(pmf, axis=-1)
     cdf[..., -1] = 1.0
-    return (u[..., None] >= cdf).sum(axis=-1)
+    return cdf
+
+
+def inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF symbols of the uniforms ``u``: for each position, the
+    number of k < K - 1 with u >= cdf[..., k], in the smallest integer type
+    that holds K - 1.
+
+    ``cdf`` (..., K) is one CDF for all of ``u`` or one per position, and
+    comes from :func:`cumulative`.  That count is
+    ``np.searchsorted(cdf, u, side="right")``, because cdf[..., -1] is 1.0
+    and u < 1; symbols with zero probability are never produced.
+    """
+    k = cdf.shape[-1]
+    out = np.zeros(np.broadcast_shapes(u.shape, cdf.shape[:-1]), dtype=np.min_scalar_type(k - 1))
+    for edge in range(k - 1):
+        out += u >= cdf[..., edge]
+    return out
+
+
+def sample_indices(
+    gen: np.random.Generator, pmf: np.ndarray, shape: int | tuple[int, ...]
+) -> np.ndarray:
+    """Draw an array of the given shape of symbols from one pmf, taking one
+    uniform variate per symbol from ``gen`` in row-major order."""
+    return inverse_cdf(cumulative(pmf), gen.random(shape))
 
 
 def sample_rows(gen: np.random.Generator, rows: np.ndarray) -> np.ndarray:
-    """Draw one symbol per row of an (m, k) stack of pmfs by inverse CDF,
-    taking one uniform variate per row from ``gen``, in row order."""
-    return inverse_cdf(rows, gen.random(rows.shape[0]))
+    """Draw one symbol per row of an (m, k) stack of pmfs, taking one
+    uniform variate per row from ``gen``, in row order."""
+    return inverse_cdf(cumulative(rows), gen.random(rows.shape[0]))

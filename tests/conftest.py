@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from avrs.model import AuxiliaryPolicy, ProblemSpec
+from avrs.mtypes import TypeTable
 from avrs.probability import (
     Alphabet,
     Channel,
@@ -13,6 +14,11 @@ from avrs.probability import (
     Distribution,
     DistortionMatrix,
 )
+
+
+def type_of(block, size: int) -> TypeTable:
+    """The type of a one-dimensional symbol block over an alphabet of ``size``."""
+    return TypeTable(np.bincount(block, minlength=size), len(block))
 
 
 def make_spec(p_x, kernel, d, nj=None) -> ProblemSpec:

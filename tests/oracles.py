@@ -8,7 +8,7 @@ import numpy as np
 from avrs.adversary import BlockJammer, DeterministicJammer
 from avrs.bounds import DISTORTION_TOL, _refine_window
 from avrs.errors import InfeasibleDistortionError
-from avrs.mtypes import TYPE_TOL, SymbolVector, empirical_type
+from avrs.mtypes import TYPE_TOL, TypeTable
 from avrs.probability import entropy_bits
 from avrs.rng import derive_seed, philox_key, philox_stream, sample_rows
 
@@ -241,9 +241,10 @@ def session_oracle(x, jammer, config, seed, code_seed=None) -> dict:
     """One coding session computed symbol block by symbol block, the way
     the package ran a lone session before sessions were batched: fresh
     Philox streams, ``searchsorted`` codewords and one codebook per call.
-    Returns the ``SessionReport`` fields as plain values and arrays."""
+    Returns the fields of the session's ``SessionBatch`` row as plain
+    values and arrays."""
     spec, policy, params = config.spec, config.policy, config.params
-    xs = x.symbols
+    xs = np.asarray(x)
     n = xs.size
     if isinstance(jammer, DeterministicJammer):
         j = np.asarray(jammer.mapping, dtype=np.int64)[xs]
@@ -263,7 +264,7 @@ def session_oracle(x, jammer, config, seed, code_seed=None) -> dict:
     u_yz = philox_stream(seed, "channel").random(n)
     pick = np.array([np.searchsorted(c, v, side="right") for c, v in zip(cdf_yz, u_yz)])
     y, z = pick // nz, pick % nz
-    t_y = empirical_type(SymbolVector(spec.y_alphabet, y))
+    t_y = TypeTable(np.bincount(y, minlength=ny), n)
     if code_seed is None:
         code_seed = derive_seed(seed, "code")
     data = config.family.type_data(t_y)

@@ -13,8 +13,7 @@ from avrs.adversary import (
     sample_jamming,
     worst_case_search,
 )
-from avrs.coding import CodingParams, SessionConfig, simulate_session
-from avrs.mtypes import SymbolVector
+from avrs.coding import CodingParams, SessionConfig, simulate_sessions
 from avrs.probability import CondDistribution
 from avrs.rng import derive_seed, philox_stream
 
@@ -23,7 +22,7 @@ from conftest import identity_policy, make_spec, noisy_policy, wz_spec, xor_spec
 
 def _jam_block(jam, x, gen):
     """The jamming of one source block through the row-batched sampler."""
-    return sample_jamming(jam, x.symbols[None], lambda t: gen)[0]
+    return sample_jamming(jam, x[None], lambda t: gen)[0]
 
 
 class TestSampling:
@@ -32,23 +31,23 @@ class TestSampling:
         k[0, 0, 0, 0] = k[1, 0, 1, 0] = 1.0
         spec = make_spec([0.5, 0.5], k, [[0, 1], [1, 0]])
         jam = deterministic_jammer_family(spec)[0]
-        x = SymbolVector(spec.x_alphabet, [0, 1, 1, 0])
+        x = np.array([0, 1, 1, 0])
         out = _jam_block(jam, x, philox_stream(0))
         assert np.array_equal(out, [0, 0, 0, 0])
 
     def test_identity_map(self):
         spec = xor_spec()
         jam = DeterministicJammer((0, 1), spec.j_alphabet)
-        x = SymbolVector(spec.x_alphabet, [0, 1, 1, 0])
+        x = np.array([0, 1, 1, 0])
         out = _jam_block(jam, x, philox_stream(0))
-        assert np.array_equal(out, x.symbols)
+        assert np.array_equal(out, x)
 
     def test_memoryless_frequency(self):
         spec = xor_spec()
         jam = MemorylessJammer(
             CondDistribution(spec.x_alphabet, spec.j_alphabet, [[0.7, 0.3], [0.7, 0.3]])
         )
-        x = SymbolVector(spec.x_alphabet, np.zeros(10_000, dtype=int))
+        x = np.zeros(10_000, dtype=int)
         out = _jam_block(jam, x, philox_stream(123))
         freq = float(np.mean(out))
         sigma = np.sqrt(0.3 * 0.7 / 10_000)
@@ -61,7 +60,7 @@ class TestSampling:
             CondDistribution(spec.x_alphabet, spec.j_alphabet, kernel_rows)
         )
         det = DeterministicJammer((0, 1), spec.j_alphabet)
-        x = SymbolVector(spec.x_alphabet, [0, 1, 1, 0, 0])
+        x = np.array([0, 1, 1, 0, 0])
         g1 = philox_stream(7)
         g2 = philox_stream(7)
         a = _jam_block(memoryless, x, g1)
@@ -84,7 +83,7 @@ class TestSampling:
     def test_block_jammer_applies_function(self):
         spec = xor_spec()
         jam = fixed_vector_jammer(np.array([1, 0, 1]), spec.j_alphabet, "fixed")
-        x = SymbolVector(spec.x_alphabet, [0, 0, 0])
+        x = np.array([0, 0, 0])
         out = _jam_block(jam, x, philox_stream(0))
         assert np.array_equal(out, [1, 0, 1])
 
@@ -123,39 +122,34 @@ def _search_config(spec, policy):
     return SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=128))
 
 
+def _mean_distortion(x, jam, config, seeds):
+    """Mean distortion of one session per seed on the source block x."""
+    xs = np.broadcast_to(x, (len(seeds), len(x)))
+    return float(simulate_sessions(xs, jam, config, seeds).distortion.mean())
+
+
 class TestWorstCaseSearch:
     def test_single_j_reduces_to_monte_carlo(self):
         k = np.zeros((2, 1, 2, 1))
         k[0, 0, 0, 0] = k[1, 0, 1, 0] = 1.0
         spec = make_spec([0.5, 0.5], k, [[0, 1], [1, 0]])
         config = _search_config(spec, identity_policy(spec))
-        x = SymbolVector(spec.x_alphabet, [0, 1, 0, 1])
+        x = np.array([0, 1, 0, 1])
         res = worst_case_search(config, x, budget=3, seed=11, trials_per_estimate=16)
-        direct = np.mean(
-            [
-                simulate_session(
-                    x, res.jammer, config, derive_seed(11, "final", t)
-                ).distortion
-                for t in range(16)
-            ]
-        )
-        assert res.estimate == pytest.approx(float(direct), abs=1e-12)
+        direct = _mean_distortion(x, res.jammer, config, [derive_seed(11, "final", t) for t in range(16)])
+        assert res.estimate == pytest.approx(direct, abs=1e-12)
 
     def test_matches_exhaustive_at_tiny_blocklength(self):
         spec = xor_spec()
         config = _search_config(spec, noisy_policy(spec))
-        x = SymbolVector(spec.x_alphabet, [0, 1, 1, 0])
+        x = np.array([0, 1, 1, 0])
         res = worst_case_search(
             config, x, budget=200, seed=3, restarts=6, trials_per_estimate=24
         )
 
         def crn_estimate(vec):
             jam = fixed_vector_jammer(np.array(vec), spec.j_alphabet, "brute")
-            vals = [
-                simulate_session(x, jam, config, derive_seed(3, "crn", t)).distortion
-                for t in range(24)
-            ]
-            return float(np.mean(vals))
+            return _mean_distortion(x, jam, config, [derive_seed(3, "crn", t) for t in range(24)])
 
         brute_best = max(
             crn_estimate([b0, b1, b2, b3])
@@ -170,7 +164,7 @@ class TestWorstCaseSearch:
     def test_budget_monotone_under_replay(self):
         spec = wz_spec()
         config = _search_config(spec, noisy_policy(spec))
-        x = SymbolVector(spec.x_alphabet, [0, 1, 1, 0, 0, 1, 0, 1])
+        x = np.array([0, 1, 1, 0, 0, 1, 0, 1])
         small = worst_case_search(config, x, budget=8, seed=21, trials_per_estimate=12)
         large = worst_case_search(config, x, budget=16, seed=21, trials_per_estimate=12)
         slack = 3 * np.hypot(small.std_error, large.std_error)
@@ -179,16 +173,13 @@ class TestWorstCaseSearch:
     def test_beats_family_mean(self):
         spec = xor_spec()
         config = _search_config(spec, noisy_policy(spec))
-        x = SymbolVector(spec.x_alphabet, [0, 1, 0, 1, 1, 0])
+        x = np.array([0, 1, 0, 1, 1, 0])
         res = worst_case_search(config, x, budget=40, seed=5, trials_per_estimate=16)
         fam = deterministic_jammer_family(spec)
-        means = []
-        for ij, jam in enumerate(fam):
-            vals = [
-                simulate_session(x, jam, config, derive_seed(99, ij, t)).distortion
-                for t in range(16)
-            ]
-            means.append(np.mean(vals))
+        means = [
+            _mean_distortion(x, jam, config, [derive_seed(99, ij, t) for t in range(16)])
+            for ij, jam in enumerate(fam)
+        ]
         assert res.estimate >= float(np.mean(means)) - 3 * max(res.std_error, 1e-3)
 
     def test_rates_computed_once_per_observed_type(self, monkeypatch):
@@ -204,7 +195,7 @@ class TestWorstCaseSearch:
         monkeypatch.setattr(avrs.coding, "per_type_rates", counting)
         spec = wz_spec()
         config = _search_config(spec, noisy_policy(spec))
-        x = SymbolVector(spec.x_alphabet, [0, 1, 1, 0, 0, 1, 0, 1])
+        x = np.array([0, 1, 1, 0, 0, 1, 0, 1])
         worst_case_search(config, x, budget=4, seed=2, trials_per_estimate=6)
         assert len(set(keys)) > 1
         assert len(keys) == len(set(keys))
@@ -214,7 +205,7 @@ class TestWorstCaseSearch:
         jam = MemorylessJammer(
             CondDistribution(spec.x_alphabet, spec.j_alphabet, [[0.5, 0.5], [0.5, 0.5]])
         )
-        x = SymbolVector(spec.x_alphabet, rng.integers(0, 2, 64))
+        x = rng.integers(0, 2, 64)
         out = _jam_block(jam, x, philox_stream(1))
         assert out.min() >= 0
         assert out.max() < spec.j_alphabet.size

@@ -9,10 +9,9 @@ import pytest
 
 from avrs.bounds import BoundPoint, BoundReport
 from avrs.cli import main
-from avrs.coding import CodingParams, SessionConfig, SessionReport, simulate_session
+from avrs.coding import CodingParams, SessionBatch, SessionConfig, simulate_session
 from avrs.derandomize import CertificationCell, CertificationReport
 from avrs.model import load_policy, load_problem_spec
-from avrs.mtypes import SymbolVector
 from avrs.rng import derive_seed, philox_stream
 
 DATA = Path(__file__).parent / "data"
@@ -165,13 +164,10 @@ class TestSimulateCommand:
         s = derive_seed(5, "trial", 0, 3)
         cdf = np.cumsum(spec.p_x.mass)
         cdf[-1] = 1.0
-        x = SymbolVector(
-            spec.x_alphabet,
-            np.searchsorted(cdf, philox_stream(s, "x").random(12), side="right"),
-        )
+        x = np.searchsorted(cdf, philox_stream(s, "x").random(12), side="right")
         rep = simulate_session(x, jam, config, s)
-        assert float(row["distortion"]) == pytest.approx(rep.distortion, abs=1e-12)
-        assert (row["E_enc"] == "true") == rep.e_enc
+        assert float(row["distortion"]) == pytest.approx(rep.distortion[0], abs=1e-12)
+        assert (row["E_enc"] == "true") == rep.e_enc[0]
 
 
 class TestSessionCommand:
@@ -184,7 +180,7 @@ class TestSessionCommand:
         doc = json.loads((tmp_path / "one" / "session.json").read_text())
         assert [s["jammer_id"] for s in doc["sessions"]] == [0, 1, 2, 3]
         for s in doc["sessions"]:
-            assert set(s) == {f.name for f in fields(SessionReport)} | {"jammer_id", "descriptor"}
+            assert set(s) == {f.name for f in fields(SessionBatch)} | {"jammer_id", "descriptor"}
             assert all(len(s[k]) == 12 for k in ("x", "j", "y", "z", "u_encoded", "x_hat"))
             row = rows[40 * s["jammer_id"]]
             assert float(row["distortion"]) == s["distortion"]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 
 from avrs.adversary import DeterministicJammer
-from avrs.coding import CodebookFamily, CodingParams, SessionConfig
+from avrs.coding import Codebook, CodebookFamily, CodingParams, SessionConfig
 from avrs.derandomize import certify_ensemble, sample_ensemble
 from avrs.mtypes import nearest_type
 from avrs.probability import CondDistribution
@@ -40,10 +40,9 @@ class TestEnsemble:
         n = 8
         t_y = nearest_type(np.array([0.5, 0.5]), n)
         e = sample_ensemble(config, n, k=1000, master_seed=9)
-        rows = np.stack(
-            [family.codebook(t_y, s).matrix()[0] for s in e.member_seeds]
-        )
-        p1 = float(family.type_data(t_y).p_u[1])
+        data = family.type_data(t_y)
+        rows = np.stack([Codebook(data, s).matrix()[0] for s in e.member_seeds])
+        p1 = float((t_y.probabilities @ config.policy.p_u_given_y.matrix)[1])
         freq = float(np.mean(rows))
         sigma = math.sqrt(p1 * (1 - p1) / rows.size)
         assert abs(freq - p1) <= 3 * sigma
@@ -114,11 +113,13 @@ class TestPinnedCodebooks:
 
         draws = []
         pairs = set()
-        draw, engine = avrs.coding._codewords, avrs.derandomize.simulate_sessions
+        draw, engine = avrs.coding._draw_codewords, avrs.derandomize.simulate_sessions
 
-        def counting_draw(u, cdf):
-            draws.append(hashlib.sha256(u.tobytes()).hexdigest())
-            return draw(u, cdf)
+        def counting_draw(gen, data):
+            # the generator's key identifies the (code seed, type) stream
+            key = gen.bit_generator.state["state"]["key"]
+            draws.append(hashlib.sha256(key.tobytes()).hexdigest())
+            return draw(gen, data)
 
         def recording_engine(xs, jammer, config, seeds, code_seeds):
             batch = engine(xs, jammer, config, seeds, code_seeds)
@@ -126,7 +127,7 @@ class TestPinnedCodebooks:
                 pairs.add((tuple(np.bincount(y, minlength=2)), code))
             return batch
 
-        monkeypatch.setattr(avrs.coding, "_codewords", counting_draw)
+        monkeypatch.setattr(avrs.coding, "_draw_codewords", counting_draw)
         monkeypatch.setattr(avrs.derandomize, "simulate_sessions", recording_engine)
         args = [
             "derandomize", "--spec", "tests/data/spec_binary.json",

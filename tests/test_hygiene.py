@@ -1,9 +1,12 @@
 """Source hygiene checks that need no linter: every name a module of the
 package or of this test suite imports at top level (directly or under a
 top-level ``if``, such as ``TYPE_CHECKING``) must be used somewhere in that
-module."""
+module, every public definition must be used by the package, and every name
+the benchmark tracer patches must exist."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,29 @@ def test_every_public_definition_is_used_by_the_package():
         if name not in loaded and (module, name) not in ENTRY_POINTS
     )
     assert not unused, "public definitions no package module uses:\n" + "\n".join(unused)
+
+
+def _tracer():
+    """The benchmark's tracer module, loaded from its file without installing
+    it: it patches package names from outside, so a renamed or deleted name
+    breaks a traced benchmark run."""
+    path = TESTS.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    tracer = _tracer()
+    missing = []
+    for _, module, attr in tracer.FUNCTIONS:
+        if not callable(getattr(importlib.import_module(module), attr, None)):
+            missing.append(f"function {module}.{attr}")
+    for _, module, cls, attr in tracer.METHODS:
+        if attr not in vars(getattr(importlib.import_module(module), cls)):
+            missing.append(f"method {module}.{cls}.{attr}")
+    for _, module, cls, attr in tracer.PROPERTIES:
+        if not isinstance(vars(getattr(importlib.import_module(module), cls)).get(attr), property):
+            missing.append(f"property {module}.{cls}.{attr}")
+    assert not missing, "names the benchmark tracer patches are gone:\n" + "\n".join(missing)

@@ -9,12 +9,9 @@ import avrs.mtypes
 from avrs.errors import EnumerationTooLargeError, UsageError
 from avrs.model import load_problem_spec
 from avrs.mtypes import (
-    SymbolVector,
     TypeTable,
     compositions,
-    empirical_type,
     is_typical,
-    linf_deviation,
     nearest_type,
     pair_counts,
     type_template,
@@ -37,18 +34,22 @@ A3 = Alphabet("A", 3)
 
 
 class TestEmpiricalType:
+    # a block is 0-typical for exactly its own type, so these pin the type
+    # that is_typical counts
     def test_half_half(self):
-        t = empirical_type(SymbolVector(A2, [0, 1, 1, 0]))
-        assert np.allclose(t.probabilities, [0.5, 0.5])
+        x = np.array([0, 1, 1, 0])
+        assert is_typical(x, Distribution(A2, [0.5, 0.5]), 0.0)
+        assert not is_typical(x, Distribution(A2, [0.25, 0.75]), 0.2)
 
     def test_constant(self):
-        t = empirical_type(SymbolVector(A2, [1, 1, 1]))
-        assert np.allclose(t.probabilities, [0.0, 1.0])
+        x = np.array([1, 1, 1])
+        assert is_typical(x, Distribution(A2, [0.0, 1.0]), 0.0)
+        assert not is_typical(x, Distribution(A2, [0.1, 0.9]), 0.09)
 
     def test_hand_count_ternary(self):
-        t = empirical_type(SymbolVector(A3, [0, 0, 1, 2, 2, 2]))
-        assert t.counts.tolist() == [2, 1, 3]
-        assert np.allclose(t.probabilities, [1 / 3, 1 / 6, 1 / 2])
+        x = np.array([0, 0, 1, 2, 2, 2])
+        assert is_typical(x, Distribution(A3, [1 / 3, 1 / 6, 1 / 2]), 0.0)
+        assert not is_typical(x, Distribution(A3, [1 / 6, 1 / 3, 1 / 2]), 0.1)
 
 
 class TestJointAndConditionalType:
@@ -66,27 +67,26 @@ class TestJointAndConditionalType:
 
 class TestTypicality:
     def test_exact_type_zero_eps(self):
-        x = SymbolVector(A2, [0, 1, 0, 1])
+        x = np.array([0, 1, 0, 1])
         assert is_typical(x, Distribution(A2, [0.5, 0.5]), 0.0)
 
     def test_all_zeros_fails(self):
-        x = SymbolVector(A2, [0] * 10)
+        x = np.zeros(10, dtype=int)
         assert not is_typical(x, Distribution(A2, [0.5, 0.5]), 0.4)
 
     def test_against_exhaustive_deviation(self, rng):
         p = Distribution(A3, [0.2, 0.3, 0.5])
         for _ in range(20):
-            x = SymbolVector(A3, rng.integers(0, 3, 20))
+            x = rng.integers(0, 3, 20)
             eps = float(rng.uniform(0, 0.5))
-            dev = max(
-                abs(np.mean(x.symbols == a) - p.mass[a]) for a in range(3)
-            )
+            dev = max(abs(np.mean(x == a) - p.mass[a]) for a in range(3))
             assert is_typical(x, p, eps) == (dev <= eps + 1e-12)
 
-    def test_joint_target_shape_checked(self):
-        x = SymbolVector(A2, [0, 1, 0, 1])
-        with pytest.raises(UsageError):
-            linf_deviation(empirical_type(x), np.full(3, 1 / 3))
+    def test_block_outside_the_alphabet_refused(self):
+        p = Distribution(A2, [0.5, 0.5])
+        for symbols in ([0, 1, 2, 1], [0, -1, 0, 1], [], [[0, 1], [1, 0]]):
+            with pytest.raises(UsageError):
+                is_typical(np.array(symbols, dtype=int), p, 0.5)
 
 
 def _three_jammer_spec():
@@ -236,8 +236,7 @@ class TestProperties:
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=30))
     @settings(max_examples=80, deadline=None)
     def test_entries_are_integer_multiples(self, symbols):
-        x = SymbolVector(A3, symbols)
-        t = empirical_type(x)
+        t = TypeTable(np.bincount(symbols, minlength=3), len(symbols))
         assert int(t.counts.sum()) == len(symbols)
         # probabilities are exact ratios of the stored integers
         assert np.allclose(t.probabilities * t.n, t.counts, atol=0)

@@ -1,6 +1,22 @@
 import numpy as np
 
-from avrs.rng import philox_key, philox_stream, rekey, sample_rows
+from avrs.rng import philox_key, philox_stream, rekey, sample_indices, sample_rows
+
+
+class TestSampleIndices:
+    def test_block_equals_row_by_row_draws(self):
+        # a (rows, n) block takes the uniforms of rows calls of random(n)
+        # in order, so drawing a block at once keeps every symbol
+        pmf = np.array([0.3, 0.0, 0.5, 0.2])
+        cdf = np.cumsum(pmf)
+        cdf[-1] = 1.0
+        for rows, n in ((5, 7), (3, 1), (4, 16)):
+            block = sample_indices(philox_stream(rows, n), pmf, (rows, n))
+            gen = philox_stream(rows, n)
+            expected = [np.searchsorted(cdf, gen.random(n), side="right") for _ in range(rows)]
+            assert block.shape == (rows, n)
+            assert np.array_equal(block, np.stack(expected))
+            assert not (block == 1).any()
 
 
 class TestSampleRows:
