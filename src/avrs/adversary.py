@@ -30,6 +30,7 @@ __all__ = [
     "BlockJammer",
     "JammerStrategy",
     "sample_jamming",
+    "fixed_vector_jammer",
     "deterministic_jammer_family",
     "jammer_from_dict",
     "load_jammers",

@@ -30,7 +30,6 @@ from .adversary import (
 )
 from .bounds import GridConfig, compute_bound_report
 from .coding import (
-    SESSION_CHUNK,
     CodingParams,
     SessionConfig,
     sample_typical_sources,
@@ -234,19 +233,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _coding_config(args, spec, policy)
     jammers = _resolve_jammers(args.jammers, config, args.n, args.seed, args.search_budget)
 
-    def run(task: tuple[int, range]) -> list[tuple]:
-        jam_id, trials = task
-        seeds, xs = zip(*(_trial_source(spec, args.seed, jam_id, t, args.n) for t in trials))
+    def run(jam_id: int) -> tuple[list[list], dict]:
+        """The trials.csv rows and the simulate.json summary of one jammer."""
+        summary = {"jammer_id": jam_id, "descriptor": jammers[jam_id].descriptor, "trials": args.trials}
+        if args.trials < 1:
+            return [], {**summary, "mean_distortion": None, "enc_fallback_rate": None}
+        seeds, xs = zip(*[_trial_source(spec, args.seed, jam_id, t, args.n) for t in range(args.trials)])
         rep = simulate_sessions(np.stack(xs), jammers[jam_id], config, seeds)
+        summary["mean_distortion"] = float(rep.distortion.mean())
+        summary["enc_fallback_rate"] = float(rep.e_enc.mean())
         flags = zip(rep.distortion.tolist(), rep.e_enc.tolist(), rep.e_dec1.tolist(), rep.e_dec2.tolist())
-        return [(args.n, jam_id, *row) for row in flags]
+        return [[args.n, jam_id, *row] for row in flags], summary
 
-    tasks = [
-        (j, range(lo, min(lo + SESSION_CHUNK, args.trials)))
-        for j in range(len(jammers))
-        for lo in range(0, args.trials, SESSION_CHUNK)
-    ]
-    rows = [row for chunk in _parallel_map(run, tasks, args.threads) for row in chunk]
+    per_jammer = _parallel_map(run, range(len(jammers)), args.threads)
 
     meta = _metadata("simulate", args)
     out = Path(args.out_dir)
@@ -255,23 +254,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out / "trials.csv",
         meta,
         ["n", "jammer_id", "distortion", "E_enc", "E_dec1", "E_dec2"],
-        [list(r) for r in rows],
+        [row for rows, _ in per_jammer for row in rows],
     )
-    summary = []
-    for j in range(len(jammers)):
-        vals = [r[2] for r in rows if r[1] == j]
-        summary.append(
-            {
-                "jammer_id": j,
-                "descriptor": jammers[j].descriptor,
-                "trials": len(vals),
-                "mean_distortion": float(np.mean(vals)) if vals else None,
-                "enc_fallback_rate": float(np.mean([r[3] for r in rows if r[1] == j]))
-                if vals
-                else None,
-            }
-        )
-    _write_json(out / "simulate.json", meta, {"jammers": summary})
+    _write_json(out / "simulate.json", meta, {"jammers": [summary for _, summary in per_jammer]})
     return EXIT_OK
 
 

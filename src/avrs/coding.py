@@ -10,9 +10,10 @@ announced type.
 
 A codebook is drawn from a counter-mode stream keyed by (seed, type).  A
 :class:`Codebook` is a (type, seed) handle that keeps its matrix once
-drawn; the session engine :func:`simulate_sessions` draws each distinct
-(type, code seed) once per encoder call over the sessions of a step that
-share a type.  Symbol blocks are integer arrays, one row per session.
+drawn; the session engine :func:`simulate_sessions` takes a whole run of
+sessions in one call, groups them by observed type, and draws each distinct
+(type, code seed) once per call.  Symbol blocks are integer arrays, one row
+per session.
 """
 
 from __future__ import annotations
@@ -52,27 +53,25 @@ __all__ = [
     "reconstruct",
     "simulate_session",
     "simulate_sessions",
+    "sample_typical_sources",
 ]
 
 DEFAULT_SIZE_CAP = 2**20
 
-# Sessions that simulate_sessions runs in one numpy step.  The step's working
-# set (stacked codebooks, their pair counts) grows with it: on the README
-# derandomize run, 16 peaks about 0.5 MB above running one session at a
-# time, and each doubling adds about 0.25 MB more at n = 16, for 15-25%
-# less time.
-SESSION_CHUNK = 16
-
 # Codeword symbols (sessions x codewords x n) that one encoder and decoder
-# call over a Y-type group holds, at about 5 bytes each (one-byte codewords
-# and the float32 pair-count indicator).  A group whose codebooks exceed it
-# runs in parts, down to one session per call, so larger blocks and caps
-# hold no more codebooks at once than fit in it, or one codebook if that
-# alone is larger.  No group of the README runs at n <= 24 (at most 1514
-# codewords) is split.  At n = 32 with --cap 65536 (simulate, 64 trials,
-# trivial jammer; up to 17 380 codewords) the run peaks at 53.7 MB RSS,
-# against 54.4 MB one session at a time and 70.8 MB with no limit.
-GROUP_SYMBOLS = 2**20
+# call over a Y-type group holds: the only rule by which simulate_sessions
+# splits the sessions of a call.  Each symbol costs 10-16 bytes at n = 16
+# with |U| = |Y| = 2 (tracemalloc, README derandomize run), and 10 at
+# n = 32: the one-byte codeword, its float32 indicator in pair_counts, and
+# every codeword's int64 pair counts and float64 deviations.  A group whose
+# codebooks exceed it runs in parts, down to one session per part, as the
+# largest types of the README simulate run at n = 24 (up to 1514
+# codewords) do.  The README derandomize run (2048 sessions in 101 group
+# calls) peaks at 41.4 MB RSS, against 41.7 MB at 2^16, 42.5 MB at 2^17
+# and 45.0 MB at 2^20.  At n = 32 with --cap 65536 (simulate, 64 trials,
+# trivial jammer; up to 17 380 codewords) the run peaks at 48.9 MB, against
+# 48.8 MB one session per call and 50.5 MB at 2^20.
+GROUP_SYMBOLS = 2**15
 
 # Source blocks drawn by sample_typical_sources before it reports that too
 # few are typical.
@@ -240,17 +239,6 @@ class Codebook:
             self._matrix = _draw_codewords(gen, self.data)
         return self._matrix
 
-    def bin_indices(self, m: int) -> np.ndarray:
-        """Codeword indices of bin m; the last bin of a truncated code is short."""
-        data = self.data
-        if not 0 <= m < data.num_bins:
-            raise UsageError(f"bin index {m} out of range [0, {data.num_bins})")
-        lo = m * data.bin_size
-        hi = min(lo + data.bin_size, data.num_codewords)
-        if lo >= hi:
-            raise UsageError(f"bin {m} holds no codewords under the current truncation")
-        return np.arange(lo, hi)
-
 
 @dataclass(frozen=True)
 class EncodeResult:
@@ -373,9 +361,12 @@ def simulate_sessions(
     not depend on the other rows.  Its code is ``code_seeds[t]`` (a fixed
     code across sessions), else a fresh draw ``derive_seed(seeds[t],
     "code")``, which realizes the shared-randomness reading of the scheme.
-    The numpy work runs ``SESSION_CHUNK`` sessions at a time, one call per
-    group of sessions that observe the same Y-type, and each step draws
-    each distinct (type, code seed) codebook once.
+    Jamming and channel run for all T sessions at once.  The sessions are
+    then grouped by observed Y-type, each group listing a code seed's
+    sessions together, and a group runs in one call to the encoder and
+    decoder unless its codebooks exceed ``GROUP_SYMBOLS``; then it runs in
+    parts, and a code whose sessions continue into the next part keeps its
+    codebook, so each distinct (type, code seed) is drawn once per call.
     """
     xs = np.array(xs, dtype=np.int64)
     seeds = [int(s) for s in seeds]
@@ -384,7 +375,8 @@ def simulate_sessions(
             f"source blocks of shape {xs.shape} for {len(seeds)} seeds; "
             "expected one non-empty row per seed"
         )
-    if xs.min() < 0 or xs.max() >= config.spec.x_alphabet.size:
+    spec = config.spec
+    if xs.min() < 0 or xs.max() >= spec.x_alphabet.size:
         raise UsageError("source symbol outside the X alphabet")
     xs.setflags(write=False)
     if code_seeds is None:
@@ -393,42 +385,16 @@ def simulate_sessions(
         codes = tuple(int(c) for c in code_seeds)
         if len(codes) != len(seeds):
             raise UsageError(f"{len(codes)} code seeds for {len(seeds)} sessions")
-    gen = philox_stream(0)  # re-keyed for every stream it serves
-    steps = []
-    for lo in range(0, len(seeds), SESSION_CHUNK):
-        part = slice(lo, lo + SESSION_CHUNK)
-        steps.append(_run_step(xs[part], seeds[part], codes[part], jammer, config, gen))
-    fields = {name: np.concatenate([step[name] for step in steps]) for name in steps[0]}
-    return SessionBatch(x=xs, code_seed=codes, **fields)
-
-
-def _run_step(
-    xs: np.ndarray,
-    seeds: list[int],
-    codes: tuple[int, ...],
-    jammer: JammerStrategy,
-    config: SessionConfig,
-    gen: np.random.Generator,
-) -> dict[str, np.ndarray]:
-    """One engine step over at most ``SESSION_CHUNK`` sessions."""
-    spec = config.spec
     count, n = xs.shape
-    ny, nz = spec.y_alphabet.size, spec.z_alphabet.size
-
+    gen = philox_stream(0)  # re-keyed for every stream it serves
     j = sample_jamming(jammer, xs, lambda t: rekey(gen, philox_key(seeds[t], "jamming")))
-    u = np.empty((count, n))
-    for t, seed in enumerate(seeds):
-        u[t] = rekey(gen, philox_key(seed, "channel")).random(n)
-    pick = inverse_cdf(cumulative(spec.w.kernel[xs, j].reshape(count, n, ny * nz)), u)
-    y, z = pick // nz, pick % nz
+    y, z = _channel(xs, j, seeds, spec, gen)
 
+    u_type = np.min_scalar_type(config.policy.u_size - 1)  # that of the codewords
     out = {
-        "j": j,
-        "y": y,
-        "z": z,
-        "u_encoded": np.empty((count, n), dtype=np.int64),
-        "u_decoded": np.empty((count, n), dtype=np.int64),
-        "x_hat": np.empty((count, n), dtype=np.int64),
+        "u_encoded": np.empty((count, n), dtype=u_type),
+        "u_decoded": np.empty((count, n), dtype=u_type),
+        "x_hat": np.empty((count, n), dtype=np.min_scalar_type(spec.xhat_alphabet.size - 1)),
         "e_enc": np.empty(count, dtype=bool),
         "e_dec1": np.empty(count, dtype=bool),
         "e_dec2": np.empty(count, dtype=bool),
@@ -438,44 +404,56 @@ def _run_step(
         "r_tilde": np.empty(count),
         "r_bin": np.empty(count),
     }
-    groups: dict[tuple[int, ...], list[int]] = {}
+    ny = spec.y_alphabet.size
+    groups: dict[tuple[int, ...], dict[int, list[int]]] = {}
     for t, counts in enumerate((y[:, :, None] == np.arange(ny)).sum(axis=1).tolist()):
-        groups.setdefault(tuple(counts), []).append(t)
-    for counts, members in groups.items():
+        groups.setdefault(tuple(counts), {}).setdefault(codes[t], []).append(t)
+    for counts, by_code in groups.items():
         data = config.family.type_data(TypeTable(np.array(counts), n))
+        members = [t for sessions in by_code.values() for t in sessions]
         per = max(1, GROUP_SYMBOLS // (data.num_codewords * n))
+        book = None  # (code seed, codewords), kept while the code's sessions last
         for lo in range(0, len(members), per):
-            _run_group(out, members[lo : lo + per], data, y, z, seeds, codes, config, gen)
+            part = members[lo : lo + per]
+            books = []
+            for t in part:
+                if book is None or book[0] != codes[t]:
+                    book = codes[t], _draw_codewords(rekey(gen, _codebook_key(data, codes[t])), data)
+                books.append(book[1])
+            _run_group(out, part, np.stack(books), data, y, z, seeds, config, gen)
     out["distortion"] = spec.d.entries[xs, out["x_hat"]].mean(axis=1)
-    return out
+    return SessionBatch(x=xs, j=j, y=y, z=z, code_seed=codes, **out)
+
+
+def _channel(
+    xs: np.ndarray, j: np.ndarray, seeds: list[int], spec: ProblemSpec, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, n) Y and Z blocks of each session's channel stream."""
+    nx, nj, nz = spec.x_alphabet.size, spec.j_alphabet.size, spec.z_alphabet.size
+    u = np.empty(xs.shape)
+    for t, seed in enumerate(seeds):
+        u[t] = rekey(gen, philox_key(seed, "channel")).random(xs.shape[1])
+    pick = inverse_cdf(cumulative(spec.w.kernel.reshape(nx, nj, -1))[xs, j], u)
+    return pick // nz, pick % nz
 
 
 def _run_group(
     out: dict[str, np.ndarray],
     members: list[int],
+    cws: np.ndarray,
     data: _TypeData,
     y: np.ndarray,
     z: np.ndarray,
     seeds: list[int],
-    codes: tuple[int, ...],
     config: SessionConfig,
     gen: np.random.Generator,
 ) -> None:
-    """Encoder, decoder and reconstruction for the step rows ``members``,
-    which all observe the Y-type of ``data``; fills their rows of ``out``."""
+    """Encoder, decoder and reconstruction for the sessions ``members``,
+    which all observe the Y-type of ``data``, with ``cws[i]`` the codebook
+    of member i; fills their rows of ``out``."""
     params = config.params
     rows = np.array(members)
     size = rows.size
-
-    # each distinct code seed is drawn once; a repeat copies its first row
-    cws = None
-    first: dict[int, int] = {}
-    for i, t in enumerate(members):
-        k = first.setdefault(codes[t], i)
-        book = _draw_codewords(rekey(gen, _codebook_key(data, codes[t])), data) if k == i else cws[k]
-        if cws is None:
-            cws = np.empty((size,) + book.shape, dtype=book.dtype)
-        cws[i] = book
 
     satisfied = _encoder_satisfied(cws, y[rows], data, params.delta2)
     g_enc = np.zeros(size, dtype=np.int64)

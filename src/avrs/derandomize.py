@@ -12,15 +12,13 @@ costs the rate overhead log2(K)/n that ``Ensemble.rate_overhead`` reports.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import JammerStrategy
-from .coding import SESSION_CHUNK, SessionConfig, sample_typical_sources, simulate_sessions
+from .coding import SessionConfig, sample_typical_sources, simulate_sessions
 from .errors import UsageError
 from .rng import derive_seed
 
@@ -103,29 +101,6 @@ class CertificationReport:
     )
 
 
-def _parent_sessions(seed: int, ij: int, x_count: int, count: int) -> Iterator[tuple[int, int, int]]:
-    """(x index, seed, fresh code seed) of each parent session of jammer ij."""
-    for ix in range(x_count):
-        for t in range(count):
-            s = derive_seed(seed, "parent", ix, ij, t)
-            yield ix, s, derive_seed(s, "fresh-code")
-
-
-def _distortions(
-    sessions: Iterator[tuple[int, int, int]],
-    x_block: np.ndarray,
-    jammer: JammerStrategy,
-    config: SessionConfig,
-) -> np.ndarray:
-    """Distortion of each (x index, seed, code seed) session, handed to the
-    engine ``SESSION_CHUNK`` sessions at a time."""
-    out = []
-    while chunk := list(itertools.islice(sessions, SESSION_CHUNK)):
-        ix, seeds, codes = zip(*chunk)
-        out.append(simulate_sessions(x_block[list(ix)], jammer, config, seeds, codes).distortion)
-    return np.concatenate(out)
-
-
 def certify_ensemble(
     ensemble: Ensemble,
     jammer_set: list[JammerStrategy],
@@ -162,20 +137,24 @@ def certify_ensemble(
     x_block = sample_typical_sources(cfg.spec, n, delta0, x_count, derive_seed(seed, "x"))
     k = ensemble.size
     trials = trials_per_member
+    # one engine call per jammer and side; the member side runs member-major,
+    # session (i, ix, t) running member i's code on source ix
+    ens_xs = np.tile(np.repeat(x_block, trials, axis=0), (k, 1))
+    ens_codes = [code for code in ensemble.member_seeds for _ in range(x_count * trials)]
+    par_xs = np.repeat(x_block, k * trials, axis=0)
     ens = np.empty((len(jammer_set), k, x_count, trials))
     par = np.empty((len(jammer_set), x_count, k * trials))
     for ij, jam in enumerate(jammer_set):
-        # member sessions run member-major, so a member's sessions on every
-        # x share an engine step and draw its codebook once per type
-        members = (
-            (ix, derive_seed(seed, "ens", ix, ij, i, t), code)
-            for i, code in enumerate(ensemble.member_seeds)
+        seeds = [
+            derive_seed(seed, "ens", ix, ij, i, t)
+            for i in range(k)
             for ix in range(x_count)
             for t in range(trials)
-        )
-        ens[ij] = _distortions(members, x_block, jam, cfg).reshape(k, x_count, trials)
-        parents = _parent_sessions(seed, ij, x_count, k * trials)
-        par[ij] = _distortions(parents, x_block, jam, cfg).reshape(x_count, k * trials)
+        ]
+        ens[ij] = simulate_sessions(ens_xs, jam, cfg, seeds, ens_codes).distortion.reshape(ens.shape[1:])
+        seeds = [derive_seed(seed, "parent", ix, ij, t) for ix in range(x_count) for t in range(k * trials)]
+        codes = [derive_seed(s, "fresh-code") for s in seeds]
+        par[ij] = simulate_sessions(par_xs, jam, cfg, seeds, codes).distortion.reshape(par.shape[1:])
     cells = []
     max_excess = -math.inf
     for ix in range(x_count):

@@ -22,7 +22,7 @@ from .adversary import JammerStrategy
 from .errors import UsageError
 from .mtypes import TYPE_TOL, TypeTable, nearest_type, pair_counts, type_template
 from .probability import CondDistribution, Distribution
-from .rng import derive_seed, philox_stream, sample_indices, sample_rows
+from .rng import cumulative, derive_seed, inverse_cdf, philox_stream, sample_indices
 
 __all__ = [
     "HarnessResult",
@@ -117,15 +117,12 @@ def run_conditional_typicality(
     s = type_template(t_s)
     ns, nt = p_s.alphabet.size, w_ts.to_alphabet.size
     joint_target = p_s.mass[:, None] * w_ts.matrix
-    rows = w_ts.matrix[s]
-    gen = philox_stream(seed, "cond-typicality")
-    violations = 0
-    for _ in range(trials):
-        counts = pair_counts(s[None, :], sample_rows(gen, rows), ns, nt)[0]
-        dev = np.abs(counts / n - joint_target).max()
-        if dev > 3.0 * delta0 + TYPE_TOL:
-            violations += 1
-    rate = violations / trials
+    # trial t's output block takes row t of one (trials, n) block of uniforms
+    uniforms = philox_stream(seed, "cond-typicality").random((trials, n))
+    outputs = inverse_cdf(cumulative(w_ts.matrix[s]), uniforms)
+    counts = pair_counts(np.broadcast_to(s, (trials, 1, n)), outputs, ns, nt)[:, 0]
+    dev = np.abs(counts / n - joint_target).max(axis=(1, 2))
+    rate = int((dev > 3.0 * delta0 + TYPE_TOL).sum()) / trials
     bound = ns * nt * math.exp(-2.0 * n * delta0**3)
     return HarnessResult(
         "conditional-typicality", n, rate, bound, _binomial_sigma(rate, trials), trials, bound >= 1.0

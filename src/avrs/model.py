@@ -25,6 +25,8 @@ from .probability import (
 __all__ = [
     "ProblemSpec",
     "AuxiliaryPolicy",
+    "problem_spec_from_dict",
+    "policy_from_dict",
     "load_problem_spec",
     "load_policy",
     "read_json",

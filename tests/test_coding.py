@@ -8,7 +8,6 @@ import pytest
 import avrs.coding
 from avrs.adversary import DeterministicJammer, MemorylessJammer, fixed_vector_jammer
 from avrs.coding import (
-    SESSION_CHUNK,
     Codebook,
     CodebookFamily,
     CodingParams,
@@ -38,9 +37,15 @@ from conftest import (
 from oracles import session_oracle
 
 
+def _bin(cb, m):
+    """Codeword indices of bin m of ``cb``; a truncated code's last bin is short."""
+    lo = m * cb.data.bin_size
+    return np.arange(lo, min(lo + cb.data.bin_size, cb.data.num_codewords))
+
+
 def _membership(cb, m, z, gamma):
     """Decoder list flags of bin m of ``cb`` against the side information z."""
-    return decoder_membership(cb.matrix()[cb.bin_indices(m)], z, cb.data.decoder_targets, gamma)
+    return decoder_membership(cb.matrix()[_bin(cb, m)], z, cb.data.decoder_targets, gamma)
 
 
 def wz_config(eps=0.2, cap=512, **kw):
@@ -106,14 +111,6 @@ class TestCodebookConstruction:
         freq = float(np.mean(mat))
         sigma = math.sqrt(p1 * (1 - p1) / draws)
         assert abs(freq - p1) <= 3 * sigma
-
-    def test_index_bounds(self):
-        config = wz_config()
-        cb = Codebook(CodebookFamily(config).type_data(TypeTable(np.array([6, 6]), 12)), 5)
-        with pytest.raises(UsageError):
-            cb.bin_indices(cb.data.num_bins)
-        with pytest.raises(UsageError):
-            cb.bin_indices(-1)
 
 
 class TestCodewordKernel:
@@ -236,8 +233,8 @@ class TestDecode:
             for m in range(cb.data.num_bins):
                 member = _membership(cb, m, z, config.params.gamma)
                 if member.sum() == 1:
-                    g = cb.bin_indices(m)[decode(member)]
-                    assert g == cb.bin_indices(m)[int(np.argmax(member))]
+                    g = _bin(cb, m)[decode(member)]
+                    assert g == _bin(cb, m)[int(np.argmax(member))]
                     return
         pytest.fail("no uniquely-decodable bin found in the sweep")
 
@@ -251,7 +248,7 @@ class TestDecode:
         member = _membership(cb, 0, z, 0.0)
         if member.any():
             pytest.skip("seed produced an exact type match")
-        assert cb.bin_indices(0)[decode(member)] == cb.bin_indices(0)[0]
+        assert _bin(cb, 0)[decode(member)] == _bin(cb, 0)[0]
 
     def test_multiple_members_fall_back_to_first(self):
         # a clean side-information channel keeps the within-bin rate positive,
@@ -270,7 +267,7 @@ class TestDecode:
             for m in range(cb.data.num_bins):
                 member = _membership(cb, m, z, config.params.gamma)
                 if member.sum() >= 2:
-                    assert cb.bin_indices(m)[decode(member)] == cb.bin_indices(m)[0]
+                    assert _bin(cb, m)[decode(member)] == _bin(cb, m)[0]
                     return
         pytest.fail("no multi-member bin found in the sweep")
 
@@ -425,20 +422,27 @@ def _check_against_oracle(config, jammer, xs, seeds, code_seeds=None):
     return batch
 
 
+# a budget of two full (40-codeword) books of _edge_config per call at n = 12
+TWO_BOOKS = 2 * 40 * 12
+
+
 class TestSessionEngine:
     @pytest.mark.parametrize("kind", ["deterministic", "block", "memoryless"])
-    @pytest.mark.parametrize("count", [1, SESSION_CHUNK - 1, SESSION_CHUNK, SESSION_CHUNK + 1])
-    def test_matches_oracle(self, kind, count):
+    @pytest.mark.parametrize("count", [1, 15, 16, 17])
+    def test_matches_oracle(self, monkeypatch, kind, count):
+        # at two books per call, 15 to 17 sessions span several Y-type
+        # groups, and the larger groups run in parts
+        monkeypatch.setattr(avrs.coding, "GROUP_SYMBOLS", TWO_BOOKS)
         config = _edge_config()
         n = 12
         xs = philox_stream(count, "xs").integers(0, 2, (count, n))
         seeds = [derive_seed(31, kind, t) for t in range(count)]
         _check_against_oracle(config, _jammer(kind, config.spec, n), xs, seeds)
 
-    def test_pinned_codes_repeat_within_a_step(self):
-        # three codes over 2 chunks and a bit, as ensemble members repeat
+    def test_pinned_codes_repeat_within_a_call(self):
+        # three codes over 35 sessions, as ensemble members repeat
         config = _edge_config()
-        count, n = 2 * SESSION_CHUNK + 3, 12
+        count, n = 35, 12
         xs = philox_stream(4, "xs").integers(0, 2, (count, n))
         seeds = [derive_seed(32, t) for t in range(count)]
         codes = [derive_seed(33, t % 3) for t in range(count)]
@@ -446,17 +450,15 @@ class TestSessionEngine:
         assert batch.code_seed == tuple(codes)
 
     def test_groups_over_the_symbol_budget_run_in_parts(self, monkeypatch):
-        # a budget of two full (40-codeword) books per call at n = 12
         config = _edge_config()
-        count, n = SESSION_CHUNK, 12
-        budget = 2 * 40 * n
-        monkeypatch.setattr(avrs.coding, "GROUP_SYMBOLS", budget)
+        count, n = 16, 12
+        monkeypatch.setattr(avrs.coding, "GROUP_SYMBOLS", TWO_BOOKS)
         calls = []
         run_group = avrs.coding._run_group
 
-        def recording(out, members, data, *rest):
+        def recording(out, members, cws, data, *rest):
             calls.append((len(members), data.num_codewords, data.t_y.key()))
-            return run_group(out, members, data, *rest)
+            return run_group(out, members, cws, data, *rest)
 
         monkeypatch.setattr(avrs.coding, "_run_group", recording)
         xs = philox_stream(5, "xs").integers(0, 2, (count, n))
@@ -466,9 +468,37 @@ class TestSessionEngine:
         simulate_sessions(xs, jam, config, seeds, codes)
         batched = list(calls)
         _check_against_oracle(config, jam, xs, seeds, codes)
-        assert all(size == 1 or size * cws * n <= budget for size, cws, _ in batched)
+        assert all(size == 1 or size * cws * n <= TWO_BOOKS for size, cws, _ in batched)
         assert sum(size for size, _, _ in batched) == count
         assert max(Counter(key for _, _, key in batched).values()) > 1  # a group ran in parts
+
+    def test_a_split_group_draws_each_code_once(self, monkeypatch):
+        # codes t % 3 in parts of two sessions, where a code's sessions
+        # continue from one part into the next
+        config = _edge_config()
+        count, n = 24, 12
+        monkeypatch.setattr(avrs.coding, "GROUP_SYMBOLS", TWO_BOOKS)
+        xs = philox_stream(5, "xs").integers(0, 2, (count, n))
+        seeds = [derive_seed(35, t) for t in range(count)]
+        codes = [derive_seed(36, t % 3) for t in range(count)]
+        draws, parts = [], []
+        draw, run_group = avrs.coding._draw_codewords, avrs.coding._run_group
+
+        def counting_draw(gen, data):
+            # the generator's key identifies the (code seed, type) stream
+            draws.append(gen.bit_generator.state["state"]["key"].tobytes())
+            return draw(gen, data)
+
+        def recording(out, members, cws, data, *rest):
+            parts.append((data.t_y.key(), [codes[t] for t in members]))
+            return run_group(out, members, cws, data, *rest)
+
+        monkeypatch.setattr(avrs.coding, "_draw_codewords", counting_draw)
+        monkeypatch.setattr(avrs.coding, "_run_group", recording)
+        batch = simulate_sessions(xs, _jammer("block", config.spec, n), config, seeds, codes)
+        pairs = {(tuple(np.bincount(y, minlength=2)), code) for y, code in zip(batch.y, batch.code_seed)}
+        assert len(set(draws)) == len(draws) == len(pairs)
+        assert any(a[0] == b[0] and a[1][-1] == b[1][0] for a, b in zip(parts, parts[1:]))
 
     def test_cases_reach_the_edge_geometries(self):
         seen = set()

@@ -1,8 +1,10 @@
 """Source hygiene checks that need no linter: every name a module of the
 package or of this test suite imports at top level (directly or under a
 top-level ``if``, such as ``TYPE_CHECKING``) must be used somewhere in that
-module, every public definition must be used by the package, and every name
-the benchmark tracer patches must exist."""
+module, every public definition must be used by the package, a package
+module's ``__all__`` must list exactly its public functions and classes
+(and nothing it lacks), and every name the benchmark tracer patches must
+exist."""
 
 import ast
 import importlib
@@ -97,6 +99,24 @@ def test_every_public_definition_is_used_by_the_package():
         if name not in loaded and (module, name) not in ENTRY_POINTS
     )
     assert not unused, "public definitions no package module uses:\n" + "\n".join(unused)
+
+
+# package modules that declare their public names in __all__
+EXPORTING = sorted(
+    name
+    for name, path in MODULES.items()
+    if "/" not in name and "__all__" in _names(ast.parse(path.read_text()))
+)
+
+
+@pytest.mark.parametrize("module", EXPORTING)
+def test_all_lists_exactly_the_public_definitions(module):
+    namespace = vars(importlib.import_module(f"avrs.{MODULES[module].stem}"))
+    listed = namespace["__all__"]
+    defined = _public_definitions(ast.parse(MODULES[module].read_text()))
+    wrong = [f"{module}: __all__ lists {name}, which it lacks" for name in listed if name not in namespace]
+    wrong += [f"{module}:{line}: {name} is not in __all__" for name, line in defined.items() if name not in listed]
+    assert not wrong, "__all__ out of step with the module:\n" + "\n".join(wrong)
 
 
 def _tracer():

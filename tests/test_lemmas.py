@@ -14,8 +14,9 @@ from avrs.lemmas import (
     trend_check,
 )
 from avrs.model import AuxiliaryPolicy
-from avrs.mtypes import nearest_type
+from avrs.mtypes import TYPE_TOL, nearest_type, type_template
 from avrs.probability import Alphabet, CondDistribution, Distribution
+from avrs.rng import philox_stream, sample_rows
 
 from conftest import identity_z_spec, noisy_policy, wz_spec
 
@@ -84,6 +85,24 @@ class TestConditionalTypicality:
             run_conditional_typicality(
                 Distribution(A2, [0.37, 0.63]), w, n=3, delta0=0.01, trials=10, seed=0
             )
+
+    def test_equals_the_trial_by_trial_loop(self):
+        # the reference draws each trial's outputs with its own sample_rows
+        # call and counts the pairs one by one
+        p_s = Distribution(A2, [0.5, 0.5])
+        w = CondDistribution(A2, T2, [[0.7, 0.3], [0.3, 0.7]])
+        n, delta0, trials, seed = 40, 0.025, 300, 7
+        s = type_template(nearest_type(p_s.mass, n))
+        target = p_s.mass[:, None] * w.matrix
+        gen = philox_stream(seed, "cond-typicality")
+        violations = 0
+        for _ in range(trials):
+            counts = np.zeros((2, 2))
+            np.add.at(counts, (s, sample_rows(gen, w.matrix[s])), 1)
+            violations += int(np.abs(counts / n - target).max() > 3 * delta0 + TYPE_TOL)
+        assert 0 < violations < trials
+        res = run_conditional_typicality(p_s, w, n, delta0, trials, seed)
+        assert res.empirical == violations / trials
 
     def test_seed_reproducible(self):
         w = CondDistribution(A2, T2, [[0.7, 0.3], [0.3, 0.7]])
