@@ -1,0 +1,73 @@
+"""Golden-output gate: every file a set of small CLI invocations writes must
+keep its sha256.
+
+The table `tests/data/golden_outputs.json` maps "<invocation>/<file>" to the
+digest of that file.  Regenerate it only with a declared output change:
+
+    PYTHONPATH=src python tests/test_golden.py > tests/data/golden_outputs.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from avrs.cli import main
+
+DATA = Path(__file__).parent / "data"
+SPEC = str(DATA / "spec_binary.json")
+POLICY = str(DATA / "policy_binary.json")
+TABLE = DATA / "golden_outputs.json"
+
+# one memoryless and one fixed-vector jammer for the binary spec at n = 16
+JAMMERS = [
+    {"kind": "memoryless", "q": [[0.7, 0.3], [0.2, 0.8]]},
+    {"kind": "fixed-vector", "vector": [0, 1] * 8},
+]
+
+CODING = ["--spec", SPEC, "--policy", POLICY, "--seed", "1"]
+INVOCATIONS = {
+    "simulate": ["simulate", *CODING, "--n", "16", "--trials", "10", "--jammers", "all-deterministic"],
+    "simulate-file": ["simulate", *CODING, "--n", "16", "--trials", "10", "--jammers", "{jammers}"],
+    "session": ["session", *CODING, "--n", "16", "--jammers", "all-deterministic"],
+    "derandomize": ["derandomize", *CODING, "--n", "8", "--x-samples", "2", "--trials", "1"],
+    "lemmas": ["lemmas", *CODING, "--n", "8", "--n-ladder", "8,16", "--trials", "20"],
+    # the golden bounds sweep of test_cli.py, whose bounds.csv is pinned there
+    "bounds": [
+        "bounds", "--spec", SPEC, "--d-grid", "0.21,0.23,0.3", "--coarse-step", "0.05",
+        "--refine-step", "0.01", "--u-upper", "2", "--u-lower", "2", "--seed", "0",
+    ],
+}
+
+
+def run_all(work: Path) -> dict[str, str]:
+    """Run every invocation under ``work``; map "<name>/<file>" to its sha256."""
+    jammers = work / "jammers.json"
+    jammers.write_text(json.dumps(JAMMERS))
+    digests = {}
+    for name, argv in INVOCATIONS.items():
+        out = work / name
+        argv = [a.replace("{jammers}", str(jammers)) for a in argv]
+        rc = main(argv + ["--out-dir", str(out)])
+        if rc != 0:
+            raise AssertionError(f"{name} exited {rc}")
+        for path in sorted(out.iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_every_written_file_matches_its_golden_digest(tmp_path):
+    expected = json.loads(TABLE.read_text())
+    produced = run_all(tmp_path)
+    differ = sorted(k for k in expected.keys() | produced.keys() if produced.get(k) != expected.get(k))
+    assert not differ, f"files differ from the golden outputs: {differ}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = run_all(Path(tmp))
+    sys.stdout.write(json.dumps(table, indent=2, sort_keys=True) + "\n")
