@@ -11,15 +11,7 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .probability import (
-    Alphabet,
-    Channel,
-    CondDistribution,
-    Distribution,
-    DistortionMatrix,
-    entropy_bits,
-    mutual_information_bits,
-)
+from .probability import entropy_bits, mutual_information_bits
 from .mtypes import (
     TypeTable,
     is_typical,

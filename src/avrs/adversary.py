@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Callable, Union
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .model import read_json
-from .probability import Alphabet, CondDistribution
+from .model import index_table, read_json
+from .probability import checked_table
 from .mtypes import deterministic_maps
 from .rng import derive_seed, philox_stream, sample_rows
 
@@ -41,14 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MemorylessJammer:
-    """Applies q(j|x) independently at every position."""
+    """Applies q(j|x), a read-only (X, J) array, independently at every
+    position."""
 
-    q: CondDistribution
+    q: np.ndarray
     descriptor: str = "memoryless"
 
-    @property
-    def j_alphabet(self) -> Alphabet:
-        return self.q.to_alphabet
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "q", checked_table(self.q, "memoryless jammer q", 2, (1,)))
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,12 @@ class DeterministicJammer:
     """Applies a fixed map x -> j at every position."""
 
     mapping: tuple[int, ...]
-    j_alphabet: Alphabet
+    j_size: int
     descriptor: str = "deterministic"
 
     def __post_init__(self) -> None:
-        if any(j < 0 or j >= self.j_alphabet.size for j in self.mapping):
-            raise ConfigurationError("deterministic jammer map leaves the J alphabet")
+        mapping = index_table(self.mapping, "deterministic jammer map", self.j_size)
+        object.__setattr__(self, "mapping", tuple(mapping.tolist()))
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,17 @@ class BlockJammer:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    j_alphabet: Alphabet
+    j_size: int
     descriptor: str
 
 
 JammerStrategy = Union[MemorylessJammer, DeterministicJammer, BlockJammer]
 
 
-def fixed_vector_jammer(vector: np.ndarray, j_alphabet: Alphabet, label: str) -> BlockJammer:
+def fixed_vector_jammer(vector, j_size: int, label: str) -> BlockJammer:
     """Block strategy that plays one fixed jamming vector regardless of x."""
-    vec = np.ascontiguousarray(np.asarray(vector, dtype=np.int64))
-    vec.setflags(write=False)
-    return BlockJammer(lambda x: vec, j_alphabet, f"{label}{vec.tolist()}")
+    vec = index_table(vector, f"{label} vector", j_size)
+    return BlockJammer(lambda x: vec, j_size, f"{label}{vec.tolist()}")
 
 
 def sample_jamming(
@@ -108,12 +107,12 @@ def sample_jamming(
             block = np.asarray(jammer.fn(row), dtype=np.int64)
             if block.shape != row.shape:
                 raise UsageError("block jammer returned a vector of the wrong length")
-            if block.min() < 0 or block.max() >= jammer.j_alphabet.size:
+            if block.min() < 0 or block.max() >= jammer.j_size:
                 raise UsageError("block jammer returned a symbol outside the J alphabet")
             out[t] = block
         return out
     if isinstance(jammer, MemorylessJammer):
-        rows = jammer.q.matrix[xs]  # (T, n, |J|)
+        rows = jammer.q[xs]  # (T, n, |J|)
         out = np.argmax(rows, axis=-1)
         random_pos = rows.max(axis=-1) < 1.0
         for t in np.flatnonzero(random_pos.any(axis=1)).tolist():
@@ -124,32 +123,34 @@ def sample_jamming(
 
 def deterministic_jammer_family(spec) -> list[DeterministicJammer]:
     """All |J|^|X| symbolwise deterministic jammers, lexicographic order."""
-    maps = deterministic_maps(spec.x_alphabet.size, spec.j_alphabet.size).tolist()
-    return [DeterministicJammer(tuple(m), spec.j_alphabet, f"det{m}") for m in maps]
+    nx, nj = spec.w.shape[:2]
+    return [DeterministicJammer(tuple(m), nj, f"det{m}") for m in deterministic_maps(nx, nj).tolist()]
 
 
 def jammer_from_dict(doc: dict, spec, source: str = "<dict>") -> JammerStrategy:
+    """Build one jammer from its JSON document form and check that it fits ``spec``."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigurationError(f"{source}: jammer document needs a 'kind' field")
     kind = doc["kind"]
-    if kind == "memoryless":
-        q = np.asarray(doc.get("q"), dtype=np.float64)
-        if q.shape != (spec.x_alphabet.size, spec.j_alphabet.size):
-            raise ConfigurationError(
-                f"{source}: memoryless jammer q must be [x][j] with shape "
-                f"({spec.x_alphabet.size}, {spec.j_alphabet.size})"
-            )
-        return MemorylessJammer(CondDistribution(spec.x_alphabet, spec.j_alphabet, q))
-    if kind == "deterministic":
-        mapping = doc.get("map")
-        if not isinstance(mapping, list) or len(mapping) != spec.x_alphabet.size:
-            raise ConfigurationError(f"{source}: deterministic jammer needs a per-x 'map' list")
-        return DeterministicJammer(tuple(int(v) for v in mapping), spec.j_alphabet)
-    if kind == "fixed-vector":
-        vec = doc.get("vector")
-        if not isinstance(vec, list):
-            raise ConfigurationError(f"{source}: fixed-vector jammer needs a 'vector' list")
-        return fixed_vector_jammer(np.asarray(vec), spec.j_alphabet, "fixed-vector")
+    nx, nj = spec.w.shape[:2]
+    try:
+        if kind == "memoryless":
+            jammer = MemorylessJammer(doc.get("q"))
+            if jammer.q.shape != (nx, nj):
+                raise ConfigurationError(f"memoryless jammer q must be [x][j] with shape ({nx}, {nj})")
+            return jammer
+        if kind == "deterministic":
+            mapping = doc.get("map")
+            if not isinstance(mapping, list) or len(mapping) != nx:
+                raise ConfigurationError("deterministic jammer needs a per-x 'map' list")
+            return DeterministicJammer(tuple(mapping), nj)
+        if kind == "fixed-vector":
+            vec = doc.get("vector")
+            if not isinstance(vec, list):
+                raise ConfigurationError("fixed-vector jammer needs a 'vector' list")
+            return fixed_vector_jammer(vec, nj, "fixed-vector")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{source}: {exc}") from None
     raise ConfigurationError(f"{source}: unknown jammer kind {kind!r}")
 
 
@@ -197,7 +198,7 @@ def worst_case_search(
     if budget < 1:
         raise UsageError("search budget must be >= 1")
     n = len(x)
-    nj = config.spec.j_alphabet.size
+    nj = config.spec.w.shape[1]
     rng = philox_stream(seed, "worst-case-search")
     xs = np.broadcast_to(x, (trials_per_estimate, n))
 
@@ -206,7 +207,7 @@ def worst_case_search(
         return simulate_sessions(xs, jam, config, seeds).distortion
 
     def estimate(vector: np.ndarray, seed_label: str) -> float:
-        jam = fixed_vector_jammer(vector, config.spec.j_alphabet, "search-candidate")
+        jam = fixed_vector_jammer(vector, nj, "search-candidate")
         total = 0.0
         for value in distortions(jam, seed_label).tolist():
             total += value
@@ -243,7 +244,7 @@ def worst_case_search(
             best_val, best_vec = val, vec
 
     # fresh-seed re-measurement of the incumbent
-    jam = fixed_vector_jammer(best_vec, config.spec.j_alphabet, f"greedy-search[{seed}]")
+    jam = fixed_vector_jammer(best_vec, nj, f"greedy-search[{seed}]")
     arr = distortions(jam, "final")
     std_err = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return WorstCaseResult(jam, float(arr.mean()), std_err, evaluations)

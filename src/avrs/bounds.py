@@ -178,18 +178,15 @@ def minimax_distortion_game(spec: ProblemSpec, observe_y: bool) -> GameResult:
     ((y, z) when ``observe_y``, else z alone); the jammer picks a kernel
     q(j|x).  The payoff is E[d], bilinear in the two kernels.
     """
-    nx = spec.x_alphabet.size
-    nj = spec.j_alphabet.size
-    ny = spec.y_alphabet.size
-    nz = spec.z_alphabet.size
-    nh = spec.xhat_alphabet.size
+    nx, nj, ny, nz = spec.w.shape
+    nh = spec.d.shape[1]
     if observe_y:
-        w_ctx = spec.w.kernel.reshape(nx, nj, ny * nz)
+        w_ctx = spec.w.reshape(nx, nj, ny * nz)
     else:
-        w_ctx = spec.w.z_marginal_kernel
+        w_ctx = spec.w.sum(axis=2)
     n_ctx = w_ctx.shape[2]
     # payoff[(ctx, xhat), (x, j)] = p(x) w(ctx|x,j) d(x, xhat)
-    b = np.einsum("x,xjc,xh->chxj", spec.p_x.mass, w_ctx, spec.d.entries)
+    b = np.einsum("x,xjc,xh->chxj", spec.p_x, w_ctx, spec.d)
     matrix = b.reshape(n_ctx * nh, nx * nj)
     game = BilinearGame(matrix, (nh,) * n_ctx, (nj,) * nx)
     return solve_bilinear_game(game)
@@ -228,8 +225,9 @@ class RateBoundSolver:
         self.spec = spec
         self.u_size = u_size
         self.grid = grid or GridConfig()
-        self._zeta_maps = deterministic_maps(u_size * spec.z_alphabet.size, spec.xhat_alphabet.size)
-        self._det_jammers = deterministic_maps(spec.x_alphabet.size, spec.j_alphabet.size)
+        nx, nj, _, nz = spec.w.shape
+        self._zeta_maps = deterministic_maps(u_size * nz, spec.d.shape[1])
+        self._det_jammers = deterministic_maps(nx, nj)
         self._p_cache: np.ndarray | None = None
         self._q_cache: np.ndarray | None = None
         self._i_matrix_cache: np.ndarray | None = None
@@ -242,14 +240,14 @@ class RateBoundSolver:
     def _p_candidates(self) -> np.ndarray:
         if self._p_cache is None:
             col_u = simplex_lattice(self.u_size, self.grid.coarse_step)
-            self._p_cache = column_product([col_u] * self.spec.y_alphabet.size)
+            self._p_cache = column_product([col_u] * self.spec.w.shape[2])
         return self._p_cache
 
     @property
     def _q_candidates(self) -> np.ndarray:
         if self._q_cache is None:
-            col_j = simplex_lattice(self.spec.j_alphabet.size, self.grid.coarse_step)
-            self._q_cache = column_product([col_j] * self.spec.x_alphabet.size)
+            col_j = simplex_lattice(self.spec.w.shape[1], self.grid.coarse_step)
+            self._q_cache = column_product([col_j] * self.spec.w.shape[0])
         return self._q_cache
 
     def _info_matrix(self, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
@@ -264,9 +262,9 @@ class RateBoundSolver:
         """
         spec = self.spec
         np_, nq = p_arr.shape[0], q_arr.shape[0]
-        nx, nj = spec.x_alphabet.size, spec.j_alphabet.size
-        nu, ny, nz = self.u_size, spec.y_alphabet.size, spec.z_alphabet.size
-        weights = spec.p_x.mass[:, None, None, None] * spec.w.kernel  # p(x) w(y,z|x,j)
+        nx, nj, ny, nz = spec.w.shape
+        nu = self.u_size
+        weights = spec.p_x[:, None, None, None] * spec.w  # p(x) w(y,z|x,j)
         # p(y, z) of every jammer, one (NQ,) column per (y, z) cell
         p_yz = [
             [
@@ -309,13 +307,12 @@ class RateBoundSolver:
     def _max_e_over_jammers(self, p_arr: np.ndarray) -> np.ndarray:
         """max over deterministic jammers of E[d]; shape (NP, n_zeta)."""
         spec = self.spec
-        nx = spec.x_alphabet.size
-        w_det = spec.w.kernel[np.arange(nx)[:, None], self._det_jammers.T].transpose(1, 0, 2, 3)
+        nx, _, _, nz = spec.w.shape
+        w_det = spec.w[np.arange(nx)[:, None], self._det_jammers.T].transpose(1, 0, 2, 3)
         # w_det: (V, X, Y, Z)
-        c = np.einsum("x,vxyz,pyu->pvxuz", spec.p_x.mass, w_det, p_arr, optimize=True)
-        nu, nz = self.u_size, spec.z_alphabet.size
-        zeta = self._zeta_maps.reshape(-1, nu, nz)
-        d_f = spec.d.entries[:, zeta]  # (X, F, U, Z)
+        c = np.einsum("x,vxyz,pyu->pvxuz", spec.p_x, w_det, p_arr, optimize=True)
+        zeta = self._zeta_maps.reshape(-1, self.u_size, nz)
+        d_f = spec.d[:, zeta]  # (X, F, U, Z)
         e = np.einsum("pvxuz,xfuz->pfv", c, d_f, optimize=True)
         return e.max(axis=2)
 
@@ -327,12 +324,12 @@ class RateBoundSolver:
         """
         spec = self.spec
         np_, nq = p_arr.shape[0], q_arr.shape[0]
-        nu, ny, nz = self.u_size, spec.y_alphabet.size, spec.z_alphabet.size
-        nh = spec.xhat_alphabet.size
+        _, _, ny, nz = spec.w.shape
+        nu, nh = self.u_size, spec.d.shape[1]
         # E[d(X, xhat); Y=y, Z=z] under each jammer, shape (Z, Y, Xhat, N)
         cost = np.einsum(
             "x,nxj,xjyz,xh->zyhn",
-            spec.p_x.mass, q_arr, spec.w.kernel, spec.d.entries, optimize=True,
+            spec.p_x, q_arr, spec.w, spec.d, optimize=True,
         )
         p_cols = [np.ascontiguousarray(p_arr[:, :, u]) for u in range(nu)]  # (P, Y) each
         out = np.empty((np_, nq))
@@ -429,8 +426,7 @@ class RateBoundSolver:
             q_worst = q_local[int(np.argmax(inner_vals))]
         else:
             q_worst = self._q_candidates[int(np.argmax(row))]
-        nu, nz = self.u_size, spec.z_alphabet.size
-        zeta = self._zeta_maps[best_f].reshape(nu, nz)
+        zeta = self._zeta_maps[best_f].reshape(self.u_size, spec.w.shape[3])
         return _RatePoint(value, self._uncertainty(value, v0), best_p, zeta, q_worst)
 
     # -- lower bound --------------------------------------------------------
@@ -478,17 +474,18 @@ class RateBoundSolver:
     def _best_zeta(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         spec = self.spec
         c = np.einsum(
-            "x,xj,xjyz,yu->xuz", spec.p_x.mass, q, spec.w.kernel, p, optimize=True
+            "x,xj,xjyz,yu->xuz", spec.p_x, q, spec.w, p, optimize=True
         )
-        per_hat = np.einsum("xuz,xh->uzh", c, spec.d.entries, optimize=True)
+        per_hat = np.einsum("xuz,xh->uzh", c, spec.d, optimize=True)
         return np.argmin(per_hat, axis=-1).astype(np.int64)
 
 
 def _zero_rate_point(spec: ProblemSpec, u_size: int) -> _RatePoint:
     """The rate-zero point above d1: a constant policy, no reconstruction map
     and the uniform jammer."""
-    const_policy = np.full((spec.y_alphabet.size, u_size), 1.0 / u_size)
-    uniform_q = np.full((spec.x_alphabet.size, spec.j_alphabet.size), 1.0 / spec.j_alphabet.size)
+    nx, nj, ny, _ = spec.w.shape
+    const_policy = np.full((ny, u_size), 1.0 / u_size)
+    uniform_q = np.full((nx, nj), 1.0 / nj)
     return _RatePoint(0.0, 0.0, const_policy, None, uniform_q)
 
 
@@ -500,7 +497,7 @@ def joint_uz(spec: ProblemSpec, kernels: np.ndarray, p_uy: np.ndarray) -> np.nda
     """The (U, Z) joint p(u, z) under each jammer kernel: (N, |X|, |J|) kernels
     and a (Y, U) policy matrix give (N, U, Z)."""
     return np.einsum(
-        "x,nxj,xjyz,yu->nuz", spec.p_x.mass, kernels, spec.w.kernel, p_uy, optimize=True
+        "x,nxj,xjyz,yu->nuz", spec.p_x, kernels, spec.w, p_uy, optimize=True
     )
 
 
@@ -537,15 +534,15 @@ def per_type_rates(
     if f_eps < 0:
         raise UsageError("f_eps must be >= 0")
     grid = grid or GridConfig()
-    p_uy = policy.p_u_given_y.matrix  # (Y, U)
+    p_uy = policy.p_u_given_y  # (Y, U)
     t_probs = t_y.probabilities
-    if t_probs.shape != (spec.y_alphabet.size,):
+    if t_probs.shape != (spec.w.shape[2],):
         raise UsageError("type table does not match the Y alphabet")
     joint_yu = t_probs[:, None] * p_uy
     r_u = max(0.0, float(mutual_information_bits(joint_yu)) + eps / 4.0)
 
-    col_j = simplex_lattice(spec.j_alphabet.size, grid.coarse_step)
-    q_arr = column_product([col_j] * spec.x_alphabet.size)
+    col_j = simplex_lattice(spec.w.shape[1], grid.coarse_step)
+    q_arr = column_product([col_j] * spec.w.shape[0])
 
     def info_uz(qs: np.ndarray) -> np.ndarray:
         return mutual_information_bits(joint_uz(spec, qs, p_uy))
@@ -622,9 +619,9 @@ def compute_bound_report(
     if not all(map(math.isfinite, levels)):
         raise UsageError(f"distortion levels must be finite numbers, got {levels}")
     if u_size_upper is None:
-        u_size_upper = spec.xhat_alphabet.size ** spec.z_alphabet.size
+        u_size_upper = spec.d.shape[1] ** spec.w.shape[3]
     if u_size_lower is None:
-        u_size_lower = spec.y_alphabet.size + 1
+        u_size_lower = spec.w.shape[2] + 1
     # one solver per auxiliary size, so equal sizes share every table
     solvers = {u: RateBoundSolver(spec, u, grid) for u in {u_size_upper, u_size_lower}}
     solver_u, solver_l = solvers[u_size_upper], solvers[u_size_lower]

@@ -48,7 +48,6 @@ from .lemmas import (
 )
 from .model import load_policy, load_problem_spec
 from .mtypes import nearest_type
-from .probability import CondDistribution
 from .rng import derive_seed, philox_stream, sample_indices
 
 EXIT_OK = 0
@@ -149,7 +148,8 @@ def _parallel_map(fn, items: list, threads: int) -> list:
 
 def _trivial_jammer(spec) -> DeterministicJammer:
     """The jammer that always sends the first jamming symbol."""
-    return DeterministicJammer((0,) * spec.x_alphabet.size, spec.j_alphabet, "trivial")
+    nx, nj = spec.w.shape[:2]
+    return DeterministicJammer((0,) * nx, nj, "trivial")
 
 
 def _resolve_jammers(name_or_path: str, config: SessionConfig, n: int, seed: int, budget: int):
@@ -224,7 +224,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def _trial_source(spec, seed: int, jam_id: int, trial: int, n: int) -> tuple[int, np.ndarray]:
     """Session seed and source block of one trial of ``simulate``."""
     s = derive_seed(seed, "trial", jam_id, trial)
-    return s, sample_indices(philox_stream(s, "x"), spec.p_x.mass, n)
+    return s, sample_indices(philox_stream(s, "x"), spec.p_x, n)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -318,8 +318,8 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
     if "all" in selected:
         selected = set(_HARNESSES)
     trivial_jam = _trivial_jammer(spec)
-    w_ts = CondDistribution(spec.x_alphabet, spec.y_alphabet, spec.w.y_marginal_kernel[:, 0, :])
-    p_y = np.einsum("x,xy->y", spec.p_x.mass, spec.w.y_marginal_kernel[:, 0, :])
+    w_ts = spec.w.sum(axis=3)[:, 0, :]  # p(y | x) with the first jamming symbol
+    p_y = np.einsum("x,xy->y", spec.p_x, w_ts)
 
     def run_for_n(n: int) -> list[HarnessResult]:
         def seed(label: str) -> int:

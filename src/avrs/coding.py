@@ -189,7 +189,7 @@ class CodebookFamily:
         if truncated:
             bin_size = min(bin_size, num_cw)
             num_bins = math.ceil(num_cw / bin_size)
-        p_uy = policy.p_u_given_y.matrix  # (Y, U)
+        p_uy = policy.p_u_given_y  # (Y, U)
         encoder_target = (t_y.probabilities[:, None] * p_uy).T
         jam_types = valid_jammer_types(t_y, spec, params.f_eps, n)
         targets = np.unique(np.round(joint_uz(spec, jam_types, p_uy), 12), axis=0)
@@ -376,7 +376,7 @@ def simulate_sessions(
             "expected one non-empty row per seed"
         )
     spec = config.spec
-    if xs.min() < 0 or xs.max() >= spec.x_alphabet.size:
+    if xs.min() < 0 or xs.max() >= len(spec.p_x):
         raise UsageError("source symbol outside the X alphabet")
     xs.setflags(write=False)
     if code_seeds is None:
@@ -390,11 +390,11 @@ def simulate_sessions(
     j = sample_jamming(jammer, xs, lambda t: rekey(gen, philox_key(seeds[t], "jamming")))
     y, z = _channel(xs, j, seeds, spec, gen)
 
-    u_type = np.min_scalar_type(config.policy.u_size - 1)  # that of the codewords
+    u_type = np.min_scalar_type(config.policy.p_u_given_y.shape[1] - 1)  # that of the codewords
     out = {
         "u_encoded": np.empty((count, n), dtype=u_type),
         "u_decoded": np.empty((count, n), dtype=u_type),
-        "x_hat": np.empty((count, n), dtype=np.min_scalar_type(spec.xhat_alphabet.size - 1)),
+        "x_hat": np.empty((count, n), dtype=np.min_scalar_type(spec.d.shape[1] - 1)),
         "e_enc": np.empty(count, dtype=bool),
         "e_dec1": np.empty(count, dtype=bool),
         "e_dec2": np.empty(count, dtype=bool),
@@ -404,7 +404,7 @@ def simulate_sessions(
         "r_tilde": np.empty(count),
         "r_bin": np.empty(count),
     }
-    ny = spec.y_alphabet.size
+    ny = spec.w.shape[2]
     groups: dict[tuple[int, ...], dict[int, list[int]]] = {}
     for t, counts in enumerate((y[:, :, None] == np.arange(ny)).sum(axis=1).tolist()):
         groups.setdefault(tuple(counts), {}).setdefault(codes[t], []).append(t)
@@ -421,7 +421,7 @@ def simulate_sessions(
                     book = codes[t], _draw_codewords(rekey(gen, _codebook_key(data, codes[t])), data)
                 books.append(book[1])
             _run_group(out, part, np.stack(books), data, y, z, seeds, config, gen)
-    out["distortion"] = spec.d.entries[xs, out["x_hat"]].mean(axis=1)
+    out["distortion"] = spec.d[xs, out["x_hat"]].mean(axis=1)
     return SessionBatch(x=xs, j=j, y=y, z=z, code_seed=codes, **out)
 
 
@@ -429,11 +429,11 @@ def _channel(
     xs: np.ndarray, j: np.ndarray, seeds: list[int], spec: ProblemSpec, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (T, n) Y and Z blocks of each session's channel stream."""
-    nx, nj, nz = spec.x_alphabet.size, spec.j_alphabet.size, spec.z_alphabet.size
+    nx, nj, _, nz = spec.w.shape
     u = np.empty(xs.shape)
     for t, seed in enumerate(seeds):
         u[t] = rekey(gen, philox_key(seed, "channel")).random(xs.shape[1])
-    pick = inverse_cdf(cumulative(spec.w.kernel.reshape(nx, nj, -1))[xs, j], u)
+    pick = inverse_cdf(cumulative(spec.w.reshape(nx, nj, -1))[xs, j], u)
     return pick // nz, pick % nz
 
 
@@ -509,7 +509,7 @@ def sample_typical_sources(
     for _ in range(MAX_SOURCE_DRAWS):
         if len(out) == count:
             break
-        x = sample_indices(gen, spec.p_x.mass, n)
+        x = sample_indices(gen, spec.p_x, n)
         if is_typical(x, spec.p_x, delta0):
             out.append(x)
     if len(out) < count:

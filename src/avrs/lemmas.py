@@ -21,7 +21,6 @@ from .coding import Codebook, SessionConfig, encode, simulate_sessions
 from .adversary import JammerStrategy
 from .errors import UsageError
 from .mtypes import TYPE_TOL, TypeTable, nearest_type, pair_counts, type_template
-from .probability import CondDistribution, Distribution
 from .rng import cumulative, derive_seed, inverse_cdf, philox_stream, sample_indices
 
 __all__ = [
@@ -95,31 +94,34 @@ def trend_check(results: list[HarnessResult], decreasing: bool = True) -> TrendC
 
 
 def run_conditional_typicality(
-    p_s: Distribution,
-    w_ts: CondDistribution,
+    p_s: np.ndarray,
+    w_ts: np.ndarray,
     n: int,
     delta0: float,
     trials: int,
     seed: int,
 ) -> HarnessResult:
     """Frequency that a memoryless output fails joint 3·delta0 typicality
-    with a fixed delta0-typical input, against |S||T| exp(-2 n delta0^3)."""
+    with a fixed delta0-typical input, against |S||T| exp(-2 n delta0^3).
+
+    ``p_s`` is the input pmf (S,) and ``w_ts`` the channel, one pmf over T
+    per input symbol (S, T)."""
     if delta0 <= 0:
         raise UsageError("delta0 must be > 0")
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    t_s = nearest_type(p_s.mass, n)
-    if float(np.abs(t_s.probabilities - p_s.mass).max()) > delta0 + TYPE_TOL:
+    t_s = nearest_type(p_s, n)
+    if float(np.abs(t_s.probabilities - p_s).max()) > delta0 + TYPE_TOL:
         raise UsageError(
             f"no delta0-typical input block exists at n={n}: the closest type "
-            f"deviates by {np.abs(t_s.probabilities - p_s.mass).max():.4f}"
+            f"deviates by {np.abs(t_s.probabilities - p_s).max():.4f}"
         )
     s = type_template(t_s)
-    ns, nt = p_s.alphabet.size, w_ts.to_alphabet.size
-    joint_target = p_s.mass[:, None] * w_ts.matrix
+    ns, nt = w_ts.shape
+    joint_target = p_s[:, None] * w_ts
     # trial t's output block takes row t of one (trials, n) block of uniforms
     uniforms = philox_stream(seed, "cond-typicality").random((trials, n))
-    outputs = inverse_cdf(cumulative(w_ts.matrix[s]), uniforms)
+    outputs = inverse_cdf(cumulative(w_ts[s]), uniforms)
     counts = pair_counts(np.broadcast_to(s, (trials, 1, n)), outputs, ns, nt)[:, 0]
     dev = np.abs(counts / n - joint_target).max(axis=(1, 2))
     rate = int((dev > 3.0 * delta0 + TYPE_TOL).sum()) / trials
@@ -162,7 +164,7 @@ def run_packing(
         raise UsageError("trials must be >= 1")
     spec = config.spec
     gen = philox_stream(seed, "packing-sources")
-    xs = sample_indices(gen, spec.p_x.mass, (trials, n))
+    xs = sample_indices(gen, spec.p_x, (trials, n))
     seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
     batch = simulate_sessions(xs, jammer, config, seeds)
     effective = int((~batch.e_enc).sum())
@@ -191,11 +193,10 @@ def run_markov_conclusion(
     if trials < 1:
         raise UsageError("trials must be >= 1")
     spec, policy = config.spec, config.policy
-    nx, nj = spec.x_alphabet.size, spec.j_alphabet.size
-    ny, nz = spec.y_alphabet.size, spec.z_alphabet.size
-    nu = policy.u_size
+    nx, nj, ny, nz = spec.w.shape
+    nu = policy.p_u_given_y.shape[1]
     gen = philox_stream(seed, "markov-sources")
-    x_block = sample_indices(gen, spec.p_x.mass, (trials, n))
+    x_block = sample_indices(gen, spec.p_x, (trials, n))
     seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
     batch = simulate_sessions(x_block, jammer, config, seeds)
     violations = 0
@@ -208,10 +209,10 @@ def run_markov_conclusion(
             t_j_given_x[a] = pair[a] / x_counts[a] if x_counts[a] > 0 else marg
         target = np.einsum(
             "x,xj,xjyz,yu->xjyzu",
-            spec.p_x.mass,
+            spec.p_x,
             t_j_given_x,
-            spec.w.kernel,
-            policy.p_u_given_y.matrix,
+            spec.w,
+            policy.p_u_given_y,
             optimize=True,
         )
         comp = (((xs * nj + js) * ny + ys) * nz + zs) * nu + us

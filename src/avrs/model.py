@@ -8,23 +8,18 @@ with a symbolwise reconstruction map zeta(u, z).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .probability import (
-    Alphabet,
-    Channel,
-    CondDistribution,
-    Distribution,
-    DistortionMatrix,
-)
+from .probability import checked_table
 
 __all__ = [
     "ProblemSpec",
     "AuxiliaryPolicy",
+    "index_table",
     "problem_spec_from_dict",
     "policy_from_dict",
     "load_problem_spec",
@@ -35,80 +30,76 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A finite-alphabet instance: alphabets, source pmf, channel, distortion."""
+    """A finite-alphabet instance: three read-only float64 arrays whose
+    shapes are the alphabet sizes, ``nx, nj, ny, nz = w.shape`` and
+    ``nxhat = d.shape[1]``.
 
-    p_x: Distribution
-    w: Channel
-    d: DistortionMatrix
+    ``p_x`` (X,) is the source pmf, positive everywhere; ``w`` (X, J, Y, Z)
+    is the channel p(y, z | x, j); ``d`` (X, X̂) is the distortion.
+    """
+
+    p_x: np.ndarray
+    w: np.ndarray
+    d: np.ndarray
     name: str = "instance"
 
     def __post_init__(self) -> None:
-        if self.p_x.alphabet != self.w.x_alphabet:
-            raise ConfigurationError("source pmf alphabet does not match channel X input")
-        if self.d.x_alphabet != self.w.x_alphabet:
-            raise ConfigurationError("distortion X alphabet does not match channel X input")
-        if np.any(self.p_x.mass <= 0):
+        p_x = checked_table(self.p_x, "p_x", 1, (0,))
+        w = checked_table(self.w, "w", 4, (2, 3))
+        d = checked_table(self.d, "d", 2)
+        if not p_x.shape[0] == w.shape[0] == d.shape[0]:
+            raise ConfigurationError(
+                f"p_x {p_x.shape}, w {w.shape} and d {d.shape} disagree on the size of X"
+            )
+        if np.any(p_x <= 0):
             raise ConfigurationError("every source symbol must have positive probability")
+        object.__setattr__(self, "p_x", p_x)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "d", d)
 
-    @property
-    def x_alphabet(self) -> Alphabet:
-        return self.w.x_alphabet
 
-    @property
-    def j_alphabet(self) -> Alphabet:
-        return self.w.j_alphabet
-
-    @property
-    def y_alphabet(self) -> Alphabet:
-        return self.w.y_alphabet
-
-    @property
-    def z_alphabet(self) -> Alphabet:
-        return self.w.z_alphabet
-
-    @property
-    def xhat_alphabet(self) -> Alphabet:
-        return self.d.xhat_alphabet
+def index_table(values, what: str, size: int | None = None) -> np.ndarray:
+    """``values`` as a read-only, C-contiguous int64 copy, after checking that
+    every entry is an integer (an integral number, not a bool or a string)
+    in [0, size), or in the int64 range when ``size`` is None."""
+    limit = np.iinfo(np.int64).max if size is None else size - 1
+    entries = np.asarray(values, dtype=object)
+    for v in entries.flat:
+        integral = (
+            isinstance(v, (int, np.integer))
+            or isinstance(v, (float, np.floating)) and float(v).is_integer()
+        ) and not isinstance(v, (bool, np.bool_))
+        if not integral:
+            raise ConfigurationError(f"{what}: entry {v!r} is not an integer")
+        if not 0 <= v <= limit:
+            raise ConfigurationError(f"{what}: entry {v!r} is outside [0, {limit}]")
+    out = np.ascontiguousarray(entries.astype(np.int64))
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
 class AuxiliaryPolicy:
-    """A test channel p(u|y) plus a total reconstruction map zeta: U x Z -> X̂."""
+    """A test channel ``p_u_given_y`` (Y, U) and a reconstruction map
+    ``zeta`` (U, Z) of indices into X̂, held as read-only arrays."""
 
-    p_u_given_y: CondDistribution
-    zeta: np.ndarray  # shape (|U|, |Z|), entries index the reconstruction alphabet
-    z_alphabet: Alphabet
-    xhat_alphabet: Alphabet
-    u_alphabet: Alphabet = field(init=False)
+    p_u_given_y: np.ndarray
+    zeta: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u_alphabet", self.p_u_given_y.to_alphabet)
-        z = np.asarray(self.zeta, dtype=np.int64)
-        expected = (self.u_alphabet.size, self.z_alphabet.size)
-        if z.shape != expected:
-            raise ConfigurationError(f"zeta table shape {z.shape}, expected {expected}")
-        if z.min() < 0 or z.max() >= self.xhat_alphabet.size:
-            raise ConfigurationError("zeta table entries outside the reconstruction alphabet")
-        z = np.ascontiguousarray(z)
-        z.setflags(write=False)
-        object.__setattr__(self, "zeta", z)
-
-    @property
-    def u_size(self) -> int:
-        return self.u_alphabet.size
+        p = checked_table(self.p_u_given_y, "p_u_given_y", 2, (1,))
+        zeta = index_table(self.zeta, "zeta")
+        if zeta.ndim != 2 or zeta.shape[0] != p.shape[1]:
+            raise ConfigurationError(
+                f"zeta has shape {zeta.shape}; expected one row per u ({p.shape[1]})"
+            )
+        object.__setattr__(self, "p_u_given_y", p)
+        object.__setattr__(self, "zeta", zeta)
 
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigurationError(msg)
-
-
-def _as_nested_floats(obj: object, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: not a numeric array ({exc})") from None
-    return arr
 
 
 def problem_spec_from_dict(doc: dict, source: str = "<dict>") -> ProblemSpec:
@@ -124,34 +115,14 @@ def problem_spec_from_dict(doc: dict, source: str = "<dict>") -> ProblemSpec:
             isinstance(sizes[key], int) and sizes[key] >= 1,
             f"{source}: alphabets[{key!r}] must be a positive integer",
         )
-    ax = Alphabet("X", sizes["x"])
-    aj = Alphabet("J", sizes["j"])
-    ay = Alphabet("Y", sizes["y"])
-    az = Alphabet("Z", sizes["z"])
-    ah = Alphabet("Xhat", sizes["xhat"])
-
-    p_x_arr = _as_nested_floats(doc["p_x"], f"{source}: p_x")
-    _require(p_x_arr.shape == (ax.size,), f"{source}: p_x must have length {ax.size}")
-    w_arr = _as_nested_floats(doc["w"], f"{source}: w")
-    _require(
-        w_arr.shape == (ax.size, aj.size, ay.size, az.size),
-        f"{source}: w must be nested [x][j][y][z] with shape "
-        f"({ax.size}, {aj.size}, {ay.size}, {az.size}), got {w_arr.shape}",
-    )
-    d_arr = _as_nested_floats(doc["d"], f"{source}: d")
-    _require(
-        d_arr.shape == (ax.size, ah.size),
-        f"{source}: d must be [x][xhat] with shape ({ax.size}, {ah.size})",
-    )
     try:
-        spec = ProblemSpec(
-            p_x=Distribution(ax, p_x_arr),
-            w=Channel(ax, aj, ay, az, w_arr),
-            d=DistortionMatrix(ax, ah, d_arr),
-            name=str(doc.get("name", "instance")),
-        )
+        spec = ProblemSpec(doc["p_x"], doc["w"], doc["d"], name=str(doc.get("name", "instance")))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
+    x, j, y, z, xhat = (sizes[k] for k in ("x", "j", "y", "z", "xhat"))
+    for key, shape in (("p_x", (x,)), ("w", (x, j, y, z)), ("d", (x, xhat))):
+        got = getattr(spec, key).shape
+        _require(got == shape, f"{source}: {key} has shape {got}, but the alphabets give {shape}")
     return spec
 
 
@@ -163,8 +134,12 @@ def read_json(path: str | Path) -> object:
         text = path.read_text()
     except OSError as exc:
         raise ConfigurationError(f"{path}: cannot read ({exc})") from None
+
+    def refuse(token: str) -> float:
+        raise ConfigurationError(f"{path}: {token} is not a JSON number")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
 
@@ -174,30 +149,28 @@ def load_problem_spec(path: str | Path) -> ProblemSpec:
 
 
 def policy_from_dict(doc: dict, spec: ProblemSpec, source: str = "<dict>") -> AuxiliaryPolicy:
+    """Build a :class:`AuxiliaryPolicy` from its JSON document form and check
+    that it fits ``spec``."""
     _require(isinstance(doc, dict), f"{source}: top level must be an object")
     for field_name in ("p_u_given_y", "zeta"):
         _require(field_name in doc, f"{source}: missing required field {field_name!r}")
-    mat = _as_nested_floats(doc["p_u_given_y"], f"{source}: p_u_given_y")
-    _require(mat.ndim == 2, f"{source}: p_u_given_y must be a matrix [y][u]")
-    _require(
-        mat.shape[0] == spec.y_alphabet.size,
-        f"{source}: p_u_given_y must have {spec.y_alphabet.size} rows (one per y)",
-    )
-    u_alphabet = Alphabet("U", mat.shape[1])
-    zeta = np.asarray(doc["zeta"])
-    _require(
-        zeta.ndim == 2 and zeta.shape == (u_alphabet.size, spec.z_alphabet.size),
-        f"{source}: zeta must be [u][z] with shape ({u_alphabet.size}, {spec.z_alphabet.size})",
-    )
     try:
-        policy = AuxiliaryPolicy(
-            p_u_given_y=CondDistribution(spec.y_alphabet, u_alphabet, mat),
-            zeta=zeta,
-            z_alphabet=spec.z_alphabet,
-            xhat_alphabet=spec.xhat_alphabet,
-        )
+        policy = AuxiliaryPolicy(doc["p_u_given_y"], doc["zeta"])
     except ConfigurationError as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
+    ny, nz, nxhat = spec.w.shape[2], spec.w.shape[3], spec.d.shape[1]
+    _require(
+        policy.p_u_given_y.shape[0] == ny,
+        f"{source}: p_u_given_y must have {ny} rows (one per y)",
+    )
+    _require(
+        policy.zeta.shape[1] == nz,
+        f"{source}: zeta must be [u][z] with {nz} columns (one per z)",
+    )
+    _require(
+        int(policy.zeta.max()) < nxhat,
+        f"{source}: zeta table entries outside the reconstruction alphabet of size {nxhat}",
+    )
     return policy
 
 

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .errors import EnumerationTooLargeError, UsageError
-from .probability import Distribution
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ProblemSpec
@@ -133,21 +132,21 @@ def type_template(table: TypeTable) -> np.ndarray:
     return np.repeat(np.arange(table.counts.size, dtype=np.int64), table.counts)
 
 
-def is_typical(x: np.ndarray, p: Distribution, eps: float) -> bool:
+def is_typical(x: np.ndarray, p: np.ndarray, eps: float) -> bool:
     """Membership of the symbol block x (a one-dimensional integer array) in
-    the eps-typical set of p: every symbol's frequency within eps of its
-    probability."""
+    the eps-typical set of the pmf p: every symbol's frequency within eps of
+    its probability."""
     if eps < 0:
         raise UsageError("typicality radius must be >= 0")
     x = np.asarray(x)
-    size = p.alphabet.size
+    size = len(p)
     if x.ndim != 1 or x.size < 1 or x.min() < 0 or x.max() >= size:
         raise UsageError(
-            f"a symbol block must be one-dimensional, non-empty and below {size} "
-            f"(the size of alphabet {p.alphabet.name!r})"
+            f"a symbol block must be one-dimensional, non-empty and below {size}, "
+            "the length of the pmf"
         )
     freq = np.bincount(x, minlength=size) / float(x.size)
-    return float(np.abs(freq - p.mass).max()) <= eps + TYPE_TOL
+    return float(np.abs(freq - p).max()) <= eps + TYPE_TOL
 
 
 def valid_jammer_types(
@@ -165,8 +164,8 @@ def valid_jammer_types(
     """
     if f_eps < 0:
         raise UsageError("f_eps must be >= 0")
-    x_size = spec.x_alphabet.size
-    if t_y.counts.shape != (spec.y_alphabet.size,):
+    x_size, j_size, y_size = spec.w.shape[:3]
+    if t_y.counts.shape != (y_size,):
         raise UsageError("t_y is not a type over the Y alphabet")
 
     # every rational row with denominator <= n, once, in lowest terms
@@ -174,7 +173,7 @@ def valid_jammer_types(
         [
             row
             for c in range(1, n + 1)
-            for row in compositions(c, spec.j_alphabet.size)
+            for row in compositions(c, j_size)
             if math.gcd(*row) == 1
         ],
         dtype=np.int64,
@@ -213,6 +212,6 @@ def consistent_kernels(
     """Mask of the jammer kernels, shape (N, |X|, |J|), whose induced
     Y-marginal [P_X q W]_Y lies within ``f_eps`` of ``t_y`` in l-infinity."""
     margins = np.einsum(
-        "x,nxj,xjy->ny", spec.p_x.mass, kernels, spec.w.y_marginal_kernel, optimize=True
+        "x,nxj,xjy->ny", spec.p_x, kernels, spec.w.sum(axis=3), optimize=True
     )
     return np.abs(margins - t_y.probabilities[None, :]).max(axis=1) <= f_eps + TYPE_TOL

@@ -2,13 +2,11 @@
 
 Everything in this module is a dense table over small alphabets.  All
 information quantities are in bits (base-2 logarithms) with the convention
-0·log 0 = 0.  Values are immutable after construction and safe to share
-across workers.
+0·log 0 = 0.  Input tables pass ``checked_table`` once, which hands back a
+read-only copy that is safe to share across workers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,11 +14,7 @@ from .errors import ConfigurationError
 
 __all__ = [
     "PROB_TOL",
-    "Alphabet",
-    "Distribution",
-    "CondDistribution",
-    "Channel",
-    "DistortionMatrix",
+    "checked_table",
     "xlog2x",
     "entropy_bits",
     "mutual_information_bits",
@@ -29,135 +23,35 @@ __all__ = [
 PROB_TOL = 1e-9
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def checked_table(
+    values, what: str, ndim: int, pmf_axes: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """``values`` as a read-only, C-contiguous float64 copy with ``ndim``
+    non-empty axes.
+
+    Raises ConfigurationError unless every entry is finite and non-negative
+    and, when ``pmf_axes`` is given, every slice over those axes sums to 1
+    within PROB_TOL.
+    """
+    try:
+        a = np.array(values, dtype=np.float64, order="C")
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what}: not a numeric array ({exc})") from None
+    if a.ndim != ndim or 0 in a.shape:
+        raise ConfigurationError(f"{what} has shape {a.shape}; expected {ndim} non-empty axes")
+    if not np.all(np.isfinite(a)):
+        raise ConfigurationError(f"{what} has non-finite entries")
+    if np.any(a < 0):
+        raise ConfigurationError(f"{what} has negative entries")
+    if pmf_axes is not None:
+        off = np.abs(a.sum(axis=pmf_axes) - 1.0)
+        if np.any(off > PROB_TOL):
+            at = np.unravel_index(int(np.argmax(off)), off.shape)
+            where = f" at {tuple(map(int, at))}" if at else ""
+            total = a.sum(axis=pmf_axes)[at]
+            raise ConfigurationError(f"{what}{where} sums to {total:.12f}, not 1")
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """A finite symbol set; symbols are the indices ``0 .. size-1``."""
-
-    name: str
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ConfigurationError(f"alphabet {self.name!r}: size must be >= 1")
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A pmf over one alphabet."""
-
-    alphabet: Alphabet
-    mass: np.ndarray
-
-    def __post_init__(self) -> None:
-        mass = np.asarray(self.mass, dtype=np.float64)
-        if mass.shape != (self.alphabet.size,):
-            raise ConfigurationError(
-                f"pmf over {self.alphabet.name!r} has shape {mass.shape}, "
-                f"expected ({self.alphabet.size},)"
-            )
-        if np.any(mass < 0):
-            raise ConfigurationError(f"pmf over {self.alphabet.name!r} has negative entries")
-        if abs(float(mass.sum()) - 1.0) > PROB_TOL:
-            raise ConfigurationError(
-                f"pmf over {self.alphabet.name!r} sums to {mass.sum():.12f}, not 1"
-            )
-        object.__setattr__(self, "mass", _frozen(mass))
-
-
-@dataclass(frozen=True)
-class CondDistribution:
-    """A stochastic matrix: one pmf over ``to_alphabet`` per conditioning symbol."""
-
-    from_alphabet: Alphabet
-    to_alphabet: Alphabet
-    matrix: np.ndarray  # shape (|from|, |to|), rows sum to 1
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.float64)
-        expected = (self.from_alphabet.size, self.to_alphabet.size)
-        if m.shape != expected:
-            raise ConfigurationError(
-                f"conditional {self.to_alphabet.name!r}|{self.from_alphabet.name!r}: "
-                f"shape {m.shape}, expected {expected}"
-            )
-        if np.any(m < 0):
-            raise ConfigurationError("conditional distribution has negative entries")
-        sums = m.sum(axis=1)
-        bad = np.where(np.abs(sums - 1.0) > PROB_TOL)[0]
-        if bad.size:
-            raise ConfigurationError(
-                f"conditional row {bad[0]} sums to {sums[bad[0]]:.12f}, not 1"
-            )
-        object.__setattr__(self, "matrix", _frozen(m))
-
-
-@dataclass(frozen=True)
-class Channel:
-    """Two-input two-output memoryless channel kernel p(y, z | x, j)."""
-
-    x_alphabet: Alphabet
-    j_alphabet: Alphabet
-    y_alphabet: Alphabet
-    z_alphabet: Alphabet
-    kernel: np.ndarray  # shape (|X|, |J|, |Y|, |Z|)
-
-    def __post_init__(self) -> None:
-        k = np.asarray(self.kernel, dtype=np.float64)
-        expected = (
-            self.x_alphabet.size,
-            self.j_alphabet.size,
-            self.y_alphabet.size,
-            self.z_alphabet.size,
-        )
-        if k.shape != expected:
-            raise ConfigurationError(f"channel kernel shape {k.shape}, expected {expected}")
-        if np.any(k < 0):
-            raise ConfigurationError("channel kernel has negative entries")
-        sums = k.sum(axis=(2, 3))
-        if np.any(np.abs(sums - 1.0) > PROB_TOL):
-            x, j = np.unravel_index(int(np.argmax(np.abs(sums - 1.0))), sums.shape)
-            raise ConfigurationError(
-                f"channel kernel at (x={x}, j={j}) sums to {sums[x, j]:.12f}, not 1"
-            )
-        object.__setattr__(self, "kernel", _frozen(k))
-
-    @property
-    def y_marginal_kernel(self) -> np.ndarray:
-        """p(y | x, j), shape (|X|, |J|, |Y|)."""
-        return self.kernel.sum(axis=3)
-
-    @property
-    def z_marginal_kernel(self) -> np.ndarray:
-        """p(z | x, j), shape (|X|, |J|, |Z|)."""
-        return self.kernel.sum(axis=2)
-
-
-@dataclass(frozen=True)
-class DistortionMatrix:
-    """Per-letter distortion d(x, x̂) >= 0 with its maximum cached."""
-
-    x_alphabet: Alphabet
-    xhat_alphabet: Alphabet
-    entries: np.ndarray
-    d_max: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=np.float64)
-        expected = (self.x_alphabet.size, self.xhat_alphabet.size)
-        if e.shape != expected:
-            raise ConfigurationError(f"distortion matrix shape {e.shape}, expected {expected}")
-        if not np.all(np.isfinite(e)):
-            raise ConfigurationError("distortion matrix has non-finite entries")
-        if np.any(e < 0):
-            raise ConfigurationError("distortion matrix has negative entries")
-        object.__setattr__(self, "entries", _frozen(e))
-        object.__setattr__(self, "d_max", float(e.max()))
 
 
 def xlog2x(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -7,13 +7,6 @@ import pytest
 
 from avrs.model import AuxiliaryPolicy, ProblemSpec
 from avrs.mtypes import TypeTable
-from avrs.probability import (
-    Alphabet,
-    Channel,
-    CondDistribution,
-    Distribution,
-    DistortionMatrix,
-)
 
 
 def type_of(block, size: int) -> TypeTable:
@@ -21,21 +14,8 @@ def type_of(block, size: int) -> TypeTable:
     return TypeTable(np.bincount(block, minlength=size), len(block))
 
 
-def make_spec(p_x, kernel, d, nj=None) -> ProblemSpec:
-    kernel = np.asarray(kernel, dtype=np.float64)
-    nx, njk, ny, nz = kernel.shape
-    d = np.asarray(d, dtype=np.float64)
-    return ProblemSpec(
-        Distribution(Alphabet("X", nx), p_x),
-        Channel(
-            Alphabet("X", nx),
-            Alphabet("J", njk),
-            Alphabet("Y", ny),
-            Alphabet("Z", nz),
-            kernel,
-        ),
-        DistortionMatrix(Alphabet("X", nx), Alphabet("Xhat", d.shape[1]), d),
-    )
+def make_spec(p_x, kernel, d) -> ProblemSpec:
+    return ProblemSpec(np.asarray(p_x), np.asarray(kernel), np.asarray(d))
 
 
 def classical_spec(p0=0.5) -> ProblemSpec:
@@ -121,32 +101,20 @@ def two_view_instance(rng: np.random.Generator) -> ProblemSpec:
 
 def identity_policy(spec: ProblemSpec, u_size: int | None = None) -> AuxiliaryPolicy:
     """U = Y deterministically; reconstruction copies u (padded by need)."""
-    ny = spec.y_alphabet.size
+    _, _, ny, nz = spec.w.shape
     u_size = u_size or ny
     mat = np.zeros((ny, u_size))
     for y in range(ny):
         mat[y, min(y, u_size - 1)] = 1.0
-    zeta = np.tile(
-        np.arange(u_size)[:, None] % spec.xhat_alphabet.size, (1, spec.z_alphabet.size)
-    )
-    return AuxiliaryPolicy(
-        CondDistribution(spec.y_alphabet, Alphabet("U", u_size), mat),
-        zeta,
-        spec.z_alphabet,
-        spec.xhat_alphabet,
-    )
+    zeta = np.tile(np.arange(u_size)[:, None] % spec.d.shape[1], (1, nz))
+    return AuxiliaryPolicy(mat, zeta)
 
 
 def noisy_policy(spec: ProblemSpec, stay=0.85) -> AuxiliaryPolicy:
     """Binary test channel that follows y with probability ``stay``."""
     mat = np.array([[stay, 1 - stay], [1 - stay, stay]])
-    zeta = np.tile(np.arange(2)[:, None], (1, spec.z_alphabet.size))
-    return AuxiliaryPolicy(
-        CondDistribution(spec.y_alphabet, Alphabet("U", 2), mat),
-        zeta,
-        spec.z_alphabet,
-        spec.xhat_alphabet,
-    )
+    zeta = np.tile(np.arange(2)[:, None], (1, spec.w.shape[3]))
+    return AuxiliaryPolicy(mat, zeta)
 
 
 def structured_instance(rng: np.random.Generator, nx: int = 2) -> ProblemSpec:

@@ -64,7 +64,7 @@ def info_matrix_oracle(spec, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray
     """I(U;Y|Z) for every (policy, jammer) pair straight from the whole
     joint table p(u, y, z) of each pair, with no use of the Markov chain
     U - Y - Z.  Shape (policies, jammers)."""
-    p_yz = np.einsum("x,nxj,xjyz->nyz", spec.p_x.mass, q_arr, spec.w.kernel)
+    p_yz = np.einsum("x,nxj,xjyz->nyz", spec.p_x, q_arr, spec.w)
     table = p_arr.transpose(0, 2, 1)[:, None, :, :, None] * p_yz[None, :, None, :, :]
     return conditional_mutual_information_bits(table)
 
@@ -73,8 +73,8 @@ def min_e_over_zeta_oracle(spec, p_arr: np.ndarray, q_arr: np.ndarray) -> np.nda
     """min over reconstruction maps of E[d] for every (policy, jammer) pair,
     straight from the joint p(x, u, z) of each pair: the best reconstruction
     is chosen per (u, z) cell.  Shape (policies, jammers)."""
-    c = np.einsum("x,nxj,xjyz,pyu->pnxuz", spec.p_x.mass, q_arr, spec.w.kernel, p_arr)
-    per_hat = np.einsum("pnxuz,xh->pnuzh", c, spec.d.entries)
+    c = np.einsum("x,nxj,xjyz,pyu->pnxuz", spec.p_x, q_arr, spec.w, p_arr)
+    per_hat = np.einsum("pnxuz,xh->pnuzh", c, spec.d)
     return per_hat.min(axis=-1).sum(axis=(-2, -1))
 
 
@@ -115,7 +115,7 @@ def r_upper_point_oracle(solver, distortion: float) -> tuple:
         q_worst = q_local[int(np.argmax(inner_vals))]
     else:
         q_worst = q_arr[int(np.argmax(info[p0]))]
-    zeta = solver._zeta_maps[best_f].reshape(solver.u_size, solver.spec.z_alphabet.size)
+    zeta = solver._zeta_maps[best_f].reshape(solver.u_size, solver.spec.w.shape[3])
     return value, solver._uncertainty(value, v0), best_p, zeta, q_worst
 
 
@@ -251,14 +251,14 @@ def session_oracle(x, jammer, config, seed, code_seed=None) -> dict:
     elif isinstance(jammer, BlockJammer):
         j = np.asarray(jammer.fn(xs), dtype=np.int64)
     else:
-        rows = jammer.q.matrix[xs]
+        rows = jammer.q[xs]
         j = np.argmax(rows, axis=1)
         random_pos = rows.max(axis=1) < 1.0
         if np.any(random_pos):
             j[random_pos] = sample_rows(philox_stream(seed, "jamming"), rows[random_pos])
 
-    ny, nz = spec.y_alphabet.size, spec.z_alphabet.size
-    flat = spec.w.kernel[xs, j].reshape(n, ny * nz)
+    _, _, ny, nz = spec.w.shape
+    flat = spec.w[xs, j].reshape(n, ny * nz)
     cdf_yz = np.cumsum(flat, axis=1)
     cdf_yz[:, -1] = 1.0
     u_yz = philox_stream(seed, "channel").random(n)
@@ -282,7 +282,7 @@ def session_oracle(x, jammer, config, seed, code_seed=None) -> dict:
             np.add.at(counts[r], (row, other), 1)
         return counts
 
-    nu = policy.u_size
+    nu = policy.p_u_given_y.shape[1]
     enc_dev = np.abs(joint_counts(mat, y, nu, ny) / n - data.encoder_target[None]).max(axis=(1, 2))
     satisfiers = np.where(enc_dev <= params.delta2 + TYPE_TOL)[0]
     e_enc = satisfiers.size == 0
@@ -307,7 +307,7 @@ def session_oracle(x, jammer, config, seed, code_seed=None) -> dict:
         "u_encoded": mat[g_enc],
         "u_decoded": mat[g_dec],
         "x_hat": x_hat,
-        "distortion": float(spec.d.entries[xs, x_hat].mean()),
+        "distortion": float(spec.d[xs, x_hat].mean()),
         "e_enc": bool(e_enc),
         "e_dec1": not bool(member[local]),
         "e_dec2": bool(member.sum() - int(member[local]) > 0),

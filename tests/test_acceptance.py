@@ -24,7 +24,6 @@ from avrs.derandomize import certify_ensemble, sample_ensemble
 from avrs.games import BilinearGame, solve_bilinear_game
 from avrs.lemmas import run_conditional_typicality, run_covering, run_packing, trend_check
 from avrs.mtypes import nearest_type
-from avrs.probability import CondDistribution, Distribution
 from avrs.rng import derive_seed, philox_stream
 
 from conftest import classical_spec, noisy_policy, structured_instance, type_of, wz_spec
@@ -130,7 +129,7 @@ def test_criterion_2_degenerate_reduction():
     worst = 0.0
     for target in (0.1, 0.25):
         value = solver.r_upper_point(target).value
-        oracle = _blahut_arimoto_rate(spec.p_x.mass, spec.d.entries, target)
+        oracle = _blahut_arimoto_rate(spec.p_x, spec.d, target)
         worst = max(worst, abs(value - oracle))
     elapsed = time.time() - start
     ok = worst <= 0.05 and elapsed <= 120
@@ -175,11 +174,9 @@ def test_criterion_5_coding_contract():
     params = CodingParams(eps=eps, delta2=0.25, gamma=0.25, f_eps=0.1, size_cap=2048)
     config = SessionConfig(spec, policy, params)
     family = config.family
-    jam = MemorylessJammer(
-        CondDistribution(spec.x_alphabet, spec.j_alphabet, [[0.7, 0.3], [0.7, 0.3]])
-    )
+    jam = MemorylessJammer([[0.7, 0.3], [0.7, 0.3]])
     n, sessions = 24, 10_000
-    cdf = np.cumsum(spec.p_x.mass)
+    cdf = np.cumsum(spec.p_x)
     cdf[-1] = 1.0
     seeds = [derive_seed(50_000, "c5", t) for t in range(sessions)]
     xs = np.stack([np.searchsorted(cdf, philox_stream(s, "x").random(n), side="right") for s in seeds])
@@ -245,7 +242,7 @@ def test_criterion_6_error_trends():
         noisy_policy(spec_pack, stay=0.9),
         CodingParams(eps=1.7, delta2=0.2, gamma=0.1, f_eps=0.1, size_cap=4096),
     )
-    jam = DeterministicJammer((0, 0), spec_pack.j_alphabet)
+    jam = DeterministicJammer((0, 0), spec_pack.w.shape[1])
     pack = [run_packing(cfg_pack, jam, n, trials=1500, seed=62) for n in (8, 16, 32)]
     pack_trend = trend_check(pack, decreasing=True)
 
@@ -263,10 +260,8 @@ def test_criterion_6_error_trends():
 def test_criterion_7_conditional_typicality():
     """Empirical violation rate within the closed-form bound; the vacuous
     regime is flagged rather than silently passed."""
-    p_s = Distribution(classical_spec().p_x.alphabet, [0.5, 0.5])
-    w = CondDistribution(
-        classical_spec().p_x.alphabet, classical_spec().y_alphabet, [[0.8, 0.2], [0.2, 0.8]]
-    )
+    p_s = np.array([0.5, 0.5])
+    w = np.array([[0.8, 0.2], [0.2, 0.8]])
     stated = run_conditional_typicality(p_s, w, n=200, delta0=0.1, trials=4000, seed=71)
     sharp = run_conditional_typicality(p_s, w, n=200, delta0=0.25, trials=4000, seed=72)
     ok = (
@@ -297,9 +292,7 @@ def test_criterion_8_elimination_technique():
     )
     n = 32
     ensemble = sample_ensemble(config, n, k=n * n, master_seed=17)
-    jam = MemorylessJammer(
-        CondDistribution(spec.x_alphabet, spec.j_alphabet, [[0.65, 0.35], [0.65, 0.35]])
-    )
+    jam = MemorylessJammer([[0.65, 0.35], [0.65, 0.35]])
     report = certify_ensemble(ensemble, [jam], x_count=2, trials_per_member=1, mu=0.02, seed=99)
 
     big = sample_ensemble(config, 100, k=100 * 100, master_seed=0)

@@ -164,7 +164,7 @@ class TestDistortionFloors:
         # oracle: fine grid over estimator columns, exact max over the four
         # deterministic jammers (expected distortion is linear in the kernel)
         spec = xor_spec()
-        w_y = spec.w.y_marginal_kernel  # (x, j, y)
+        w_y = spec.w.sum(axis=3)  # (x, j, y)
         grid = np.linspace(0.0, 1.0, 501)
         est = np.stack([grid, 1 - grid], axis=1)  # estimator for one context
         best = np.inf
@@ -176,9 +176,9 @@ class TestDistortionFloors:
                     e = 0.0
                     for x in range(2):
                         for y in range(2):
-                            p_y = spec.p_x.mass[x] * w_y[x, jm[x], y]
+                            p_y = spec.p_x[x] * w_y[x, jm[x], y]
                             col = a if y == 0 else b
-                            e += p_y * (col[0] * spec.d.entries[x, 0] + col[1] * spec.d.entries[x, 1])
+                            e += p_y * (col[0] * spec.d[x, 0] + col[1] * spec.d[x, 1])
                     worst = max(worst, e)
                 best = min(best, worst)
         val = minimax_distortion_game(spec, True).value
@@ -292,26 +292,26 @@ class TestVertexFeasibilityReduction:
         for _ in range(20):
             spec = structured_instance(rng, nx=int(rng.integers(2, 4)))
             nu = 2
-            p_cols = rng.dirichlet(np.ones(nu), size=spec.y_alphabet.size)
-            zeta = rng.integers(0, spec.xhat_alphabet.size, (nu, spec.z_alphabet.size))
+            p_cols = rng.dirichlet(np.ones(nu), size=spec.w.shape[2])
+            zeta = rng.integers(0, spec.d.shape[1], (nu, spec.w.shape[3]))
 
             # E = sum_{x,u,z} c[x,u,z] d[x, zeta[u,z]]
             def expected2(qmat):
                 c = np.einsum(
                     "x,xj,xjyz,yu->xuz",
-                    spec.p_x.mass,
+                    spec.p_x,
                     qmat,
-                    spec.w.kernel,
+                    spec.w,
                     p_cols,
                     optimize=True,
                 )
                 total = 0.0
                 for u in range(nu):
-                    for z in range(spec.z_alphabet.size):
-                        total += float(c[:, u, z] @ spec.d.entries[:, zeta[u, z]])
+                    for z in range(spec.w.shape[3]):
+                        total += float(c[:, u, z] @ spec.d[:, zeta[u, z]])
                 return total
 
-            nx, nj = spec.x_alphabet.size, spec.j_alphabet.size
+            nx, nj = spec.w.shape[:2]
             det_best = -np.inf
             for flat in range(nj**nx):
                 mapping = [(flat // nj**i) % nj for i in range(nx)]
@@ -361,7 +361,7 @@ class TestPerTypeRates:
         coarse_only = GridConfig(coarse_step=0.05, refine_step=0.05, refine=False)
         rates = per_type_rates(t_y, policy, spec, eps, f_eps, coarse_only)
 
-        p_uy = policy.p_u_given_y.matrix
+        p_uy = policy.p_u_given_y
         t_prob = t_y.probabilities
 
         def mi(table):
@@ -380,11 +380,11 @@ class TestPerTypeRates:
         for q0 in steps:
             for q1 in steps:
                 qmat = np.array([[1 - q0, q0], [1 - q1, q1]])
-                marg = np.einsum("x,xj,xjy->y", spec.p_x.mass, qmat, spec.w.y_marginal_kernel)
+                marg = np.einsum("x,xj,xjy->y", spec.p_x, qmat, spec.w.sum(axis=3))
                 if np.abs(marg - t_prob).max() > f_eps + 1e-12:
                     continue
                 p_uz = np.einsum(
-                    "x,xj,xjyz,yu->uz", spec.p_x.mass, qmat, spec.w.kernel, p_uy
+                    "x,xj,xjyz,yu->uz", spec.p_x, qmat, spec.w, p_uy
                 )
                 best = min(best, mi(p_uz))
         r_tilde_direct = max(0.0, best - eps / 4)

@@ -162,7 +162,7 @@ class TestSimulateCommand:
 
         jam = deterministic_jammer_family(spec)[0]
         s = derive_seed(5, "trial", 0, 3)
-        cdf = np.cumsum(spec.p_x.mass)
+        cdf = np.cumsum(spec.p_x)
         cdf[-1] = 1.0
         x = np.searchsorted(cdf, philox_stream(s, "x").random(12), side="right")
         rep = simulate_session(x, jam, config, s)
@@ -393,3 +393,56 @@ class TestRejectedValues:
             args += [flag, value]
         assert main(args + ["--out-dir", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
+
+
+def _nan_channel(doc: dict) -> None:
+    doc["w"][0][0][0][0] = float("nan")
+
+
+def _fractional_zeta(doc: dict) -> None:
+    doc["zeta"] = [[0.7, 0], [1, 1]]
+
+
+class TestRejectedInputs:
+    """Input files with non-finite probabilities or non-integer index
+    entries exit 2 before any output file is written."""
+
+    @pytest.mark.parametrize(
+        "command, edit_spec, edit_policy, jammers",
+        [
+            ("bounds", _nan_channel, None, None),
+            ("simulate", _nan_channel, None, None),
+            ("simulate", None, _fractional_zeta, None),
+            ("simulate", None, None, {"kind": "deterministic", "map": [0.9, 1.2]}),
+            ("session", None, None, {"kind": "fixed-vector", "vector": [0.5, 1.7, 0, 1, 0, 1, 0, 1]}),
+            ("derandomize", None, None, {"kind": "memoryless", "q": [[0.5, 0.5], [float("nan"), 1.0]]}),
+        ],
+    )
+    def test_exit_2_without_output(self, tmp_path, command, edit_spec, edit_policy, jammers):
+        args = list(SMALL_RUNS[command])
+        for flag, path, edit in (("--spec", SPEC, edit_spec), ("--policy", POLICY, edit_policy)):
+            if edit is not None:
+                doc = json.loads(Path(path).read_text())
+                edit(doc)
+                target = tmp_path / Path(path).name
+                target.write_text(json.dumps(doc))
+                args[args.index(flag) + 1] = str(target)
+        if jammers is not None:
+            target = tmp_path / "jammers.json"
+            target.write_text(json.dumps(jammers))
+            args += ["--jammers", str(target)]
+        out = tmp_path / "out"
+        assert main(args + ["--out-dir", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_overflowing_number_is_non_finite(self, tmp_path, capsys):
+        # 1e999 is valid JSON that parses to infinity, so the table check
+        # rather than the JSON reader must refuse it
+        spec = tmp_path / "spec.json"
+        spec.write_text(Path(SPEC).read_text().replace("0.5", "1e999", 1))
+        args = list(SMALL_RUNS["bounds"])
+        args[args.index("--spec") + 1] = str(spec)
+        out = tmp_path / "out"
+        assert main(args + ["--out-dir", str(out)]) == 2
+        assert "p_x has non-finite entries" in capsys.readouterr().err
+        assert not out.exists()

@@ -23,7 +23,6 @@ from avrs.coding import (
 from avrs.errors import UsageError
 from avrs.model import load_policy, load_problem_spec
 from avrs.mtypes import TypeTable, nearest_type, type_template
-from avrs.probability import Alphabet, CondDistribution
 from avrs.rng import cumulative, derive_seed, inverse_cdf, philox_stream
 
 from conftest import (
@@ -106,7 +105,7 @@ class TestCodebookConstruction:
         t_y = TypeTable(np.array([20, 12]), n)
         cb = Codebook(family.type_data(t_y), 9)
         mat = cb.matrix()[: 10_000 // n * n]
-        p1 = float((t_y.probabilities @ config.policy.p_u_given_y.matrix)[1])
+        p1 = float((t_y.probabilities @ config.policy.p_u_given_y)[1])
         draws = mat.size
         freq = float(np.mean(mat))
         sigma = math.sqrt(p1 * (1 - p1) / draws)
@@ -206,7 +205,7 @@ class TestEncode:
         family = CodebookFamily(config)
         t_y = TypeTable(np.array([5, 3]), 8)
         delta2 = 0.25
-        target = (t_y.probabilities[:, None] * config.policy.p_u_given_y.matrix).T
+        target = (t_y.probabilities[:, None] * config.policy.p_u_given_y).T
         for seed in range(30):
             cb = Codebook(family.type_data(t_y), seed)
             y = philox_stream(seed).permutation(type_template(t_y))
@@ -322,14 +321,9 @@ class TestSessions:
         zeta = np.array([[0, 1]])  # zeta(u, z) = z
         from avrs.model import AuxiliaryPolicy
 
-        policy = AuxiliaryPolicy(
-            CondDistribution(spec.y_alphabet, Alphabet("U", 1), [[1.0]]),
-            zeta,
-            spec.z_alphabet,
-            spec.xhat_alphabet,
-        )
+        policy = AuxiliaryPolicy(np.array([[1.0]]), zeta)
         config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=64))
-        jam = DeterministicJammer((0, 1), spec.j_alphabet)
+        jam = DeterministicJammer((0, 1), spec.w.shape[1])
         rep = simulate_session(np.array([0, 1, 1, 0, 1, 0]), jam, config, seed=1)
         assert rep.distortion.tolist() == [0.0]
 
@@ -338,14 +332,9 @@ class TestSessions:
         spec = classical_spec()
         from avrs.model import AuxiliaryPolicy
 
-        policy = AuxiliaryPolicy(
-            CondDistribution(spec.y_alphabet, Alphabet("U", 1), [[1.0], [1.0]]),
-            np.array([[0]]),
-            spec.z_alphabet,
-            spec.xhat_alphabet,
-        )
+        policy = AuxiliaryPolicy(np.array([[1.0], [1.0]]), np.array([[0]]))
         config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=16))
-        jam = deterministic = DeterministicJammer((0,) * 2, spec.j_alphabet)
+        jam = deterministic = DeterministicJammer((0,) * 2, spec.w.shape[1])
         n, trials = 24, 400
         xs = np.stack([philox_stream(t, "x").integers(0, 2, n) for t in range(trials)])
         vals = simulate_sessions(xs, jam, config, list(range(trials))).distortion
@@ -355,11 +344,7 @@ class TestSessions:
 
     def test_session_determinism(self):
         config = wz_config()
-        jam = MemorylessJammer(
-            CondDistribution(
-                config.spec.x_alphabet, config.spec.j_alphabet, [[0.6, 0.4], [0.6, 0.4]]
-            )
-        )
+        jam = MemorylessJammer([[0.6, 0.4], [0.6, 0.4]])
         x = philox_stream(5).integers(0, 2, 16)
         a = simulate_session(x, jam, config, seed=99)
         b = simulate_session(x, jam, config, seed=99)
@@ -368,15 +353,15 @@ class TestSessions:
 
     def test_distortion_within_range(self):
         config = wz_config()
-        jam = DeterministicJammer((1, 0), config.spec.j_alphabet)
+        jam = DeterministicJammer((1, 0), config.spec.w.shape[1])
         xs = np.stack([philox_stream(t, "r").integers(0, 2, 12) for t in range(50)])
         dist = simulate_sessions(xs, jam, config, list(range(50))).distortion
-        assert ((0.0 <= dist) & (dist <= config.spec.d.d_max)).all()
+        assert ((0.0 <= dist) & (dist <= config.spec.d.max())).all()
 
     def test_message_bits_accounting(self):
         config = wz_config()
         family = config.family
-        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
+        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
         rep = simulate_session(philox_stream(1, "m").integers(0, 2, 16), jam, config, seed=7)
         num_bins = family.type_data(type_of(rep.y[0], 2)).num_bins
         expected = math.ceil(math.log2(num_bins)) if num_bins > 1 else 0
@@ -401,11 +386,11 @@ def _readme_config():
 
 def _jammer(kind, spec, n):
     if kind == "deterministic":
-        return DeterministicJammer((1, 0), spec.j_alphabet)
+        return DeterministicJammer((1, 0), spec.w.shape[1])
     if kind == "block":
-        return fixed_vector_jammer(np.arange(n) % 2, spec.j_alphabet, "alternate")
+        return fixed_vector_jammer(np.arange(n) % 2, spec.w.shape[1], "alternate")
     rows = [[0.6, 0.4], [1.0, 0.0]]  # random only where x = 0
-    return MemorylessJammer(CondDistribution(spec.x_alphabet, spec.j_alphabet, rows))
+    return MemorylessJammer(rows)
 
 
 def _check_against_oracle(config, jammer, xs, seeds, code_seeds=None):
@@ -538,8 +523,8 @@ class TestDecodeErrorTrend:
             noisy_policy(spec, stay=0.9),
             CodingParams(eps=1.7, delta2=0.2, gamma=0.2, f_eps=0.1, size_cap=4096),
         )
-        jam = DeterministicJammer((0, 0), spec.j_alphabet)
-        cdf = np.cumsum(spec.p_x.mass)
+        jam = DeterministicJammer((0, 0), spec.w.shape[1])
+        cdf = np.cumsum(spec.p_x)
         cdf[-1] = 1.0
         rates, sigmas = [], []
         for n in (8, 16, 32):

@@ -7,7 +7,6 @@ from avrs.adversary import DeterministicJammer
 from avrs.coding import Codebook, CodebookFamily, CodingParams, SessionConfig
 from avrs.derandomize import certify_ensemble, sample_ensemble
 from avrs.mtypes import nearest_type
-from avrs.probability import CondDistribution
 
 from conftest import identity_z_spec, noisy_policy, wz_spec
 
@@ -42,7 +41,7 @@ class TestEnsemble:
         e = sample_ensemble(config, n, k=1000, master_seed=9)
         data = family.type_data(t_y)
         rows = np.stack([Codebook(data, s).matrix()[0] for s in e.member_seeds])
-        p1 = float((t_y.probabilities @ config.policy.p_u_given_y.matrix)[1])
+        p1 = float((t_y.probabilities @ config.policy.p_u_given_y)[1])
         freq = float(np.mean(rows))
         sigma = math.sqrt(p1 * (1 - p1) / rows.size)
         assert abs(freq - p1) <= 3 * sigma
@@ -54,17 +53,11 @@ class TestCertification:
         # session of every code has zero distortion
         spec = identity_z_spec()
         from avrs.model import AuxiliaryPolicy
-        from avrs.probability import Alphabet
 
-        policy = AuxiliaryPolicy(
-            CondDistribution(spec.y_alphabet, Alphabet("U", 1), [[1.0]]),
-            np.array([[0, 1]]),
-            spec.z_alphabet,
-            spec.xhat_alphabet,
-        )
+        policy = AuxiliaryPolicy(np.array([[1.0]]), np.array([[0, 1]]))
         config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=32))
         e = sample_ensemble(config, 8, k=4, master_seed=0)
-        jam = DeterministicJammer((0, 1), spec.j_alphabet)
+        jam = DeterministicJammer((0, 1), spec.w.shape[1])
         report = certify_ensemble(e, [jam], x_count=1, trials_per_member=2, mu=0.02, seed=1)
         assert report.max_excess == 0.0
         assert report.passed
@@ -72,14 +65,14 @@ class TestCertification:
     def test_singleton_max_equals_cell(self):
         config = small_config()
         e = sample_ensemble(config, 8, k=8, master_seed=2)
-        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
+        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
         report = certify_ensemble(e, [jam], x_count=1, trials_per_member=2, mu=0.5, seed=4)
         assert len(report.cells) == 1
         assert report.max_excess == report.cells[0].excess
 
     def test_big_ensemble_no_worse_than_single(self):
         config = small_config()
-        jam = DeterministicJammer((1, 1), config.spec.j_alphabet)
+        jam = DeterministicJammer((1, 1), config.spec.w.shape[1])
         n = 8
         e1 = sample_ensemble(config, n, k=1, master_seed=7)
         ek = sample_ensemble(config, n, k=n * n, master_seed=7)

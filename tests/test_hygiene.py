@@ -119,6 +119,21 @@ def test_all_lists_exactly_the_public_definitions(module):
     assert not wrong, "__all__ out of step with the module:\n" + "\n".join(wrong)
 
 
+def test_package_reexports_only_listed_names():
+    # avrs/__init__.py re-exports a name of a module that declares __all__
+    # only when that list holds it, so a name leaves the package API with
+    # its module
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    wrong = [
+        f"__init__.py:{node.lineno}: {alias.name} is not in avrs.{node.module}.__all__"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and f"{node.module}.py" in EXPORTING
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"avrs.{node.module}").__all__
+    ]
+    assert not wrong, "re-exports out of step with __all__:\n" + "\n".join(wrong)
+
+
 def _tracer():
     """The benchmark's tracer module, loaded from its file without installing
     it: it patches package names from outside, so a renamed or deleted name

@@ -15,13 +15,9 @@ from avrs.lemmas import (
 )
 from avrs.model import AuxiliaryPolicy
 from avrs.mtypes import TYPE_TOL, nearest_type, type_template
-from avrs.probability import Alphabet, CondDistribution, Distribution
 from avrs.rng import philox_stream, sample_rows
 
 from conftest import identity_z_spec, noisy_policy, wz_spec
-
-A2 = Alphabet("S", 2)
-T2 = Alphabet("T", 2)
 
 
 def covering_config():
@@ -55,16 +51,16 @@ def markov_config():
 
 class TestConditionalTypicality:
     def test_deterministic_channel_never_violates(self):
-        w = CondDistribution(A2, T2, [[1.0, 0.0], [0.0, 1.0]])
+        w = np.array([[1.0, 0.0], [0.0, 1.0]])
         res = run_conditional_typicality(
-            Distribution(A2, [0.5, 0.5]), w, n=100, delta0=0.2, trials=200, seed=1
+            np.array([0.5, 0.5]), w, n=100, delta0=0.2, trials=200, seed=1
         )
         assert res.empirical == 0.0
 
     def test_bsc_within_bound_and_vacuous_flagged(self):
-        w = CondDistribution(A2, T2, [[0.8, 0.2], [0.2, 0.8]])
+        w = np.array([[0.8, 0.2], [0.2, 0.8]])
         res = run_conditional_typicality(
-            Distribution(A2, [0.5, 0.5]), w, n=200, delta0=0.1, trials=2000, seed=2
+            np.array([0.5, 0.5]), w, n=200, delta0=0.1, trials=2000, seed=2
         )
         assert res.bound == pytest.approx(4 * math.exp(-0.4), abs=1e-12)
         assert res.bound == pytest.approx(2.6812801841425576, abs=1e-12)
@@ -72,45 +68,45 @@ class TestConditionalTypicality:
         assert res.empirical <= res.bound + 3 * res.sigma
 
     def test_tight_radius_non_vacuous(self):
-        w = CondDistribution(A2, T2, [[0.8, 0.2], [0.2, 0.8]])
+        w = np.array([[0.8, 0.2], [0.2, 0.8]])
         res = run_conditional_typicality(
-            Distribution(A2, [0.5, 0.5]), w, n=200, delta0=0.25, trials=2000, seed=3
+            np.array([0.5, 0.5]), w, n=200, delta0=0.25, trials=2000, seed=3
         )
         assert not res.vacuous
         assert res.within_bound
 
     def test_no_typical_input_diagnostic(self):
-        w = CondDistribution(A2, T2, [[0.8, 0.2], [0.2, 0.8]])
+        w = np.array([[0.8, 0.2], [0.2, 0.8]])
         with pytest.raises(UsageError, match="typical"):
             run_conditional_typicality(
-                Distribution(A2, [0.37, 0.63]), w, n=3, delta0=0.01, trials=10, seed=0
+                np.array([0.37, 0.63]), w, n=3, delta0=0.01, trials=10, seed=0
             )
 
     def test_equals_the_trial_by_trial_loop(self):
         # the reference draws each trial's outputs with its own sample_rows
         # call and counts the pairs one by one
-        p_s = Distribution(A2, [0.5, 0.5])
-        w = CondDistribution(A2, T2, [[0.7, 0.3], [0.3, 0.7]])
+        p_s = np.array([0.5, 0.5])
+        w = np.array([[0.7, 0.3], [0.3, 0.7]])
         n, delta0, trials, seed = 40, 0.025, 300, 7
-        s = type_template(nearest_type(p_s.mass, n))
-        target = p_s.mass[:, None] * w.matrix
+        s = type_template(nearest_type(p_s, n))
+        target = p_s[:, None] * w
         gen = philox_stream(seed, "cond-typicality")
         violations = 0
         for _ in range(trials):
             counts = np.zeros((2, 2))
-            np.add.at(counts, (s, sample_rows(gen, w.matrix[s])), 1)
+            np.add.at(counts, (s, sample_rows(gen, w[s])), 1)
             violations += int(np.abs(counts / n - target).max() > 3 * delta0 + TYPE_TOL)
         assert 0 < violations < trials
         res = run_conditional_typicality(p_s, w, n, delta0, trials, seed)
         assert res.empirical == violations / trials
 
     def test_seed_reproducible(self):
-        w = CondDistribution(A2, T2, [[0.7, 0.3], [0.3, 0.7]])
+        w = np.array([[0.7, 0.3], [0.3, 0.7]])
         a = run_conditional_typicality(
-            Distribution(A2, [0.5, 0.5]), w, n=60, delta0=0.12, trials=500, seed=11
+            np.array([0.5, 0.5]), w, n=60, delta0=0.12, trials=500, seed=11
         )
         b = run_conditional_typicality(
-            Distribution(A2, [0.5, 0.5]), w, n=60, delta0=0.12, trials=500, seed=11
+            np.array([0.5, 0.5]), w, n=60, delta0=0.12, trials=500, seed=11
         )
         assert a.empirical == b.empirical
 
@@ -151,7 +147,7 @@ class TestPacking:
             config.policy,
             CodingParams(eps=1.7, delta2=0.2, gamma=1.0, f_eps=1.0, size_cap=256),
         )
-        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
+        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
         res = run_packing(wide, jam, n=12, trials=200, seed=7)
         assert res.empirical == 1.0
 
@@ -162,20 +158,20 @@ class TestPacking:
             config.policy,
             CodingParams(eps=1.7, delta2=0.2, gamma=0.0, f_eps=0.1, size_cap=256),
         )
-        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
+        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
         res = run_packing(tight, jam, n=9, trials=300, seed=8)
         assert res.empirical <= 0.02
 
     def test_reproducible(self):
         config = packing_config()
-        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
+        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
         a = run_packing(config, jam, 10, trials=150, seed=14)
         b = run_packing(config, jam, 10, trials=150, seed=14)
         assert a.empirical == b.empirical
 
     def test_rate_falls_along_ladder(self):
         config = packing_config()
-        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
+        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
         results = [
             run_packing(config, jam, n, trials=1500, seed=11) for n in (8, 16, 32)
         ]
@@ -196,7 +192,7 @@ class TestSharedTypeCache:
 
         monkeypatch.setattr(avrs.coding, "valid_jammer_types", counting)
         config = markov_config()
-        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
+        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
         n = 12
         run_covering(config, nearest_type(np.array([0.5, 0.5]), n), trials=10, seed=1)
         run_packing(config, jam, n, trials=30, seed=2)
@@ -208,27 +204,22 @@ class TestSharedTypeCache:
 class TestMarkovConclusion:
     def test_deterministic_pipeline_never_violates(self):
         spec = identity_z_spec()
-        policy = AuxiliaryPolicy(
-            CondDistribution(spec.y_alphabet, Alphabet("U", 1), [[1.0]]),
-            np.array([[0, 1]]),
-            spec.z_alphabet,
-            spec.xhat_alphabet,
-        )
+        policy = AuxiliaryPolicy(np.array([[1.0]]), np.array([[0, 1]]))
         config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=32))
-        jam = DeterministicJammer((0, 0), spec.j_alphabet)
+        jam = DeterministicJammer((0, 0), spec.w.shape[1])
         res = run_markov_conclusion(config, jam, n=32, delta4=0.35, trials=200, seed=9)
         assert res.empirical == 0.0
 
     def test_reproducible(self):
         config = markov_config()
-        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
+        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
         a = run_markov_conclusion(config, jam, 16, 0.2, trials=200, seed=10)
         b = run_markov_conclusion(config, jam, 16, 0.2, trials=200, seed=10)
         assert a.empirical == b.empirical
 
     def test_violations_fall_along_ladder(self):
         config = markov_config()
-        jam = DeterministicJammer((0, 0), config.spec.j_alphabet)
+        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
         results = [
             run_markov_conclusion(config, jam, n, 0.2, trials=500, seed=12)
             for n in (8, 16, 32)
@@ -239,9 +230,9 @@ class TestMarkovConclusion:
 
 class TestHarnessContract:
     def test_results_carry_uncertainty_fields(self):
-        w = CondDistribution(A2, T2, [[0.7, 0.3], [0.3, 0.7]])
+        w = np.array([[0.7, 0.3], [0.3, 0.7]])
         res = run_conditional_typicality(
-            Distribution(A2, [0.5, 0.5]), w, n=40, delta0=0.15, trials=100, seed=13
+            np.array([0.5, 0.5]), w, n=40, delta0=0.15, trials=100, seed=13
         )
         assert res.trials == 100
         assert res.sigma >= 0.0

@@ -17,7 +17,6 @@ from avrs.mtypes import (
     type_template,
     valid_jammer_types,
 )
-from avrs.probability import Alphabet, Distribution
 
 from conftest import (
     classical_spec,
@@ -29,27 +28,24 @@ from conftest import (
 )
 from oracles import jammer_types_oracle
 
-A2 = Alphabet("A", 2)
-A3 = Alphabet("A", 3)
-
 
 class TestEmpiricalType:
     # a block is 0-typical for exactly its own type, so these pin the type
     # that is_typical counts
     def test_half_half(self):
         x = np.array([0, 1, 1, 0])
-        assert is_typical(x, Distribution(A2, [0.5, 0.5]), 0.0)
-        assert not is_typical(x, Distribution(A2, [0.25, 0.75]), 0.2)
+        assert is_typical(x, np.array([0.5, 0.5]), 0.0)
+        assert not is_typical(x, np.array([0.25, 0.75]), 0.2)
 
     def test_constant(self):
         x = np.array([1, 1, 1])
-        assert is_typical(x, Distribution(A2, [0.0, 1.0]), 0.0)
-        assert not is_typical(x, Distribution(A2, [0.1, 0.9]), 0.09)
+        assert is_typical(x, np.array([0.0, 1.0]), 0.0)
+        assert not is_typical(x, np.array([0.1, 0.9]), 0.09)
 
     def test_hand_count_ternary(self):
         x = np.array([0, 0, 1, 2, 2, 2])
-        assert is_typical(x, Distribution(A3, [1 / 3, 1 / 6, 1 / 2]), 0.0)
-        assert not is_typical(x, Distribution(A3, [1 / 6, 1 / 3, 1 / 2]), 0.1)
+        assert is_typical(x, np.array([1 / 3, 1 / 6, 1 / 2]), 0.0)
+        assert not is_typical(x, np.array([1 / 6, 1 / 3, 1 / 2]), 0.1)
 
 
 class TestJointAndConditionalType:
@@ -68,22 +64,22 @@ class TestJointAndConditionalType:
 class TestTypicality:
     def test_exact_type_zero_eps(self):
         x = np.array([0, 1, 0, 1])
-        assert is_typical(x, Distribution(A2, [0.5, 0.5]), 0.0)
+        assert is_typical(x, np.array([0.5, 0.5]), 0.0)
 
     def test_all_zeros_fails(self):
         x = np.zeros(10, dtype=int)
-        assert not is_typical(x, Distribution(A2, [0.5, 0.5]), 0.4)
+        assert not is_typical(x, np.array([0.5, 0.5]), 0.4)
 
     def test_against_exhaustive_deviation(self, rng):
-        p = Distribution(A3, [0.2, 0.3, 0.5])
+        p = np.array([0.2, 0.3, 0.5])
         for _ in range(20):
             x = rng.integers(0, 3, 20)
             eps = float(rng.uniform(0, 0.5))
-            dev = max(abs(np.mean(x == a) - p.mass[a]) for a in range(3))
+            dev = max(abs(np.mean(x == a) - p[a]) for a in range(3))
             assert is_typical(x, p, eps) == (dev <= eps + 1e-12)
 
     def test_block_outside_the_alphabet_refused(self):
-        p = Distribution(A2, [0.5, 0.5])
+        p = np.array([0.5, 0.5])
         for symbols in ([0, 1, 2, 1], [0, -1, 0, 1], [], [[0, 1], [1, 0]]):
             with pytest.raises(UsageError):
                 is_typical(np.array(symbols, dtype=int), p, 0.5)
@@ -113,13 +109,13 @@ ORACLE_SPECS = {
 def _oracle_tables(n: int, spec) -> np.ndarray:
     """The Fraction oracle's tables as floats, (M, |X|, |J|); float() of a
     Fraction rounds exactly as the float division of its terms."""
-    oracle = jammer_types_oracle(n, spec.x_alphabet.size, spec.j_alphabet.size)
+    oracle = jammer_types_oracle(n, spec.w.shape[0], spec.w.shape[1])
     return np.array([[[float(v) for v in row] for row in table] for table in oracle])
 
 
 def _consistent(tables: np.ndarray, spec, t_y, f_eps: float) -> np.ndarray:
     """Oracle-side l-infinity filter on the induced Y-marginal."""
-    marg = np.einsum("x,mxj,xjy->my", spec.p_x.mass, tables, spec.w.y_marginal_kernel)
+    marg = np.einsum("x,mxj,xjy->my", spec.p_x, tables, spec.w.sum(axis=3))
     return tables[np.abs(marg - t_y.probabilities).max(axis=1) <= f_eps + 1e-12]
 
 
@@ -154,7 +150,7 @@ class TestValidJammerTypes:
     def test_matches_fraction_oracle(self, name):
         spec = ORACLE_SPECS[name]()
         p_y = np.einsum(
-            "x,xy->y", spec.p_x.mass, spec.w.y_marginal_kernel.mean(axis=1)
+            "x,xy->y", spec.p_x, spec.w.sum(axis=3).mean(axis=1)
         )
         for n in range(1, 13):
             oracle = _oracle_tables(n, spec)

@@ -4,33 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avrs.errors import ConfigurationError
-from avrs.probability import (
-    Alphabet,
-    Channel,
-    CondDistribution,
-    Distribution,
-    DistortionMatrix,
-    entropy_bits,
-    mutual_information_bits,
-)
+from avrs.probability import checked_table, entropy_bits, mutual_information_bits
 
 from oracles import conditional_mutual_information_bits
-
-AX = Alphabet("X", 2)
-AJ = Alphabet("J", 2)
-AY = Alphabet("Y", 2)
-AZ = Alphabet("Z", 1)
-AH = Alphabet("Xhat", 2)
-
-
-def bsc_channel(flip: float, z_size: int = 1) -> Channel:
-    k = np.zeros((2, 2, 2, z_size))
-    for x in range(2):
-        for j in range(2):
-            for y in range(2):
-                p = 1 - flip if y == x else flip
-                k[x, j, y, 0] = p
-    return Channel(AX, AJ, AY, Alphabet("Z", z_size), k)
 
 
 def h2(p: float) -> float:
@@ -38,33 +14,56 @@ def h2(p: float) -> float:
 
 
 class TestConstruction:
+    """``checked_table``, the one check every input table passes."""
+
     def test_distribution_rejects_bad_sum(self):
-        with pytest.raises(ConfigurationError):
-            Distribution(AX, [0.5, 0.6])
+        with pytest.raises(ConfigurationError, match="sums to 1.1"):
+            checked_table([0.5, 0.6], "p_x", 1, (0,))
 
     def test_distribution_rejects_negative(self):
-        with pytest.raises(ConfigurationError):
-            Distribution(AX, [-0.1, 1.1])
+        with pytest.raises(ConfigurationError, match="negative"):
+            checked_table([-0.1, 1.1], "p_x", 1, (0,))
 
     def test_conditional_rows_validated(self):
-        with pytest.raises(ConfigurationError):
-            CondDistribution(AX, AJ, [[0.5, 0.5], [0.9, 0.2]])
+        with pytest.raises(ConfigurationError, match=r"q at \(1,\) sums to 1.1"):
+            checked_table([[0.5, 0.5], [0.9, 0.2]], "q", 2, (1,))
 
     def test_channel_slice_validated(self):
         k = np.zeros((2, 2, 2, 1))
-        k[0, 0, 0, 0] = 0.9
-        with pytest.raises(ConfigurationError):
-            Channel(AX, AJ, AY, AZ, k)
+        k[:, :, 0, 0] = 1.0
+        k[1, 0, 0, 0] = 0.9
+        with pytest.raises(ConfigurationError, match=r"w at \(1, 0\) sums to 0.9"):
+            checked_table(k, "w", 4, (2, 3))
 
-    def test_distortion_max_cached(self):
-        d = DistortionMatrix(AX, AH, [[0, 0.25], [2.5, 0]])
-        assert d.d_max == 2.5
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN fails neither "< 0" nor "|sum - 1| > tol", so it needs its own test
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            checked_table([bad, 0.5], "p_x", 1, (0,))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            checked_table([[0.0, bad]], "d", 2)
+
+    @pytest.mark.parametrize(
+        "values, ndim",
+        [([0.5, 0.5], 2), ([[1.0], [1.0]], 1), ([], 1), ([[], []], 2), ([[1.0], [0.5, 0.5]], 2), ("ab", 1)],
+    )
+    def test_shape_and_type_rejected(self, values, ndim):
+        with pytest.raises(ConfigurationError, match="shape|numeric"):
+            checked_table(values, "t", ndim)
+
+    def test_table_without_pmf_axes_needs_no_sum(self):
+        d = checked_table([[0, 0.25], [2.5, 0]], "d", 2)
+        assert d.dtype == np.float64 and d.flags.c_contiguous
+        assert d.tolist() == [[0.0, 0.25], [2.5, 0.0]]
 
     def test_joint_immutable(self):
-        # the channel kernel is the joint p(y, z | x, j)
-        chan = bsc_channel(0.1)
+        # the result is a read-only copy; the caller's array stays writable
+        k = np.full((2, 2, 2, 1), 0.5)
+        held = checked_table(k, "w", 4, (2, 3))
         with pytest.raises(ValueError):
-            chan.kernel[0, 0, 0, 0] = 1.0
+            held[0, 0, 0, 0] = 1.0
+        k[0, 0, 0, 0] = 1.0
+        assert held[0, 0, 0, 0] == 0.5
 
 
 class TestEntropy:
