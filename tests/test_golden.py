@@ -26,12 +26,25 @@ JAMMERS = [
     {"kind": "memoryless", "q": [[0.7, 0.3], [0.2, 0.8]]},
     {"kind": "fixed-vector", "vector": [0, 1] * 8},
 ]
+# one jammer of each kind for the binary spec at n = 16; the memoryless one
+# mixes a random row with a point-mass row
+KINDS = [
+    {"kind": "memoryless", "q": [[0.6, 0.4], [0.0, 1.0]]},
+    {"kind": "deterministic", "map": [1, 0]},
+    {"kind": "fixed-vector", "vector": [1, 1, 0, 1] * 4},
+]
+FILES = {"jammers": JAMMERS, "kinds": KINDS}
 
 CODING = ["--spec", SPEC, "--policy", POLICY, "--seed", "1"]
 INVOCATIONS = {
     "simulate": ["simulate", *CODING, "--n", "16", "--trials", "10", "--jammers", "all-deterministic"],
     "simulate-file": ["simulate", *CODING, "--n", "16", "--trials", "10", "--jammers", "{jammers}"],
     "session": ["session", *CODING, "--n", "16", "--jammers", "all-deterministic"],
+    "session-kinds": ["session", *CODING, "--n", "16", "--jammers", "{kinds}"],
+    # the worst-case search, which plays fixed jamming vectors
+    "simulate-search": [
+        "simulate", *CODING, "--n", "8", "--trials", "5", "--jammers", "greedy-search", "--search-budget", "4",
+    ],
     "derandomize": ["derandomize", *CODING, "--n", "8", "--x-samples", "2", "--trials", "1"],
     "lemmas": ["lemmas", *CODING, "--n", "8", "--n-ladder", "8,16", "--trials", "20"],
     # the golden bounds sweep of test_cli.py, whose bounds.csv is pinned there
@@ -44,12 +57,15 @@ INVOCATIONS = {
 
 def run_all(work: Path) -> dict[str, str]:
     """Run every invocation under ``work``; map "<name>/<file>" to its sha256."""
-    jammers = work / "jammers.json"
-    jammers.write_text(json.dumps(JAMMERS))
+    paths = {}
+    for stem, docs in FILES.items():
+        path = work / f"{stem}.json"
+        path.write_text(json.dumps(docs))
+        paths["{" + stem + "}"] = str(path)
     digests = {}
     for name, argv in INVOCATIONS.items():
         out = work / name
-        argv = [a.replace("{jammers}", str(jammers)) for a in argv]
+        argv = [paths.get(a, a) for a in argv]
         rc = main(argv + ["--out-dir", str(out)])
         if rc != 0:
             raise AssertionError(f"{name} exited {rc}")
