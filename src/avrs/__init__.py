@@ -33,9 +33,8 @@ from .bounds import (
     per_type_rates,
 )
 from .adversary import (
-    BlockJammer,
-    DeterministicJammer,
-    MemorylessJammer,
+    Jammer,
+    deterministic_jammer,
     deterministic_jammer_family,
     sample_jamming,
     worst_case_search,

@@ -1,17 +1,18 @@
-"""Jamming strategies and worst-case jammer search.
+"""Jammers and worst-case jammer search.
 
-Strategies come in three kinds: memoryless kernels q(j|x), symbolwise
-deterministic maps x -> j, and block strategies that choose a whole jamming
-vector from the whole source block (non-causal).  Randomized block
-strategies are mixtures of deterministic ones and cannot improve a
-maximization, so block strategies are kept deterministic.
+A jammer is one kernel q(j|x), held as a read-only array: an (X, J) kernel
+that every position applies independently, or an (n, X, J) stack with one
+kernel per position of an n-block.  A deterministic map x -> j is a kernel
+of one-hot rows, and a fixed jamming vector is a one-hot stack.  The
+worst-case search plays fixed vectors: randomized block strategies are
+mixtures of deterministic ones and cannot improve a maximization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -25,10 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .coding import SessionConfig
 
 __all__ = [
-    "MemorylessJammer",
-    "DeterministicJammer",
-    "BlockJammer",
-    "JammerStrategy",
+    "Jammer",
+    "deterministic_jammer",
     "sample_jamming",
     "fixed_vector_jammer",
     "deterministic_jammer_family",
@@ -40,121 +39,98 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MemorylessJammer:
-    """Applies q(j|x), a read-only (X, J) array, independently at every
-    position."""
+class Jammer:
+    """The kernel q(j|x) as a read-only array: (X, J), applied independently
+    at every position, or (n, X, J), one kernel per position of an n-block."""
 
     q: np.ndarray
     descriptor: str = "memoryless"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", checked_table(self.q, "memoryless jammer q", 2, (1,)))
+        object.__setattr__(self, "q", checked_table(self.q, "jammer q", (2, 3), (-1,)))
 
 
-@dataclass(frozen=True)
-class DeterministicJammer:
-    """Applies a fixed map x -> j at every position."""
-
-    mapping: tuple[int, ...]
-    j_size: int
-    descriptor: str = "deterministic"
-
-    def __post_init__(self) -> None:
-        mapping = index_table(self.mapping, "deterministic jammer map", self.j_size)
-        object.__setattr__(self, "mapping", tuple(mapping.tolist()))
+def deterministic_jammer(mapping, j_size: int, descriptor: str = "deterministic") -> Jammer:
+    """The jammer that sends j = mapping[x], as one-hot rows over ``j_size``
+    jamming symbols."""
+    return Jammer(np.eye(j_size)[index_table(mapping, "deterministic jammer map", j_size)], descriptor)
 
 
-@dataclass(frozen=True)
-class BlockJammer:
-    """A deterministic function of the whole source block.
-
-    ``fn`` receives the source symbol array and must return a jamming array
-    of the same length.  ``descriptor`` identifies the function for
-    reproducibility records.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    j_size: int
-    descriptor: str
-
-
-JammerStrategy = Union[MemorylessJammer, DeterministicJammer, BlockJammer]
-
-
-def fixed_vector_jammer(vector, j_size: int, label: str) -> BlockJammer:
-    """Block strategy that plays one fixed jamming vector regardless of x."""
+def fixed_vector_jammer(vector, x_size: int, j_size: int, label: str) -> Jammer:
+    """The jammer that plays one fixed jamming vector regardless of x."""
     vec = index_table(vector, f"{label} vector", j_size)
-    return BlockJammer(lambda x: vec, j_size, f"{label}{vec.tolist()}")
+    if vec.ndim != 1:
+        raise ConfigurationError(f"{label} vector must be a flat list")
+    q = np.broadcast_to(np.eye(j_size)[vec][:, None], (vec.size, x_size, j_size))
+    return Jammer(q, f"{label}{vec.tolist()}")
 
 
 def sample_jamming(
-    jammer: JammerStrategy,
+    jammer: Jammer,
     xs: np.ndarray,
     streams: Callable[[int], np.random.Generator],
 ) -> np.ndarray:
     """Draw the jamming blocks, shape (T, n), for the source blocks ``xs``.
 
-    ``streams(t)`` is the generator of row t.  Only a row that meets a
-    random row of a memoryless kernel asks for it, so deterministic rows
-    consume no randomness and a kernel whose rows are all point masses
-    reproduces the matching deterministic map bit for bit.
+    ``streams(t)`` is the generator of row t, asked for only when the row
+    meets a random kernel row; it then gives one uniform per such position,
+    in position order.  Point-mass rows send their one symbol and consume no
+    randomness, so a kernel whose rows are all point masses is a
+    deterministic jammer.
     """
-    if isinstance(jammer, DeterministicJammer):
-        return np.asarray(jammer.mapping, dtype=np.int64)[xs]
-    if isinstance(jammer, BlockJammer):
-        out = np.empty(xs.shape, dtype=np.int64)
-        for t, row in enumerate(xs):
-            block = np.asarray(jammer.fn(row), dtype=np.int64)
-            if block.shape != row.shape:
-                raise UsageError("block jammer returned a vector of the wrong length")
-            if block.min() < 0 or block.max() >= jammer.j_size:
-                raise UsageError("block jammer returned a symbol outside the J alphabet")
-            out[t] = block
-        return out
-    if isinstance(jammer, MemorylessJammer):
-        rows = jammer.q[xs]  # (T, n, |J|)
-        out = np.argmax(rows, axis=-1)
-        random_pos = rows.max(axis=-1) < 1.0
+    q, n = jammer.q, xs.shape[1]
+    if q.ndim == 3 and q.shape[0] != n:
+        raise UsageError(
+            f"jammer {jammer.descriptor} has {q.shape[0]} positions, but the source blocks have {n}"
+        )
+    rows = q.reshape(-1, q.shape[-1])
+    # the kernel row each position meets: x, or i·|X| + x in a stack
+    at = xs if q.ndim == 2 else np.arange(n) * q.shape[1] + xs
+    out = np.argmax(rows, axis=1)[at]
+    random_row = rows.max(axis=1) < 1.0
+    if random_row.any():
+        random_pos = random_row[at]
         for t in np.flatnonzero(random_pos.any(axis=1)).tolist():
-            out[t, random_pos[t]] = sample_rows(streams(t), rows[t, random_pos[t]])
-        return out
-    raise UsageError(f"unknown jammer strategy {jammer!r}")
+            where = np.flatnonzero(random_pos[t])
+            out[t, where] = sample_rows(streams(t), rows[at[t, where]])
+    return out
 
 
-def deterministic_jammer_family(spec) -> list[DeterministicJammer]:
+def deterministic_jammer_family(spec) -> list[Jammer]:
     """All |J|^|X| symbolwise deterministic jammers, lexicographic order."""
     nx, nj = spec.w.shape[:2]
-    return [DeterministicJammer(tuple(m), nj, f"det{m}") for m in deterministic_maps(nx, nj).tolist()]
+    return [deterministic_jammer(m, nj, f"det{m}") for m in deterministic_maps(nx, nj).tolist()]
 
 
-def jammer_from_dict(doc: dict, spec, source: str = "<dict>") -> JammerStrategy:
+def jammer_from_dict(doc: dict, spec, source: str = "<dict>") -> Jammer:
     """Build one jammer from its JSON document form and check that it fits ``spec``."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigurationError(f"{source}: jammer document needs a 'kind' field")
     kind = doc["kind"]
     nx, nj = spec.w.shape[:2]
     try:
-        if kind == "memoryless":
-            jammer = MemorylessJammer(doc.get("q"))
-            if jammer.q.shape != (nx, nj):
-                raise ConfigurationError(f"memoryless jammer q must be [x][j] with shape ({nx}, {nj})")
-            return jammer
-        if kind == "deterministic":
-            mapping = doc.get("map")
-            if not isinstance(mapping, list) or len(mapping) != nx:
-                raise ConfigurationError("deterministic jammer needs a per-x 'map' list")
-            return DeterministicJammer(tuple(mapping), nj)
         if kind == "fixed-vector":
             vec = doc.get("vector")
             if not isinstance(vec, list):
                 raise ConfigurationError("fixed-vector jammer needs a 'vector' list")
-            return fixed_vector_jammer(vec, nj, "fixed-vector")
+            return fixed_vector_jammer(vec, nx, nj, "fixed-vector")
+        if kind == "memoryless":
+            jammer = Jammer(doc.get("q"))
+        elif kind == "deterministic":
+            mapping = doc.get("map")
+            if not isinstance(mapping, list) or len(mapping) != nx:
+                raise ConfigurationError("deterministic jammer needs a per-x 'map' list")
+            jammer = deterministic_jammer(mapping, nj)
+        else:
+            raise ConfigurationError(f"unknown jammer kind {kind!r}")
+        if jammer.q.shape != (nx, nj):
+            raise ConfigurationError(f"{kind} jammer q must be [x][j] with shape ({nx}, {nj})")
+        return jammer
     except ConfigurationError as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
-    raise ConfigurationError(f"{source}: unknown jammer kind {kind!r}")
 
 
-def load_jammers(path: str | Path, spec) -> list[JammerStrategy]:
+def load_jammers(path: str | Path, spec) -> list[Jammer]:
     """Read a jammer description file: one document or a non-empty list of them."""
     doc = read_json(path)
     docs = doc if isinstance(doc, list) else [doc]
@@ -165,7 +141,7 @@ def load_jammers(path: str | Path, spec) -> list[JammerStrategy]:
 
 @dataclass(frozen=True)
 class WorstCaseResult:
-    jammer: BlockJammer
+    jammer: Jammer
     estimate: float
     std_error: float
     evaluations: int
@@ -198,16 +174,16 @@ def worst_case_search(
     if budget < 1:
         raise UsageError("search budget must be >= 1")
     n = len(x)
-    nj = config.spec.w.shape[1]
+    nx, nj = config.spec.w.shape[:2]
     rng = philox_stream(seed, "worst-case-search")
     xs = np.broadcast_to(x, (trials_per_estimate, n))
 
-    def distortions(jam: BlockJammer, seed_label: str) -> np.ndarray:
+    def distortions(jam: Jammer, seed_label: str) -> np.ndarray:
         seeds = [derive_seed(seed, seed_label, t) for t in range(trials_per_estimate)]
         return simulate_sessions(xs, jam, config, seeds).distortion
 
     def estimate(vector: np.ndarray, seed_label: str) -> float:
-        jam = fixed_vector_jammer(vector, nj, "search-candidate")
+        jam = fixed_vector_jammer(vector, nx, nj, "search-candidate")
         total = 0.0
         for value in distortions(jam, seed_label).tolist():
             total += value
@@ -244,7 +220,7 @@ def worst_case_search(
             best_val, best_vec = val, vec
 
     # fresh-seed re-measurement of the incumbent
-    jam = fixed_vector_jammer(best_vec, nj, f"greedy-search[{seed}]")
+    jam = fixed_vector_jammer(best_vec, nx, nj, f"greedy-search[{seed}]")
     arr = distortions(jam, "final")
     std_err = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return WorstCaseResult(jam, float(arr.mean()), std_err, evaluations)

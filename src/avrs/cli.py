@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .adversary import (
-    DeterministicJammer,
+    Jammer,
+    deterministic_jammer,
     deterministic_jammer_family,
     load_jammers,
     worst_case_search,
@@ -146,10 +147,10 @@ def _parallel_map(fn, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _trivial_jammer(spec) -> DeterministicJammer:
+def _trivial_jammer(spec) -> Jammer:
     """The jammer that always sends the first jamming symbol."""
     nx, nj = spec.w.shape[:2]
-    return DeterministicJammer((0,) * nx, nj, "trivial")
+    return deterministic_jammer((0,) * nx, nj, "trivial")
 
 
 def _resolve_jammers(name_or_path: str, config: SessionConfig, n: int, seed: int, budget: int):

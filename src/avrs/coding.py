@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import JammerStrategy, sample_jamming
+from .adversary import Jammer, sample_jamming
 from .bounds import PerTypeRates, joint_uz, per_type_rates
 from .errors import UsageError
 from .model import AuxiliaryPolicy, ProblemSpec
@@ -348,7 +348,7 @@ class SessionBatch:
 
 def simulate_sessions(
     xs: np.ndarray,
-    jammer: JammerStrategy,
+    jammer: Jammer,
     config: SessionConfig,
     seeds: Sequence[int],
     code_seeds: Sequence[int] | None = None,
@@ -487,7 +487,7 @@ def _run_group(
 
 def simulate_session(
     x: np.ndarray,
-    jammer: JammerStrategy,
+    jammer: Jammer,
     config: SessionConfig,
     seed: int,
     code_seed: int | None = None,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import JammerStrategy
+from .adversary import Jammer
 from .coding import SessionConfig, sample_typical_sources, simulate_sessions
 from .errors import UsageError
 from .rng import derive_seed
@@ -103,7 +103,7 @@ class CertificationReport:
 
 def certify_ensemble(
     ensemble: Ensemble,
-    jammer_set: list[JammerStrategy],
+    jammer_set: list[Jammer],
     x_count: int,
     trials_per_member: int,
     mu: float,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import Codebook, SessionConfig, encode, simulate_sessions
-from .adversary import JammerStrategy
+from .adversary import Jammer
 from .errors import UsageError
 from .mtypes import TYPE_TOL, TypeTable, nearest_type, pair_counts, type_template
 from .rng import cumulative, derive_seed, inverse_cdf, philox_stream, sample_indices
@@ -153,7 +153,7 @@ def run_covering(
 
 def run_packing(
     config: SessionConfig,
-    jammer: JammerStrategy,
+    jammer: Jammer,
     n: int,
     trials: int,
     seed: int,
@@ -177,7 +177,7 @@ def run_packing(
 
 def run_markov_conclusion(
     config: SessionConfig,
-    jammer: JammerStrategy,
+    jammer: Jammer,
     n: int,
     delta4: float,
     trials: int,

@@ -112,7 +112,7 @@ def problem_spec_from_dict(doc: dict, source: str = "<dict>") -> ProblemSpec:
     for key in ("x", "j", "y", "z", "xhat"):
         _require(key in sizes, f"{source}: alphabets missing {key!r}")
         _require(
-            isinstance(sizes[key], int) and sizes[key] >= 1,
+            isinstance(sizes[key], int) and not isinstance(sizes[key], bool) and sizes[key] >= 1,
             f"{source}: alphabets[{key!r}] must be a positive integer",
         )
     try:

@@ -24,21 +24,26 @@ PROB_TOL = 1e-9
 
 
 def checked_table(
-    values, what: str, ndim: int, pmf_axes: tuple[int, ...] | None = None
+    values, what: str, ndim: int | tuple[int, ...], pmf_axes: tuple[int, ...] | None = None
 ) -> np.ndarray:
     """``values`` as a read-only, C-contiguous float64 copy with ``ndim``
-    non-empty axes.
+    non-empty axes (or any count in ``ndim`` when it is a tuple).
 
-    Raises ConfigurationError unless every entry is finite and non-negative
-    and, when ``pmf_axes`` is given, every slice over those axes sums to 1
-    within PROB_TOL.
+    Raises ConfigurationError unless every entry is a finite, non-negative
+    number (an integer or a float, not a bool or a string) and, when
+    ``pmf_axes`` is given, every slice over those axes sums to 1 within
+    PROB_TOL.
     """
     try:
-        a = np.array(values, dtype=np.float64, order="C")
+        raw = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{what}: not a numeric array ({exc})") from None
-    if a.ndim != ndim or 0 in a.shape:
-        raise ConfigurationError(f"{what} has shape {a.shape}; expected {ndim} non-empty axes")
+    if raw.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{what}: not a numeric array (entries of dtype {raw.dtype})")
+    a = np.array(raw, dtype=np.float64, order="C")
+    if a.ndim not in np.atleast_1d(ndim) or 0 in a.shape:
+        expected = " or ".join(map(str, np.atleast_1d(ndim)))
+        raise ConfigurationError(f"{what} has shape {a.shape}; expected {expected} non-empty axes")
     if not np.all(np.isfinite(a)):
         raise ConfigurationError(f"{what} has non-finite entries")
     if np.any(a < 0):

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from avrs.adversary import BlockJammer, DeterministicJammer
 from avrs.bounds import DISTORTION_TOL, _refine_window
 from avrs.errors import InfeasibleDistortionError
 from avrs.mtypes import TYPE_TOL, TypeTable
@@ -246,16 +245,13 @@ def session_oracle(x, jammer, config, seed, code_seed=None) -> dict:
     spec, policy, params = config.spec, config.policy, config.params
     xs = np.asarray(x)
     n = xs.size
-    if isinstance(jammer, DeterministicJammer):
-        j = np.asarray(jammer.mapping, dtype=np.int64)[xs]
-    elif isinstance(jammer, BlockJammer):
-        j = np.asarray(jammer.fn(xs), dtype=np.int64)
-    else:
-        rows = jammer.q[xs]
-        j = np.argmax(rows, axis=1)
-        random_pos = rows.max(axis=1) < 1.0
-        if np.any(random_pos):
-            j[random_pos] = sample_rows(philox_stream(seed, "jamming"), rows[random_pos])
+    # the kernel row q(.|x_i) of each position, from the shared (X, J)
+    # kernel or from the position's own
+    rows = np.broadcast_to(jammer.q, (n, *jammer.q.shape[-2:]))[np.arange(n), xs]
+    j = np.argmax(rows, axis=1)
+    random_pos = rows.max(axis=1) < 1.0
+    if np.any(random_pos):
+        j[random_pos] = sample_rows(philox_stream(seed, "jamming"), rows[random_pos])
 
     _, _, ny, nz = spec.w.shape
     flat = spec.w[xs, j].reshape(n, ny * nz)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avrs.adversary import DeterministicJammer, MemorylessJammer
+from avrs.adversary import Jammer, deterministic_jammer
 from avrs.bounds import (
     GridConfig,
     RateBoundSolver,
@@ -174,7 +174,7 @@ def test_criterion_5_coding_contract():
     params = CodingParams(eps=eps, delta2=0.25, gamma=0.25, f_eps=0.1, size_cap=2048)
     config = SessionConfig(spec, policy, params)
     family = config.family
-    jam = MemorylessJammer([[0.7, 0.3], [0.7, 0.3]])
+    jam = Jammer([[0.7, 0.3], [0.7, 0.3]])
     n, sessions = 24, 10_000
     cdf = np.cumsum(spec.p_x)
     cdf[-1] = 1.0
@@ -242,7 +242,7 @@ def test_criterion_6_error_trends():
         noisy_policy(spec_pack, stay=0.9),
         CodingParams(eps=1.7, delta2=0.2, gamma=0.1, f_eps=0.1, size_cap=4096),
     )
-    jam = DeterministicJammer((0, 0), spec_pack.w.shape[1])
+    jam = deterministic_jammer((0, 0), spec_pack.w.shape[1])
     pack = [run_packing(cfg_pack, jam, n, trials=1500, seed=62) for n in (8, 16, 32)]
     pack_trend = trend_check(pack, decreasing=True)
 
@@ -292,7 +292,7 @@ def test_criterion_8_elimination_technique():
     )
     n = 32
     ensemble = sample_ensemble(config, n, k=n * n, master_seed=17)
-    jam = MemorylessJammer([[0.65, 0.35], [0.65, 0.35]])
+    jam = Jammer([[0.65, 0.35], [0.65, 0.35]])
     report = certify_ensemble(ensemble, [jam], x_count=2, trials_per_member=1, mu=0.02, seed=99)
 
     big = sample_ensemble(config, 100, k=100 * 100, master_seed=0)

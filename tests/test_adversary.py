@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from avrs.adversary import (
-    DeterministicJammer,
-    MemorylessJammer,
+    Jammer,
+    deterministic_jammer,
     deterministic_jammer_family,
     fixed_vector_jammer,
     jammer_from_dict,
@@ -36,14 +36,14 @@ class TestSampling:
 
     def test_identity_map(self):
         spec = xor_spec()
-        jam = DeterministicJammer((0, 1), spec.w.shape[1])
+        jam = deterministic_jammer((0, 1), spec.w.shape[1])
         x = np.array([0, 1, 1, 0])
         out = _jam_block(jam, x, philox_stream(0))
         assert np.array_equal(out, x)
 
     def test_memoryless_frequency(self):
         spec = xor_spec()
-        jam = MemorylessJammer([[0.7, 0.3], [0.7, 0.3]])
+        jam = Jammer([[0.7, 0.3], [0.7, 0.3]])
         x = np.zeros(10_000, dtype=int)
         out = _jam_block(jam, x, philox_stream(123))
         freq = float(np.mean(out))
@@ -51,34 +51,43 @@ class TestSampling:
         assert abs(freq - 0.3) <= 3 * sigma
 
     def test_deterministic_rows_consume_no_randomness(self):
-        spec = xor_spec()
-        kernel_rows = [[1.0, 0.0], [0.0, 1.0]]
-        memoryless = MemorylessJammer(kernel_rows)
-        det = DeterministicJammer((0, 1), spec.w.shape[1])
-        x = np.array([0, 1, 1, 0, 0])
-        g1 = philox_stream(7)
-        g2 = philox_stream(7)
-        a = _jam_block(memoryless, x, g1)
-        b = _jam_block(det, x, g2)
-        assert np.array_equal(a, b)
-        # generator state untouched: both draw the same value afterwards
-        assert g1.random() == g2.random()
+        # x = 0 meets a random row, x = 1 a point mass: one uniform is drawn
+        # per x = 0 position, in position order, and none for x = 1
+        jam = Jammer([[0.5, 0.5], [0.0, 1.0]])
+        x = np.array([1, 0, 1, 1, 0, 0, 1])
+        gen, ref = philox_stream(7), philox_stream(7)
+        out = _jam_block(jam, x, gen)
+        u = ref.random(3)
+        assert out.tolist() == [1, int(u[0] >= 0.5), 1, 1, int(u[1] >= 0.5), int(u[2] >= 0.5), 1]
+        assert gen.random() == ref.random()
+        # a kernel of point masses only leaves its stream untouched
+        gen = philox_stream(7)
+        assert _jam_block(jam, np.ones(5, dtype=int), gen).tolist() == [1] * 5
+        assert gen.random() == philox_stream(7).random()
 
     def test_rows_draw_from_their_own_streams(self):
         spec = xor_spec()
-        jam = MemorylessJammer([[0.5, 0.5], [1.0, 0.0]])
+        jam = Jammer([[0.5, 0.5], [1.0, 0.0]])
         xs = philox_stream(4).integers(0, 2, (5, 12))
         block = sample_jamming(jam, xs, lambda t: philox_stream(t, "jam"))
         for t, row in enumerate(xs):
             one = sample_jamming(jam, row[None], lambda _: philox_stream(t, "jam"))
             assert np.array_equal(block[t], one[0])
 
-    def test_block_jammer_applies_function(self):
+    def test_stack_of_one_kernel_draws_as_that_kernel(self):
+        q = philox_stream(9).dirichlet([1.0, 1.0, 1.0], size=3)  # a random (X, J) kernel
+        xs = philox_stream(10).integers(0, 3, (6, 20))
+        shared = sample_jamming(Jammer(q), xs, lambda t: philox_stream(t, "jam"))
+        stacked = sample_jamming(Jammer(np.stack([q] * 20)), xs, lambda t: philox_stream(t, "jam"))
+        assert np.array_equal(shared, stacked)
+
+    def test_fixed_vector_jammer_ignores_the_source(self):
         spec = xor_spec()
-        jam = fixed_vector_jammer(np.array([1, 0, 1]), spec.w.shape[1], "fixed")
-        x = np.array([0, 0, 0])
-        out = _jam_block(jam, x, philox_stream(0))
-        assert np.array_equal(out, [1, 0, 1])
+        jam = fixed_vector_jammer(np.array([1, 0, 1]), *spec.w.shape[:2], "fixed")
+        assert jam.q.shape == (3, 2, 2)
+        for x in ([0, 0, 0], [1, 0, 1], [1, 1, 0]):
+            out = _jam_block(jam, np.array(x), philox_stream(0))
+            assert np.array_equal(out, [1, 0, 1])
 
 
 class TestFamily:
@@ -90,13 +99,14 @@ class TestFamily:
         spec2 = xor_spec()
         fam = deterministic_jammer_family(spec2)
         assert len(fam) == 4
-        assert [j.mapping for j in fam] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [j.descriptor for j in fam] == ["det[0, 0]", "det[0, 1]", "det[1, 0]", "det[1, 1]"]
+        assert [j.q.argmax(axis=1).tolist() for j in fam] == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 class TestJammerIO:
     def test_roundtrip_memoryless(self, tmp_path):
         spec = xor_spec()
-        jam = MemorylessJammer([[0.7, 0.3], [0.2, 0.8]])
+        jam = Jammer([[0.7, 0.3], [0.2, 0.8]])
         path = tmp_path / "jam.json"
         path.write_text(json.dumps({"kind": "memoryless", "q": jam.q.tolist()}))
         back = load_jammers(path, spec)
@@ -106,7 +116,7 @@ class TestJammerIO:
     def test_deterministic_dict(self):
         spec = xor_spec()
         jam = jammer_from_dict({"kind": "deterministic", "map": [1, 0]}, spec)
-        assert jam.mapping == (1, 0)
+        assert jam.q.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def _search_config(spec, policy):
@@ -139,7 +149,7 @@ class TestWorstCaseSearch:
         )
 
         def crn_estimate(vec):
-            jam = fixed_vector_jammer(np.array(vec), spec.w.shape[1], "brute")
+            jam = fixed_vector_jammer(np.array(vec), *spec.w.shape[:2], "brute")
             return _mean_distortion(x, jam, config, [derive_seed(3, "crn", t) for t in range(24)])
 
         brute_best = max(
@@ -193,7 +203,7 @@ class TestWorstCaseSearch:
 
     def test_sampled_vectors_alphabet_valid(self, rng):
         spec = xor_spec()
-        jam = MemorylessJammer([[0.5, 0.5], [0.5, 0.5]])
+        jam = Jammer([[0.5, 0.5], [0.5, 0.5]])
         x = rng.integers(0, 2, 64)
         out = _jam_block(jam, x, philox_stream(1))
         assert out.min() >= 0

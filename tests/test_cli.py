@@ -403,9 +403,18 @@ def _fractional_zeta(doc: dict) -> None:
     doc["zeta"] = [[0.7, 0], [1, 1]]
 
 
+def _quoted_p_x(doc: dict) -> None:
+    doc["p_x"] = [str(v) for v in doc["p_x"]]
+
+
+def _boolean_d(doc: dict) -> None:
+    doc["d"] = [[v != 0 for v in row] for row in doc["d"]]
+
+
 class TestRejectedInputs:
-    """Input files with non-finite probabilities or non-integer index
-    entries exit 2 before any output file is written."""
+    """Input files with non-finite probabilities, tables of strings or
+    booleans, non-integer index entries or a jamming vector of the wrong
+    length exit 2 before any output file is written."""
 
     @pytest.mark.parametrize(
         "command, edit_spec, edit_policy, jammers",
@@ -416,6 +425,13 @@ class TestRejectedInputs:
             ("simulate", None, None, {"kind": "deterministic", "map": [0.9, 1.2]}),
             ("session", None, None, {"kind": "fixed-vector", "vector": [0.5, 1.7, 0, 1, 0, 1, 0, 1]}),
             ("derandomize", None, None, {"kind": "memoryless", "q": [[0.5, 0.5], [float("nan"), 1.0]]}),
+            ("bounds", _quoted_p_x, None, None),
+            ("simulate", _boolean_d, None, None),
+            ("simulate", None, None, {"kind": "memoryless", "q": [["0.5", "0.5"], ["1", "0"]]}),
+            ("session", None, None, {"kind": "memoryless", "q": [[True, False], [False, True]]}),
+            # --n is 8 in both runs
+            ("simulate", None, None, {"kind": "fixed-vector", "vector": [0, 1, 1]}),
+            ("session", None, None, {"kind": "fixed-vector", "vector": [0, 1] * 8}),
         ],
     )
     def test_exit_2_without_output(self, tmp_path, command, edit_spec, edit_policy, jammers):

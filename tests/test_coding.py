@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import avrs.coding
-from avrs.adversary import DeterministicJammer, MemorylessJammer, fixed_vector_jammer
+from avrs.adversary import Jammer, deterministic_jammer, fixed_vector_jammer
 from avrs.coding import (
     Codebook,
     CodebookFamily,
@@ -323,7 +323,7 @@ class TestSessions:
 
         policy = AuxiliaryPolicy(np.array([[1.0]]), zeta)
         config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=64))
-        jam = DeterministicJammer((0, 1), spec.w.shape[1])
+        jam = deterministic_jammer((0, 1), spec.w.shape[1])
         rep = simulate_session(np.array([0, 1, 1, 0, 1, 0]), jam, config, seed=1)
         assert rep.distortion.tolist() == [0.0]
 
@@ -334,7 +334,7 @@ class TestSessions:
 
         policy = AuxiliaryPolicy(np.array([[1.0], [1.0]]), np.array([[0]]))
         config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=16))
-        jam = deterministic = DeterministicJammer((0,) * 2, spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), spec.w.shape[1])
         n, trials = 24, 400
         xs = np.stack([philox_stream(t, "x").integers(0, 2, n) for t in range(trials)])
         vals = simulate_sessions(xs, jam, config, list(range(trials))).distortion
@@ -344,7 +344,7 @@ class TestSessions:
 
     def test_session_determinism(self):
         config = wz_config()
-        jam = MemorylessJammer([[0.6, 0.4], [0.6, 0.4]])
+        jam = Jammer([[0.6, 0.4], [0.6, 0.4]])
         x = philox_stream(5).integers(0, 2, 16)
         a = simulate_session(x, jam, config, seed=99)
         b = simulate_session(x, jam, config, seed=99)
@@ -353,7 +353,7 @@ class TestSessions:
 
     def test_distortion_within_range(self):
         config = wz_config()
-        jam = DeterministicJammer((1, 0), config.spec.w.shape[1])
+        jam = deterministic_jammer((1, 0), config.spec.w.shape[1])
         xs = np.stack([philox_stream(t, "r").integers(0, 2, 12) for t in range(50)])
         dist = simulate_sessions(xs, jam, config, list(range(50))).distortion
         assert ((0.0 <= dist) & (dist <= config.spec.d.max())).all()
@@ -361,7 +361,7 @@ class TestSessions:
     def test_message_bits_accounting(self):
         config = wz_config()
         family = config.family
-        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         rep = simulate_session(philox_stream(1, "m").integers(0, 2, 16), jam, config, seed=7)
         num_bins = family.type_data(type_of(rep.y[0], 2)).num_bins
         expected = math.ceil(math.log2(num_bins)) if num_bins > 1 else 0
@@ -386,11 +386,11 @@ def _readme_config():
 
 def _jammer(kind, spec, n):
     if kind == "deterministic":
-        return DeterministicJammer((1, 0), spec.w.shape[1])
+        return deterministic_jammer((1, 0), spec.w.shape[1])
     if kind == "block":
-        return fixed_vector_jammer(np.arange(n) % 2, spec.w.shape[1], "alternate")
+        return fixed_vector_jammer(np.arange(n) % 2, *spec.w.shape[:2], "alternate")
     rows = [[0.6, 0.4], [1.0, 0.0]]  # random only where x = 0
-    return MemorylessJammer(rows)
+    return Jammer(rows)
 
 
 def _check_against_oracle(config, jammer, xs, seeds, code_seeds=None):
@@ -523,7 +523,7 @@ class TestDecodeErrorTrend:
             noisy_policy(spec, stay=0.9),
             CodingParams(eps=1.7, delta2=0.2, gamma=0.2, f_eps=0.1, size_cap=4096),
         )
-        jam = DeterministicJammer((0, 0), spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), spec.w.shape[1])
         cdf = np.cumsum(spec.p_x)
         cdf[-1] = 1.0
         rates, sigmas = [], []

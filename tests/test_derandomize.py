@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from avrs.adversary import DeterministicJammer
+from avrs.adversary import deterministic_jammer
 from avrs.coding import Codebook, CodebookFamily, CodingParams, SessionConfig
 from avrs.derandomize import certify_ensemble, sample_ensemble
 from avrs.mtypes import nearest_type
@@ -57,7 +57,7 @@ class TestCertification:
         policy = AuxiliaryPolicy(np.array([[1.0]]), np.array([[0, 1]]))
         config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=32))
         e = sample_ensemble(config, 8, k=4, master_seed=0)
-        jam = DeterministicJammer((0, 1), spec.w.shape[1])
+        jam = deterministic_jammer((0, 1), spec.w.shape[1])
         report = certify_ensemble(e, [jam], x_count=1, trials_per_member=2, mu=0.02, seed=1)
         assert report.max_excess == 0.0
         assert report.passed
@@ -65,14 +65,14 @@ class TestCertification:
     def test_singleton_max_equals_cell(self):
         config = small_config()
         e = sample_ensemble(config, 8, k=8, master_seed=2)
-        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         report = certify_ensemble(e, [jam], x_count=1, trials_per_member=2, mu=0.5, seed=4)
         assert len(report.cells) == 1
         assert report.max_excess == report.cells[0].excess
 
     def test_big_ensemble_no_worse_than_single(self):
         config = small_config()
-        jam = DeterministicJammer((1, 1), config.spec.w.shape[1])
+        jam = deterministic_jammer((1, 1), config.spec.w.shape[1])
         n = 8
         e1 = sample_ensemble(config, n, k=1, master_seed=7)
         ek = sample_ensemble(config, n, k=n * n, master_seed=7)

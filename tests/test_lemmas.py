@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from avrs.adversary import DeterministicJammer
+from avrs.adversary import deterministic_jammer
 from avrs.coding import CodingParams, SessionConfig
 from avrs.errors import UsageError
 from avrs.lemmas import (
@@ -147,7 +147,7 @@ class TestPacking:
             config.policy,
             CodingParams(eps=1.7, delta2=0.2, gamma=1.0, f_eps=1.0, size_cap=256),
         )
-        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         res = run_packing(wide, jam, n=12, trials=200, seed=7)
         assert res.empirical == 1.0
 
@@ -158,20 +158,20 @@ class TestPacking:
             config.policy,
             CodingParams(eps=1.7, delta2=0.2, gamma=0.0, f_eps=0.1, size_cap=256),
         )
-        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         res = run_packing(tight, jam, n=9, trials=300, seed=8)
         assert res.empirical <= 0.02
 
     def test_reproducible(self):
         config = packing_config()
-        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         a = run_packing(config, jam, 10, trials=150, seed=14)
         b = run_packing(config, jam, 10, trials=150, seed=14)
         assert a.empirical == b.empirical
 
     def test_rate_falls_along_ladder(self):
         config = packing_config()
-        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         results = [
             run_packing(config, jam, n, trials=1500, seed=11) for n in (8, 16, 32)
         ]
@@ -192,7 +192,7 @@ class TestSharedTypeCache:
 
         monkeypatch.setattr(avrs.coding, "valid_jammer_types", counting)
         config = markov_config()
-        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         n = 12
         run_covering(config, nearest_type(np.array([0.5, 0.5]), n), trials=10, seed=1)
         run_packing(config, jam, n, trials=30, seed=2)
@@ -206,20 +206,20 @@ class TestMarkovConclusion:
         spec = identity_z_spec()
         policy = AuxiliaryPolicy(np.array([[1.0]]), np.array([[0, 1]]))
         config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=32))
-        jam = DeterministicJammer((0, 0), spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), spec.w.shape[1])
         res = run_markov_conclusion(config, jam, n=32, delta4=0.35, trials=200, seed=9)
         assert res.empirical == 0.0
 
     def test_reproducible(self):
         config = markov_config()
-        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         a = run_markov_conclusion(config, jam, 16, 0.2, trials=200, seed=10)
         b = run_markov_conclusion(config, jam, 16, 0.2, trials=200, seed=10)
         assert a.empirical == b.empirical
 
     def test_violations_fall_along_ladder(self):
         config = markov_config()
-        jam = DeterministicJammer((0, 0), config.spec.w.shape[1])
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         results = [
             run_markov_conclusion(config, jam, n, 0.2, trials=500, seed=12)
             for n in (8, 16, 32)

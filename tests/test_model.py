@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from avrs.adversary import (
-    DeterministicJammer,
-    MemorylessJammer,
+    Jammer,
+    deterministic_jammer,
     fixed_vector_jammer,
     jammer_from_dict,
     load_jammers,
@@ -184,19 +184,23 @@ def _set(path, value):
     return edit
 
 
-# spec_doc() edits; each must be refused by the loader and by ProblemSpec
+# spec_doc() edits; each must be refused by the loader, and the last element
+# says whether ``ProblemSpec`` alone, without the alphabets block, refuses it too
 SPEC_CASES = {
-    "x-size mismatch": (_set(["p_x"], [0.2, 0.3, 0.5]), "size of X"),
-    "negative p_x": (_set(["p_x"], [-0.5, 1.5]), "p_x has negative"),
-    "negative w": (_set(["w", 0, 0], [[1.1], [-0.1]]), "w has negative"),
-    "w row sum off": (_set(["w", 1, 0, 1, 0], 0.9), r"w at \(1, 0\) sums to 0.9"),
-    "p_x sum off": (_set(["p_x"], [0.6, 0.6]), "p_x sums to 1.2"),
-    "zero-mass source symbol": (_set(["p_x"], [1.0, 0.0]), "positive probability"),
-    "NaN p_x": (_set(["p_x"], [float("nan"), 0.5]), "p_x has non-finite"),
-    "NaN w": (_set(["w", 0, 0, 0, 0], float("nan")), "w has non-finite"),
-    "infinite d": (_set(["d", 0, 1], float("inf")), "d has non-finite"),
-    "negative d": (_set(["d", 0, 1], -1.0), "d has negative"),
-    "non-numeric d": (_set(["d", 0, 1], "one"), "d: not a numeric array"),
+    "x-size mismatch": (_set(["p_x"], [0.2, 0.3, 0.5]), "size of X", True),
+    "negative p_x": (_set(["p_x"], [-0.5, 1.5]), "p_x has negative", True),
+    "negative w": (_set(["w", 0, 0], [[1.1], [-0.1]]), "w has negative", True),
+    "w row sum off": (_set(["w", 1, 0, 1, 0], 0.9), r"w at \(1, 0\) sums to 0.9", True),
+    "p_x sum off": (_set(["p_x"], [0.6, 0.6]), "p_x sums to 1.2", True),
+    "zero-mass source symbol": (_set(["p_x"], [1.0, 0.0]), "positive probability", True),
+    "NaN p_x": (_set(["p_x"], [float("nan"), 0.5]), "p_x has non-finite", True),
+    "NaN w": (_set(["w", 0, 0, 0, 0], float("nan")), "w has non-finite", True),
+    "infinite d": (_set(["d", 0, 1], float("inf")), "d has non-finite", True),
+    "negative d": (_set(["d", 0, 1], -1.0), "d has negative", True),
+    "non-numeric d": (_set(["d", 0, 1], "one"), "d: not a numeric array", True),
+    "quoted p_x": (_set(["p_x"], ["0.5", "0.5"]), "p_x: not a numeric array", True),
+    "boolean d": (_set(["d"], [[False, True], [True, False]]), "d: not a numeric array", True),
+    "boolean alphabet size": (_set(["alphabets", "j"], True), r"alphabets\['j'\] must be a positive integer", False),
 }
 
 # policy documents for wz_spec (|Y| = |Z| = |Xhat| = 2); the last element
@@ -222,6 +226,8 @@ JAMMER_CASES = {
     "q negative": ({"kind": "memoryless", "q": [[-0.1, 1.1], [0.5, 0.5]]}, "negative"),
     "q NaN": ({"kind": "memoryless", "q": [[float("nan"), 0.5], [0.5, 0.5]]}, "non-finite"),
     "q not numeric": ({"kind": "memoryless", "q": "uniform"}, "not a numeric array"),
+    "q strings": ({"kind": "memoryless", "q": [["0.5", "0.5"], ["1", "0"]]}, "not a numeric array"),
+    "q booleans": ({"kind": "memoryless", "q": [[True, False], [False, True]]}, "not a numeric array"),
     "map out of range": ({"kind": "deterministic", "map": [0, 2]}, "outside"),
     "map fractional": ({"kind": "deterministic", "map": [0.9, 1.2]}, "0.9 is not an integer"),
     "map boolean": ({"kind": "deterministic", "map": [True, 0]}, "True is not an integer"),
@@ -232,22 +238,23 @@ JAMMER_CASES = {
 
 def _direct_jammer(doc):
     if doc["kind"] == "memoryless":
-        return MemorylessJammer(doc["q"])
+        return Jammer(doc["q"])
     if doc["kind"] == "deterministic":
-        return DeterministicJammer(tuple(doc["map"]), 2)
-    return fixed_vector_jammer(doc["vector"], 2, "v")
+        return deterministic_jammer(tuple(doc["map"]), 2)
+    return fixed_vector_jammer(doc["vector"], 2, 2, "v")
 
 
 class TestValidation:
     @pytest.mark.parametrize("case", sorted(SPEC_CASES))
     def test_spec_rejected(self, case):
-        edit, match = SPEC_CASES[case]
+        edit, match, alone = SPEC_CASES[case]
         doc = spec_doc()
         edit(doc)
         with pytest.raises(ConfigurationError, match=match):
             problem_spec_from_dict(doc)
-        with pytest.raises(ConfigurationError, match=match):
-            ProblemSpec(doc["p_x"], doc["w"], doc["d"])
+        if alone:
+            with pytest.raises(ConfigurationError, match=match):
+                ProblemSpec(doc["p_x"], doc["w"], doc["d"])
 
     @pytest.mark.parametrize("case", sorted(POLICY_CASES))
     def test_policy_rejected(self, case):
@@ -270,7 +277,7 @@ class TestValidation:
 
     def test_memoryless_shape_must_fit_the_spec(self):
         doc = {"kind": "memoryless", "q": [[1.0], [1.0]]}
-        assert MemorylessJammer(doc["q"]).q.shape == (2, 1)
+        assert Jammer(doc["q"]).q.shape == (2, 1)
         with pytest.raises(ConfigurationError, match=r"shape \(2, 2\)"):
             jammer_from_dict(doc, wz_spec())
 
@@ -288,10 +295,10 @@ class TestValidation:
         spec = problem_spec_from_dict(spec_doc())
         policy = policy_from_dict(GOOD_POLICY, wz_spec())
         held = [spec.p_x, spec.w, spec.d, policy.p_u_given_y, policy.zeta]
-        held.append(MemorylessJammer([[0.5, 0.5], [1.0, 0.0]]).q)
-        held.append(fixed_vector_jammer([0, 1, 1], 2, "v").fn(np.zeros(3, dtype=np.int64)))
+        held.append(Jammer([[0.5, 0.5], [1.0, 0.0]]).q)
+        held.append(fixed_vector_jammer([0, 1, 1], 2, 2, "v").q)
         for a in held:
             assert not a.flags.writeable and a.flags.c_contiguous
             with pytest.raises(ValueError):
                 a.flat[0] = 0
-        assert [a.dtype for a in held] == [np.float64] * 4 + [np.int64, np.float64, np.int64]
+        assert [a.dtype for a in held] == [np.float64] * 4 + [np.int64, np.float64, np.float64]
