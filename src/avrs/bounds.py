@@ -104,23 +104,10 @@ def simplex_window(center: np.ndarray, step: float, radius: float) -> np.ndarray
     """Lattice points of ``step`` on the simplex within l-infinity ``radius``
     of ``center``.  If ``center`` is itself on the lattice it is included."""
     center = np.asarray(center, dtype=np.float64)
-    dim = center.size
     m = round(1.0 / step)
-    los = [max(0, math.ceil((c - radius) * m - 1e-9)) for c in center]
-    his = [min(m, math.floor((c + radius) * m + 1e-9)) for c in center]
-    out = []
-
-    def rec(i: int, remaining: int, prefix: list[int]) -> None:
-        if i == dim - 1:
-            if los[i] <= remaining <= his[i]:
-                out.append(prefix + [remaining])
-            return
-        lo = max(los[i], remaining - sum(his[i + 1 :]))
-        hi = min(his[i], remaining)
-        for k in range(lo, hi + 1):
-            rec(i + 1, remaining - k, prefix + [k])
-
-    rec(0, m, [])
+    lo = [max(0, math.ceil((c - radius) * m - 1e-9)) for c in center]
+    hi = [min(m, math.floor((c + radius) * m + 1e-9)) for c in center]
+    out = list(compositions(m, center.size, lo, hi))
     if not out:
         return center.reshape(1, -1)
     return np.array(out, dtype=np.float64) / m

@@ -124,7 +124,8 @@ def _count(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """argparse type for worker counts: zero and negative values are refused."""
+    """argparse type for worker counts and blocklengths: zero and negative
+    values are refused."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
@@ -382,7 +383,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_coding(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", required=True, help="auxiliary policy JSON file")
-    p.add_argument("--n", type=int, required=True, help="blocklength")
+    p.add_argument("--n", type=_positive, required=True, help="blocklength")
     p.add_argument("--eps", type=_finite_float, default=0.2)
     p.add_argument("--delta2", type=_finite_float, default=None)
     p.add_argument("--gamma", type=_finite_float, default=None)

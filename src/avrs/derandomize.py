@@ -108,14 +108,14 @@ def certify_ensemble(
     trials_per_member: int,
     mu: float,
     seed: int,
-    delta0: float | None = None,
 ) -> CertificationReport:
     """Compare ensemble-averaged distortion to the parent code's estimate.
 
-    For every sampled typical source block and jammer, the ensemble side
-    averages ``trials_per_member`` sessions per member at that member's fixed
-    code; the parent side runs the same number of sessions with a fresh code
-    draw each time.  Passing means the worst excess stays within ``mu``.
+    For every sampled source block, each delta0-typical with delta0 =
+    n^(-1/3), and every jammer, the ensemble side averages
+    ``trials_per_member`` sessions per member at that member's fixed code;
+    the parent side runs the same number of sessions with a fresh code draw
+    each time.  Passing means the worst excess stays within ``mu``.
     """
     if mu <= 0:
         raise UsageError("mu must be > 0")
@@ -132,8 +132,7 @@ def certify_ensemble(
         raise UsageError("jammer_set must be non-empty")
     cfg = ensemble.config
     n = ensemble.n
-    if delta0 is None:
-        delta0 = n ** (-1.0 / 3.0)
+    delta0 = n ** (-1.0 / 3.0)
     x_block = sample_typical_sources(cfg.spec, n, delta0, x_count, derive_seed(seed, "x"))
     k = ensemble.size
     trials = trials_per_member

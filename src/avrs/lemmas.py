@@ -190,6 +190,8 @@ def run_markov_conclusion(
     Conditioning rows for source symbols that never occur in x fall back to
     the marginal type of j, a fixed convention recorded here.
     """
+    if delta4 < 0:
+        raise UsageError("delta4 must be >= 0")
     if trials < 1:
         raise UsageError("trials must be >= 1")
     spec, policy = config.spec, config.policy

@@ -78,13 +78,20 @@ class TypeTable:
         return hash(self.key())
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
+def compositions(
+    total: int, parts: int, lo: list[int] | None = None, hi: list[int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``parts`` integers summing to ``total``, part i within
+    [lo[i], hi[i]] (by default [0, total]), in lexicographic order."""
+    lo = [0] * parts if lo is None else lo
+    hi = [total] * parts if hi is None else hi
     if parts == 1:
-        yield (total,)
+        if lo[0] <= total <= hi[0]:
+            yield (total,)
         return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
+    # a head outside this range leaves a tail that no bounded parts can fill
+    for head in range(max(lo[0], total - sum(hi[1:])), min(hi[0], total - sum(lo[1:])) + 1):
+        for tail in compositions(total - head, parts - 1, lo[1:], hi[1:]):
             yield (head,) + tail
 
 
@@ -156,11 +163,12 @@ def valid_jammer_types(
 
     A table is realizable at blocklength ``n`` when some split (c_x) of n over
     the source alphabet puts row x on the denominator-c_x grid; a symbol with
-    c_x = 0 leaves its row free, completed on the denominator-n grid.  Rows are
-    held in lowest terms, so row x may be any row whose denominator divides
-    c_x (n when c_x = 0).  Returns the distinct tables T with
-    || [P_X T W]_Y - t_y ||_inf <= f_eps as an (M, |X|, |J|) array; M = 0 is
-    legal.
+    c_x = 0 leaves its row free, completed on the denominator-n grid.  In
+    lowest terms row x has one denominator d_x, which divides c_x (n when
+    c_x = 0), so the tables are partitioned by denominator tuple: each
+    realizable tuple contributes the product of its rows, distinct from every
+    other tuple's.  Returns the tables T with || [P_X T W]_Y - t_y ||_inf <=
+    f_eps as an (M, |X|, |J|) array in row-id order; M = 0 is legal.
     """
     if f_eps < 0:
         raise UsageError("f_eps must be >= 0")
@@ -168,41 +176,29 @@ def valid_jammer_types(
     if t_y.counts.shape != (y_size,):
         raise UsageError("t_y is not a type over the Y alphabet")
 
-    # every rational row with denominator <= n, once, in lowest terms
+    # every rational row with denominator <= n, once, in lowest terms; a row's
+    # id ranks it by denominator, then by numerators, and ids_of[d] are the
+    # ids of denominator d
     numer = np.array(
-        [
-            row
-            for c in range(1, n + 1)
-            for row in compositions(c, j_size)
-            if math.gcd(*row) == 1
-        ],
+        [row for d in range(1, n + 1) for row in compositions(d, j_size) if math.gcd(*row) == 1],
         dtype=np.int64,
     )
     denom = numer.sum(axis=1)
-    fits = [np.flatnonzero((c or n) % denom == 0) for c in range(n + 1)]
+    ids_of = np.split(np.arange(len(numer)), np.searchsorted(denom, np.arange(1, n + 1)))
 
-    too_many = EnumerationTooLargeError(
-        f"more than {MAX_JAMMER_TYPES} jammer conditional types at n={n}"
-    )
-    # row-id tuples, deduplicated whenever their raw count passes the limit,
-    # so at most twice the limit is ever held
-    blocks: list[np.ndarray] = []
-    held = 0
-    for counts in compositions(n, x_size):
-        options = [fits[c] for c in counts]
-        size = math.prod(len(o) for o in options)
-        if size > MAX_JAMMER_TYPES:  # one split's tuples are all distinct tables
-            raise too_many
-        blocks.append(np.stack(np.meshgrid(*options, indexing="ij"), axis=-1).reshape(size, x_size))
-        held += size
-        if held > MAX_JAMMER_TYPES:
-            blocks = [np.unique(np.concatenate(blocks), axis=0)]
-            held = len(blocks[0])
-            if held > MAX_JAMMER_TYPES:
-                raise too_many
-    seen = np.unique(np.concatenate(blocks), axis=0)
+    divisors = [[d for d in range(1, n + 1) if (c or n) % d == 0] for c in range(n + 1)]
+    tuples = set()
+    for split in compositions(n, x_size):
+        tuples.update(itertools.product(*(divisors[c] for c in split)))
+    if sum(math.prod(len(ids_of[d]) for d in t) for t in tuples) > MAX_JAMMER_TYPES:
+        raise EnumerationTooLargeError(
+            f"more than {MAX_JAMMER_TYPES} jammer conditional types at n={n}"
+        )
 
-    tables = numer[seen] / denom[seen][..., None]  # (M, |X|, |J|)
+    grids = (np.meshgrid(*(ids_of[d] for d in t), indexing="ij") for t in tuples)
+    ids = np.concatenate([np.stack(g, axis=-1).reshape(-1, x_size) for g in grids])
+    ids = ids[np.lexsort(ids.T[::-1])]  # row-id order: tables sorted by their rows' ids
+    tables = numer[ids] / denom[ids][..., None]  # (M, |X|, |J|)
     return tables[consistent_kernels(tables, t_y, spec, f_eps)]
 
 

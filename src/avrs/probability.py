@@ -40,6 +40,11 @@ def checked_table(
         raise ConfigurationError(f"{what}: not a numeric array ({exc})") from None
     if raw.dtype.kind not in "iuf":
         raise ConfigurationError(f"{what}: not a numeric array (entries of dtype {raw.dtype})")
+    # np.asarray promotes a bool mixed with numbers, so check a list's entries
+    if not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+    ):
+        raise ConfigurationError(f"{what}: not a numeric array (a boolean entry)")
     a = np.array(raw, dtype=np.float64, order="C")
     if a.ndim not in np.atleast_1d(ndim) or 0 in a.shape:
         expected = " or ".join(map(str, np.atleast_1d(ndim)))

@@ -1,6 +1,7 @@
 """Independent oracles used by multiple test modules."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,26 @@ def jammer_types_oracle(n: int, x_size: int, j_size: int) -> set:
             per_row.append([tuple(Fraction(v, denominator) for v in row) for row in rows])
         out.update(itertools.product(*per_row))
     return out
+
+
+def jammer_types_reference(n: int, x_size: int, j_size: int) -> np.ndarray:
+    """Every conditional type T(j|x) realizable at blocklength n as an
+    (M, x_size, j_size) float array, built the way the enumeration once was.
+
+    Rows are held in lowest terms and given ids by denominator, then by
+    numerators.  For each split (c_x) of n, row x runs over the ids whose
+    denominator divides c_x (n when c_x = 0); the id tuples of all splits
+    are unioned and deduplicated with np.unique, which leaves them sorted.
+    """
+    numer = np.array(
+        [row for c in range(1, n + 1) for row in _count_rows(c, j_size) if math.gcd(*row) == 1]
+    )
+    denom = numer.sum(axis=1)
+    tuples = []
+    for counts in _count_rows(n, x_size):
+        tuples += itertools.product(*(np.flatnonzero((c or n) % denom == 0) for c in counts))
+    seen = np.unique(np.array(tuples), axis=0)
+    return numer[seen] / denom[seen][..., None]
 
 
 def _count_rows(total, parts):

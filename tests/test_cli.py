@@ -382,6 +382,11 @@ class TestRejectedValues:
             ("derandomize", "--x-samples", "-2"),
             ("simulate", "--threads", "0"),
             ("simulate", "--threads", "-4"),
+            ("simulate", "--n", "-3"),
+            ("session", "--n", "-3"),
+            ("derandomize", "--n", "-3"),
+            ("lemmas", "--n", "-5"),
+            ("lemmas", "--delta4", "-1"),
         ],
     )
     def test_exit_2_without_output(self, tmp_path, command, flag, value):
@@ -411,6 +416,10 @@ def _boolean_d(doc: dict) -> None:
     doc["d"] = [[v != 0 for v in row] for row in doc["d"]]
 
 
+def _mixed_boolean_d(doc: dict) -> None:
+    doc["d"] = [[0, True], [True, 0]]
+
+
 class TestRejectedInputs:
     """Input files with non-finite probabilities, tables of strings or
     booleans, non-integer index entries or a jamming vector of the wrong
@@ -432,6 +441,9 @@ class TestRejectedInputs:
             # --n is 8 in both runs
             ("simulate", None, None, {"kind": "fixed-vector", "vector": [0, 1, 1]}),
             ("session", None, None, {"kind": "fixed-vector", "vector": [0, 1] * 8}),
+            # numbers mixed with booleans
+            ("bounds", _mixed_boolean_d, None, None),
+            ("simulate", None, None, {"kind": "memoryless", "q": [[True, 0.0], [0.5, 0.5]]}),
         ],
     )
     def test_exit_2_without_output(self, tmp_path, command, edit_spec, edit_policy, jammers):

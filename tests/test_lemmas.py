@@ -227,6 +227,12 @@ class TestMarkovConclusion:
         tc = trend_check(results, decreasing=True)
         assert tc.ok, (tc.values, tc.sigmas)
 
+    def test_negative_delta4_refused(self):
+        config = markov_config()
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
+        with pytest.raises(UsageError, match="delta4 must be >= 0"):
+            run_markov_conclusion(config, jam, 8, -1.0, trials=10, seed=1)
+
 
 class TestHarnessContract:
     def test_results_carry_uncertainty_fields(self):

@@ -200,6 +200,8 @@ SPEC_CASES = {
     "non-numeric d": (_set(["d", 0, 1], "one"), "d: not a numeric array", True),
     "quoted p_x": (_set(["p_x"], ["0.5", "0.5"]), "p_x: not a numeric array", True),
     "boolean d": (_set(["d"], [[False, True], [True, False]]), "d: not a numeric array", True),
+    "boolean in numeric d": (_set(["d"], [[0, True], [True, 0]]), "d: not a numeric array", True),
+    "boolean in numeric w": (_set(["w", 0, 0], [[True], [0.0]]), "w: not a numeric array", True),
     "boolean alphabet size": (_set(["alphabets", "j"], True), r"alphabets\['j'\] must be a positive integer", False),
 }
 
@@ -228,6 +230,7 @@ JAMMER_CASES = {
     "q not numeric": ({"kind": "memoryless", "q": "uniform"}, "not a numeric array"),
     "q strings": ({"kind": "memoryless", "q": [["0.5", "0.5"], ["1", "0"]]}, "not a numeric array"),
     "q booleans": ({"kind": "memoryless", "q": [[True, False], [False, True]]}, "not a numeric array"),
+    "q boolean among floats": ({"kind": "memoryless", "q": [[True, 0.0], [0.5, 0.5]]}, "not a numeric array"),
     "map out of range": ({"kind": "deterministic", "map": [0, 2]}, "outside"),
     "map fractional": ({"kind": "deterministic", "map": [0.9, 1.2]}, "0.9 is not an integer"),
     "map boolean": ({"kind": "deterministic", "map": [True, 0]}, "True is not an integer"),

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from avrs.model import load_problem_spec
 from avrs.mtypes import (
     TypeTable,
     compositions,
+    consistent_kernels,
     is_typical,
     nearest_type,
     pair_counts,
@@ -26,7 +28,7 @@ from conftest import (
     wz_spec,
     xor_spec,
 )
-from oracles import jammer_types_oracle
+from oracles import jammer_types_oracle, jammer_types_reference
 
 
 class TestEmpiricalType:
@@ -161,6 +163,20 @@ class TestValidJammerTypes:
                 expected = set(_keys(_consistent(oracle, spec, t_y, f_eps)))
                 assert set(got) == expected, (name, n, f_eps)
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_matches_all_splits_reference_in_order(self, name):
+        # element for element and in the same order, not only as a set
+        spec = ORACLE_SPECS[name]()
+        x_size, j_size, y_size = spec.w.shape[:3]
+        for n in range(1, 13):
+            reference = jammer_types_reference(n, x_size, j_size)
+            t_y = nearest_type(np.full(y_size, 1 / y_size), n)
+            for f_eps in (1.0, 0.1, 0.0):
+                expected = reference[consistent_kernels(reference, t_y, spec, f_eps)]
+                got = valid_jammer_types(t_y, spec, f_eps, n)
+                assert got.shape == expected.shape, (name, n, f_eps)
+                assert np.array_equal(got, expected), (name, n, f_eps)
+
     def test_f_eps_one_accepts_everything(self):
         spec = xor_spec()
         n = 4
@@ -213,11 +229,15 @@ class TestValidJammerTypes:
         large = set(_keys(valid_jammer_types(t_y, spec, 0.3, 8)))
         assert small <= large
 
-    def test_guard_raises_exactly_above_the_limit(self, monkeypatch):
-        spec = xor_spec()
-        n = 6
-        t_y = TypeTable(np.array([3, 3]), n)
-        total = len(jammer_types_oracle(n, 2, 2))
+    @pytest.mark.parametrize("n", [1, 4, 6, 9])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_guard_raises_exactly_above_the_limit(self, monkeypatch, name, n):
+        # the guard counts the tables before building any, so its count must
+        # be exact: the limit at the count passes and one below it raises
+        spec = ORACLE_SPECS[name]()
+        x_size, j_size, y_size = spec.w.shape[:3]
+        t_y = nearest_type(np.full(y_size, 1 / y_size), n)
+        total = len(jammer_types_oracle(n, x_size, j_size))
         monkeypatch.setattr(avrs.mtypes, "MAX_JAMMER_TYPES", total)
         assert len(valid_jammer_types(t_y, spec, 1.0, n)) == total
         monkeypatch.setattr(avrs.mtypes, "MAX_JAMMER_TYPES", total - 1)
@@ -244,6 +264,21 @@ class TestProperties:
         for n in range(1, 8):
             count = sum(1 for _ in compositions(n, 3))
             assert count <= (n + 1) ** 3
+
+    @given(
+        st.integers(0, 9),
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_compositions_against_product_filter(self, total, bounds):
+        lo = [b[0] for b in bounds]
+        hi = [b[1] for b in bounds]
+        expected = [
+            combo
+            for combo in itertools.product(range(total + 1), repeat=len(bounds))
+            if sum(combo) == total and all(a <= c <= b for a, c, b in zip(lo, combo, hi))
+        ]
+        assert list(compositions(total, len(bounds), lo, hi)) == expected
 
     def test_nearest_type_and_template(self):
         p = np.array([0.21, 0.33, 0.46])
