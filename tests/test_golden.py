@@ -33,9 +33,23 @@ KINDS = [
     {"kind": "deterministic", "map": [1, 0]},
     {"kind": "fixed-vector", "vector": [1, 1, 0, 1] * 4},
 ]
-FILES = {"jammers": JAMMERS, "kinds": KINDS}
+# Y is independent of X and the jammer, and Z a jammed noisy copy of X
+# (conftest.blind_y_spec): many jammer types share one (U, Z) joint, so the
+# decoder's targets hold coinciding rows
+BLIND_Y = {
+    "name": "blind-y",
+    "alphabets": {"x": 2, "j": 2, "y": 2, "z": 2, "xhat": 2},
+    "p_x": [0.4, 0.6],
+    "w": [
+        [[[0.24, 0.06], [0.56, 0.14]], [[0.18, 0.12], [0.42, 0.28]]],
+        [[[0.06, 0.24], [0.14, 0.56]], [[0.12, 0.18], [0.28, 0.42]]],
+    ],
+    "d": [[0, 1], [1, 0]],
+}
+FILES = {"jammers": JAMMERS, "kinds": KINDS, "blind": BLIND_Y}
 
 CODING = ["--spec", SPEC, "--policy", POLICY, "--seed", "1"]
+BLIND = ["--spec", "{blind}", "--policy", POLICY, "--seed", "1"]
 INVOCATIONS = {
     "simulate": ["simulate", *CODING, "--n", "16", "--trials", "10", "--jammers", "all-deterministic"],
     "simulate-file": ["simulate", *CODING, "--n", "16", "--trials", "10", "--jammers", "{jammers}"],
@@ -46,6 +60,8 @@ INVOCATIONS = {
         "simulate", *CODING, "--n", "8", "--trials", "5", "--jammers", "greedy-search", "--search-budget", "4",
     ],
     "derandomize": ["derandomize", *CODING, "--n", "8", "--x-samples", "2", "--trials", "1"],
+    "simulate-blind": ["simulate", *BLIND, "--n", "12", "--trials", "10", "--jammers", "all-deterministic"],
+    "derandomize-blind": ["derandomize", *BLIND, "--n", "8", "--x-samples", "2", "--trials", "1"],
     "lemmas": ["lemmas", *CODING, "--n", "8", "--n-ladder", "8,16", "--trials", "20"],
     # the golden bounds sweep of test_cli.py, whose bounds.csv is pinned there
     "bounds": [
