@@ -381,9 +381,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_positive, default=1, help="worker threads")
 
 
-def _add_coding(p: argparse.ArgumentParser) -> None:
+def _add_coding(p: argparse.ArgumentParser, recorded: str = "") -> None:
+    """The coding options; ``recorded`` ends the help of --n, --jammers and
+    --search-budget on a command that only records them."""
     p.add_argument("--policy", required=True, help="auxiliary policy JSON file")
-    p.add_argument("--n", type=_positive, required=True, help="blocklength")
+    p.add_argument("--n", type=_positive, required=True, help="blocklength" + recorded)
     p.add_argument("--eps", type=_finite_float, default=0.2)
     p.add_argument("--delta2", type=_finite_float, default=None)
     p.add_argument("--gamma", type=_finite_float, default=None)
@@ -392,9 +394,14 @@ def _add_coding(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jammers",
         default="trivial",
-        help="jammer file or builtin: trivial | all-deterministic | greedy-search",
+        help="jammer file or builtin: trivial | all-deterministic | greedy-search" + recorded,
     )
-    p.add_argument("--search-budget", type=int, default=60)
+    p.add_argument(
+        "--search-budget",
+        type=int,
+        default=60,
+        help="distortion estimates the greedy search may make" + recorded,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,9 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemmas", help="run the statistical lemma harnesses")
     _add_common(p)
-    _add_coding(p)
+    # the harnesses run at each --n-ladder length against the trivial jammer
+    _add_coding(p, recorded=" (only recorded in the metadata line of lemmas.csv)")
     p.add_argument("--harness", action="append", choices=_HARNESSES + ("all",))
-    p.add_argument("--n-ladder", default="8,16,32")
+    p.add_argument("--n-ladder", default="8,16,32", help="comma-separated blocklengths of the rungs")
     p.add_argument("--trials", type=_count, default=400)
     p.add_argument("--delta0", type=_finite_float, default=0.1)
     p.add_argument("--delta4", type=_finite_float, default=0.35)

@@ -166,7 +166,10 @@ class CodebookFamily:
 
     Rates and decoder targets depend only on the observed type, not on the
     code draw, so they are computed once per type and shared across sessions
-    and ensemble members.
+    and ensemble members.  The jammer conditional types behind the decoder
+    targets are enumerated once per blocklength, for every type and family
+    (see :func:`valid_jammer_types`); each type filters them, and its
+    targets are their distinct rounded (U, Z) joints.
     """
 
     def __init__(self, config: SessionConfig):
@@ -192,7 +195,7 @@ class CodebookFamily:
         p_uy = policy.p_u_given_y  # (Y, U)
         encoder_target = (t_y.probabilities[:, None] * p_uy).T
         jam_types = valid_jammer_types(t_y, spec, params.f_eps, n)
-        targets = np.unique(np.round(joint_uz(spec, jam_types, p_uy), 12), axis=0)
+        targets = _distinct(np.round(joint_uz(spec, jam_types, p_uy), 12))
         data = _TypeData(
             t_y,
             n,
@@ -207,6 +210,17 @@ class CodebookFamily:
         )
         self._cache[key] = data
         return data
+
+
+def _distinct(tables: np.ndarray) -> np.ndarray:
+    """The distinct tables of a (K, ...) float array, each once, in the order
+    of their bytes.  Adding 0.0 turns -0.0 into 0.0, so two tables hold equal
+    values exactly when they hold equal bytes (no entry is NaN)."""
+    tables = np.ascontiguousarray(tables + 0.0)
+    width = math.prod(tables.shape[1:])
+    rows = tables.reshape(len(tables), width).view(np.dtype((np.void, tables.itemsize * width)))
+    _, first = np.unique(rows, return_index=True)
+    return tables[first]
 
 
 def _codebook_key(data: _TypeData, seed: int) -> np.ndarray:

@@ -8,6 +8,7 @@ distribution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -161,21 +162,46 @@ def valid_jammer_types(
 ) -> np.ndarray:
     """Conditional jammer types T(j | x) whose induced Y-marginal is close to ``t_y``.
 
-    A table is realizable at blocklength ``n`` when some split (c_x) of n over
-    the source alphabet puts row x on the denominator-c_x grid; a symbol with
-    c_x = 0 leaves its row free, completed on the denominator-n grid.  In
-    lowest terms row x has one denominator d_x, which divides c_x (n when
-    c_x = 0), so the tables are partitioned by denominator tuple: each
-    realizable tuple contributes the product of its rows, distinct from every
-    other tuple's.  Returns the tables T with || [P_X T W]_Y - t_y ||_inf <=
-    f_eps as an (M, |X|, |J|) array in row-id order; M = 0 is legal.
+    Returns the tables T realizable at blocklength ``n`` (see
+    :func:`_realizable_jammer_types`) with || [P_X T W]_Y - t_y ||_inf <=
+    f_eps, as an (M, |X|, |J|) array in row-id order; M = 0 is legal.  The
+    realizable tables depend only on (n, |X|, |J|), so they are enumerated
+    once per blocklength and alphabet sizes and shared by every type; each
+    call only filters them.  The exact count is checked against
+    ``MAX_JAMMER_TYPES`` on every call, cached or not.
     """
     if f_eps < 0:
         raise UsageError("f_eps must be >= 0")
     x_size, j_size, y_size = spec.w.shape[:3]
     if t_y.counts.shape != (y_size,):
         raise UsageError("t_y is not a type over the Y alphabet")
+    tables = _realizable_jammer_types(n, x_size, j_size)
+    _check_count(len(tables), n)
+    return tables[consistent_kernels(tables, t_y, spec, f_eps)]
 
+
+def _check_count(count: int, n: int) -> None:
+    if count > MAX_JAMMER_TYPES:
+        raise EnumerationTooLargeError(
+            f"more than {MAX_JAMMER_TYPES} jammer conditional types at n={n}"
+        )
+
+
+# a run works at one blocklength, or at the few rungs of a lemma ladder
+@functools.lru_cache(maxsize=8)
+def _realizable_jammer_types(n: int, x_size: int, j_size: int) -> np.ndarray:
+    """Every conditional type T(j | x) realizable at blocklength ``n``, as a
+    read-only (M, x_size, j_size) array in row-id order.
+
+    A table is realizable when some split (c_x) of n over the source
+    alphabet puts row x on the denominator-c_x grid; a symbol with c_x = 0
+    leaves its row free, completed on the denominator-n grid.  In lowest
+    terms row x has one denominator d_x, which divides c_x (n when c_x = 0),
+    so the tables are partitioned by denominator tuple: each realizable
+    tuple contributes the product of its rows, distinct from every other
+    tuple's.  The tables are counted exactly, and ``EnumerationTooLargeError``
+    raised, before any is built.
+    """
     # every rational row with denominator <= n, once, in lowest terms; a row's
     # id ranks it by denominator, then by numerators, and ids_of[d] are the
     # ids of denominator d
@@ -190,16 +216,14 @@ def valid_jammer_types(
     tuples = set()
     for split in compositions(n, x_size):
         tuples.update(itertools.product(*(divisors[c] for c in split)))
-    if sum(math.prod(len(ids_of[d]) for d in t) for t in tuples) > MAX_JAMMER_TYPES:
-        raise EnumerationTooLargeError(
-            f"more than {MAX_JAMMER_TYPES} jammer conditional types at n={n}"
-        )
+    _check_count(sum(math.prod(len(ids_of[d]) for d in t) for t in tuples), n)
 
     grids = (np.meshgrid(*(ids_of[d] for d in t), indexing="ij") for t in tuples)
     ids = np.concatenate([np.stack(g, axis=-1).reshape(-1, x_size) for g in grids])
     ids = ids[np.lexsort(ids.T[::-1])]  # row-id order: tables sorted by their rows' ids
-    tables = numer[ids] / denom[ids][..., None]  # (M, |X|, |J|)
-    return tables[consistent_kernels(tables, t_y, spec, f_eps)]
+    tables = numer[ids] / denom[ids][..., None]
+    tables.setflags(write=False)
+    return tables
 
 
 def consistent_kernels(

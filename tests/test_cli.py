@@ -291,6 +291,23 @@ class TestLemmasCommand:
         assert main(args + ["--out-dir", str(tmp_path)]) == 0
         assert read_rows(tmp_path / "lemmas.csv") == []
 
+    def test_help_says_which_options_are_only_recorded(self, capsys):
+        assert main(["lemmas", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split("options:")[1].split())
+        for option in ("--n N", "--jammers JAMMERS", "--search-budget SEARCH_BUDGET"):
+            start = text.index(option)
+            end = text.index(" --", start + len(option))
+            assert text[start:end].endswith("(only recorded in the metadata line of lemmas.csv)")
+
+    def test_recorded_only_options_change_no_row(self, tmp_path):
+        args = [a for a in self.ARGS]
+        args[args.index("--trials") + 1] = "10"
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out-dir", str(a)]) == 0
+        other = ["--n", "16", "--jammers", "all-deterministic", "--search-budget", "5"]
+        assert main(args + other + ["--out-dir", str(b)]) == 0
+        assert read_rows(a / "lemmas.csv") == read_rows(b / "lemmas.csv")
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import avrs.coding
+import avrs.mtypes
 from avrs.adversary import Jammer, deterministic_jammer, fixed_vector_jammer
 from avrs.coding import (
     Codebook,
@@ -20,18 +21,21 @@ from avrs.coding import (
     simulate_session,
     simulate_sessions,
 )
+from avrs.bounds import joint_uz
 from avrs.errors import UsageError
 from avrs.model import load_policy, load_problem_spec
-from avrs.mtypes import TypeTable, nearest_type, type_template
+from avrs.mtypes import TypeTable, compositions, nearest_type, type_template, valid_jammer_types
 from avrs.rng import cumulative, derive_seed, inverse_cdf, philox_stream
 
 from conftest import (
+    blind_y_spec,
     classical_spec,
     identity_policy,
     identity_z_spec,
     noisy_policy,
     type_of,
     wz_spec,
+    xor_spec,
 )
 from oracles import session_oracle
 
@@ -129,6 +133,42 @@ class TestCodewordKernel:
             got = inverse_cdf(cdf, u)
             assert got.dtype.itemsize == 1
             assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
+class TestTypeData:
+    @pytest.mark.parametrize("make_spec", [xor_spec, blind_y_spec, wz_spec])
+    def test_decoder_targets_are_the_distinct_jammer_joints(self, make_spec):
+        # the targets once came from a sorting np.unique over the rounded
+        # joints; any order serves the decoder's minimum, but the set must be
+        # the same and hold each joint once
+        spec = make_spec()
+        config = SessionConfig(spec, noisy_policy(spec), CodingParams(eps=0.2))
+        coinciding = 0
+        for n in (4, 8, 12):
+            for counts in compositions(n, spec.w.shape[2]):
+                t_y = TypeTable(np.array(counts), n)
+                kernels = valid_jammer_types(t_y, spec, config.params.f_eps, n)
+                joints = np.round(joint_uz(spec, kernels, config.policy.p_u_given_y), 12)
+                expected = np.unique(joints, axis=0)
+                got = config.family.type_data(t_y).decoder_targets
+                assert len(got) == len(expected), (n, counts)
+                assert np.array_equal(np.unique(got, axis=0), expected), (n, counts)
+                coinciding += len(joints) - len(expected)
+        # the Y-blind and xor specs give many jammer types one (U, Z) joint
+        assert (coinciding > 0) == (make_spec is not wz_spec)
+
+    def test_a_run_enumerates_the_realizable_tables_once(self):
+        builder = avrs.mtypes._realizable_jammer_types
+        builder.cache_clear()
+        config = wz_config()
+        count, n = 40, 8
+        xs = philox_stream(5, "xs").integers(0, 2, (count, n))
+        batch = simulate_sessions(xs, _jammer("memoryless", config.spec, n), config, range(count))
+        types = {tuple(np.bincount(y, minlength=2)) for y in batch.y}
+        assert len(types) >= 5
+        # one build, then one cache hit for each further Y-type
+        assert builder.cache_info().misses == 1
+        assert builder.cache_info().hits == len(types) - 1
 
 
 class TestEncode:
