@@ -8,6 +8,7 @@ import pytest
 import avrs.coding
 import avrs.mtypes
 from avrs.adversary import Jammer, deterministic_jammer, fixed_vector_jammer
+from avrs.bounds import joint_uz
 from avrs.coding import (
     Codebook,
     CodebookFamily,
@@ -21,7 +22,6 @@ from avrs.coding import (
     simulate_session,
     simulate_sessions,
 )
-from avrs.bounds import joint_uz
 from avrs.errors import UsageError
 from avrs.model import load_policy, load_problem_spec
 from avrs.mtypes import TypeTable, compositions, nearest_type, type_template, valid_jammer_types
@@ -156,6 +156,14 @@ class TestTypeData:
                 coinciding += len(joints) - len(expected)
         # the Y-blind and xor specs give many jammer types one (U, Z) joint
         assert (coinciding > 0) == (make_spec is not wz_spec)
+
+    def test_signed_zeros_are_one_target(self):
+        # the dedupe compares bytes, so it must not tell -0.0 from 0.0 as the
+        # value comparison of np.unique did
+        tables = np.array([[[0.0, 0.5]], [[-0.0, 0.5]], [[0.5, 0.0]]])
+        got = avrs.coding._distinct(tables)
+        assert np.array_equal(np.unique(got, axis=0), np.unique(tables, axis=0))
+        assert len(got) == 2
 
     def test_a_run_enumerates_the_realizable_tables_once(self):
         builder = avrs.mtypes._realizable_jammer_types
