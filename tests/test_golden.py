@@ -46,7 +46,41 @@ BLIND_Y = {
     ],
     "d": [[0, 1], [1, 0]],
 }
-FILES = {"jammers": JAMMERS, "kinds": KINDS, "blind": BLIND_Y}
+
+
+def two_view(p_x, flip_y, flip_z, d):
+    """A ternary source read through a binary Y, which reports x >= 1 with a
+    flip rate that the jammer symbol sets, and a binary Z, which reports
+    x <= 1 with a flip the jammer cannot touch."""
+    y_bit, z_bit = (0, 1, 1), (1, 1, 0)
+    w = [
+        [
+            [
+                [
+                    (1 - flip_y[j] if y == y_bit[x] else flip_y[j]) * (1 - flip_z if z == z_bit[x] else flip_z)
+                    for z in range(2)
+                ]
+                for y in range(2)
+            ]
+            for j in range(2)
+        ]
+        for x in range(3)
+    ]
+    return {"name": "two-view", "alphabets": {"x": 3, "j": 2, "y": 2, "z": 2, "xhat": 3}, "p_x": p_x, "w": w, "d": d}
+
+
+# the benchmark's seeded bounds instance at seed 1 (|X| = 3, |X^| = 3)
+TWO_VIEW = two_view(
+    [0.27555925873126136, 0.36762081823719317, 0.3568199230315456],
+    (0.04510138051478843, 0.29981740348367764),
+    0.14797964259154953,
+    [
+        [0.0, 1.0303185945445525, 1.0577446702271027],
+        [0.918771917354847, 0.0, 0.9056694953044013],
+        [1.067153020783974, 0.9865534135810108, 0.0],
+    ],
+)
+FILES = {"jammers": JAMMERS, "kinds": KINDS, "blind": BLIND_Y, "two-view": TWO_VIEW}
 
 CODING = ["--spec", SPEC, "--policy", POLICY, "--seed", "1"]
 BLIND = ["--spec", "{blind}", "--policy", POLICY, "--seed", "1"]
@@ -67,6 +101,17 @@ INVOCATIONS = {
     "bounds": [
         "bounds", "--spec", SPEC, "--d-grid", "0.21,0.23,0.3", "--coarse-step", "0.05",
         "--refine-step", "0.01", "--u-upper", "2", "--u-lower", "2", "--seed", "0",
+    ],
+    # the benchmark's bounds-auto invocation, whose policy tables are filled
+    # by U-swap orbit
+    "bounds-two-view": [
+        "bounds", "--spec", "{two-view}", "--u-upper", "2", "--u-lower", "2", "--refine-step", "0.01",
+        "--seed", "1",
+    ],
+    # |U| = 3, whose policy table is evaluated row by row
+    "bounds-u3": [
+        "bounds", "--spec", SPEC, "--coarse-step", "0.1", "--refine-step", "0.05",
+        "--u-upper", "3", "--u-lower", "3", "--seed", "0",
     ],
 }
 
