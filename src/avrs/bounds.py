@@ -23,6 +23,14 @@ cells, so every numpy operation is elementwise over the (policy, jammer)
 cells and a cell's bits never depend on which policies, jammers or chunk it
 is evaluated with: a single cell, a row or a refinement window reads exactly
 what the full table holds, and the searches take plain argmins and argmaxes.
+
+That invariant lets the searches evaluate a cell only where a decision reads
+it.  At |U| = 2 a policy and its U-label swap have bit-equal rows, so the
+policy tables evaluate one row per swap orbit and copy the other.  The upper
+bound's refinement bounds every window policy's row maximum from below by a
+few jammer columns and evaluates full rows only until no other policy can
+win the argmin.  The lower bound keeps the tables of its last jammer window,
+which consecutive levels often share.
 """
 
 from __future__ import annotations
@@ -66,6 +74,10 @@ MAX_CANDIDATES = 1_000_000
 # Cells of one chunk of a policy x jammer table (2 MB of float64), so that a
 # chunk and its temporaries stay near the cache whatever the grid size.
 CHUNK_CELLS = 1 << 18
+
+# Jammer columns whose values bound the refined policies' row maxima from
+# below before any full row is evaluated.
+SEED_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -134,12 +146,12 @@ def column_product(column_grids: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _jammer_chunks(nq: int, cells_per_jammer: int) -> Iterator[slice]:
-    """Consecutive slices of about CHUNK_CELLS cells over ``nq`` jammers;
-    the first is the widest."""
-    step = max(1, CHUNK_CELLS // max(1, cells_per_jammer))
-    for lo in range(0, nq, step):
-        yield slice(lo, min(lo + step, nq))
+def _chunks(count: int, cells_each: int) -> Iterator[slice]:
+    """Consecutive slices of about CHUNK_CELLS cells over ``count`` items of
+    ``cells_each`` cells; the first is the widest."""
+    step = max(1, CHUNK_CELLS // max(1, cells_each))
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
 
 
 def _cell_sum(terms: list[np.ndarray]) -> np.ndarray:
@@ -196,9 +208,14 @@ class RateBoundSolver:
     """Shared grids and information tables for the two rate bounds of one
     instance at one auxiliary-alphabet size.
 
-    Building the candidate-policy x candidate-jammer information matrix is
-    the expensive part; it does not depend on the distortion level, so one
-    solver instance amortizes it over a whole distortion sweep.
+    Building the candidate-policy x candidate-jammer tables is the
+    expensive part; they do not depend on the distortion level, so one
+    solver instance amortizes them over a whole distortion sweep.  The
+    coarse I(U;Y|Z) table holds every cell, evaluated once per U-swap orbit
+    at |U| = 2.  Refinement evaluates, per level, the upper bound's window
+    policies on a few seed jammers and full rows for as few of them as the
+    argmin needs, and the lower bound's jammer window against every coarse
+    policy, once per window centre.
     """
 
     def __init__(
@@ -220,6 +237,9 @@ class RateBoundSolver:
         self._i_matrix_cache: np.ndarray | None = None
         self._max_e_cache: np.ndarray | None = None
         self._min_e_cache: np.ndarray | None = None
+        # the lower bound's last jammer window: (centre index, window, min-E
+        # table, information table)
+        self._window_cache: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- shared tables ------------------------------------------------------
 
@@ -267,7 +287,7 @@ class RateBoundSolver:
         minus_h_u_y = [_cell_sum([xlog2x(col) for col in p_cols[y]]) for y in range(ny)]
         out = np.empty((np_, nq))
         buffers = None
-        for chunk in _jammer_chunks(nq, np_):
+        for chunk in _chunks(nq, np_):
             shape = (np_, chunk.stop - chunk.start)
             if buffers is None:
                 buffers = np.empty((4, shape[0] * shape[1]))
@@ -320,7 +340,7 @@ class RateBoundSolver:
         )
         p_cols = [np.ascontiguousarray(p_arr[:, :, u]) for u in range(nu)]  # (P, Y) each
         out = np.empty((np_, nq))
-        for chunk in _jammer_chunks(nq, np_ * nh):
+        for chunk in _chunks(nq, np_ * nh):
             n = chunk.stop - chunk.start
             rhs = [cost[z, :, :, chunk].reshape(ny, nh * n) for z in range(nz)]
             # the best reconstruction of each (u, z) cell, summed over the cells
@@ -331,11 +351,44 @@ class RateBoundSolver:
             out[:, chunk] = total
         return out
 
+    @functools.cached_property
+    def _u_swap(self) -> np.ndarray:
+        """Index of each coarse policy's U-label swap, at |U| = 2: the swap
+        maps lattice point (a, m - a) of every column to (m - a, a), read off
+        the integer lattice rather than compared as floats."""
+        m = round(1.0 / self.grid.coarse_step)
+        col = list(compositions(m, 2))
+        position = {c: i for i, c in enumerate(col)}
+        flip = np.array([position[c[::-1]] for c in col])
+        shape = (len(col),) * self.spec.w.shape[2]
+        digits = np.unravel_index(np.arange(math.prod(shape)), shape)
+        return np.ravel_multi_index(tuple(flip[d] for d in digits), shape)
+
+    def _policy_table(self, q_arr: np.ndarray) -> np.ndarray:
+        """I(U;Y|Z) of every coarse policy against ``q_arr``; shape (NP, NQ).
+
+        At |U| = 2 a policy's row and its U-label swap's row are bit-equal
+        (see :meth:`_info_matrix`), so one row per swap orbit is evaluated,
+        in blocks of about CHUNK_CELLS cells, and copied to its mirror.
+        """
+        p_arr = self._p_candidates
+        if self.u_size != 2:
+            return self._info_matrix(p_arr, q_arr)
+        mirror = self._u_swap
+        rows = np.arange(mirror.size)
+        table = np.empty((p_arr.shape[0], q_arr.shape[0]))
+        reps = rows[mirror >= rows]
+        for block in _chunks(reps.size, q_arr.shape[0]):
+            table[reps[block]] = self._info_matrix(p_arr[reps[block]], q_arr)
+        for r in rows[mirror < rows]:
+            table[r] = table[mirror[r]]
+        return table
+
     @property
     def info_matrix(self) -> np.ndarray:
         """I(U;Y|Z) of every coarse policy against every coarse jammer."""
         if self._i_matrix_cache is None:
-            self._i_matrix_cache = self._info_matrix(self._p_candidates, self._q_candidates)
+            self._i_matrix_cache = self._policy_table(self._q_candidates)
         return self._i_matrix_cache
 
     @property
@@ -363,6 +416,30 @@ class RateBoundSolver:
             return None
         c = int(np.argmax(np.where(reachable, inner, -np.inf)))
         return c, int(np.argmin(np.where(feas[:, c], info[:, c], np.inf)))
+
+    def _least_row_max(self, p_arr: np.ndarray, hint: np.ndarray) -> tuple[int, np.ndarray]:
+        """``np.argmin`` over the largest I(U;Y|Z) of each policy in
+        ``p_arr`` against the coarse jammers, with the winner's row.
+
+        Only some rows are evaluated.  Each policy's maximum over a few seed
+        columns, the largest entries of ``hint``, bounds its row maximum from
+        below with the bits of the full row.  Full rows are evaluated in
+        ascending (bound, index) order until the next bound exceeds the best
+        maximum found, or equals it at a larger index, so that no remaining
+        policy can win or tie to the first index.
+        """
+        q_arr = self._q_candidates
+        seeds = np.argsort(hint, kind="stable")[-SEED_COLUMNS:]
+        lower = self._info_matrix(p_arr, q_arr[seeds]).max(axis=1)
+        best, best_row, best_max = -1, None, math.inf
+        for k in map(int, np.argsort(lower, kind="stable")):
+            if lower[k] > best_max or (lower[k] == best_max and k > best):
+                break
+            row = self._info_matrix(p_arr[k : k + 1], q_arr)[0]
+            top = float(row.max())
+            if top < best_max or (top == best_max and k < best):
+                best, best_row, best_max = k, row, top
+        return best, best_row
 
     def _uncertainty(self, refined: float, coarse: float) -> float:
         g = self.grid
@@ -398,10 +475,7 @@ class RateBoundSolver:
             feas_local = self._max_e_over_jammers(local) <= distortion + DISTORTION_TOL
             ok = np.flatnonzero(feas_local.any(axis=1))
             if ok.size:
-                # information rows only for the feasible local policies
-                info_local = self._info_matrix(local[ok], self._q_candidates)
-                k = int(np.argmin(info_local.max(axis=1)))
-                row = info_local[k]
+                k, row = self._least_row_max(local[ok], row)
                 p1 = int(ok[k])
                 best_p = local[p1]
                 best_f = int(np.argmax(feas_local[p1]))
@@ -436,9 +510,8 @@ class RateBoundSolver:
         best_p = self._p_candidates[p_idx]
         v0 = value = float(info[p_idx, n0])
         if self.grid.refine:
-            q_local = _refine_window(best_q, self.grid)
-            feas_ql = self._min_e_over_zeta(self._p_candidates, q_local) <= distortion + DISTORTION_TOL
-            info_ql = self._info_matrix(self._p_candidates, q_local)
+            q_local, min_e_ql, info_ql = self._jammer_window(n0)
+            feas_ql = min_e_ql <= distortion + DISTORTION_TOL
             found = self._max_min_column(info_ql, feas_ql)
             if found is not None:
                 n1, p_idx = found
@@ -457,6 +530,17 @@ class RateBoundSolver:
                     best_p = p_local[p2]
         zeta = self._best_zeta(best_p, best_q)
         return _RatePoint(value, self._uncertainty(value, v0), best_p, zeta, best_q)
+
+    def _jammer_window(self, n0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The refine window around coarse jammer ``n0`` with its min-E and
+        I(U;Y|Z) tables against every coarse policy.  The tables do not
+        depend on the level and neighbouring levels often share a centre, so
+        the last centre's are kept."""
+        if self._window_cache is None or self._window_cache[0] != n0:
+            q_local = _refine_window(self._q_candidates[n0], self.grid)
+            min_e = self._min_e_over_zeta(self._p_candidates, q_local)
+            self._window_cache = (n0, q_local, min_e, self._policy_table(q_local))
+        return self._window_cache[1:]
 
     def _best_zeta(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         spec = self.spec
@@ -528,26 +612,39 @@ def per_type_rates(
     joint_yu = t_probs[:, None] * p_uy
     r_u = max(0.0, float(mutual_information_bits(joint_yu)) + eps / 4.0)
 
-    col_j = simplex_lattice(spec.w.shape[1], grid.coarse_step)
-    q_arr = column_product([col_j] * spec.w.shape[0])
-
-    def info_uz(qs: np.ndarray) -> np.ndarray:
-        return mutual_information_bits(joint_uz(spec, qs, p_uy))
-
+    key = tuple((a.tobytes(), a.shape) for a in (spec.p_x, spec.w, spec.d, p_uy))
+    q_arr, info = _coarse_uz_information(key, grid.coarse_step)
     mask = consistent_kernels(q_arr, t_y, spec, f_eps)
     if not mask.any():
         return PerTypeRates(r_u, math.inf, 0.0, True)
-    vals = np.where(mask, info_uz(q_arr), np.inf)
+    vals = np.where(mask, info, np.inf)
     n0 = int(np.argmin(vals))
     best = float(vals[n0])
     if grid.refine:
         q_local = _refine_window(q_arr[n0], grid)
         mask_l = consistent_kernels(q_local, t_y, spec, f_eps)
         if mask_l.any():
-            vals_l = np.where(mask_l, info_uz(q_local), np.inf)
-            best = min(best, float(vals_l.min()))
+            info_l = mutual_information_bits(joint_uz(spec, q_local, p_uy))
+            best = min(best, float(np.where(mask_l, info_l, np.inf).min()))
     r_tilde = max(0.0, best - eps / 4.0)
     return PerTypeRates(r_u, r_tilde, r_u - r_tilde, False)
+
+
+# a run codes with one (instance, policy) pair, or a few in the tests
+@functools.lru_cache(maxsize=8)
+def _coarse_uz_information(key: tuple, coarse_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse jammer lattice and the I(U;Z) of each of its kernels, as
+    read-only arrays, for the (p_x, w, d, p(u|y)) tables whose (bytes, shape)
+    pairs make up ``key``.  Neither depends on the observed type, so every
+    type of a run shares them."""
+    p_x, w, d, p_uy = (np.frombuffer(raw).reshape(shape) for raw, shape in key)
+    spec = ProblemSpec(p_x, w, d)
+    col_j = simplex_lattice(w.shape[1], coarse_step)
+    q_arr = column_product([col_j] * w.shape[0])
+    info = mutual_information_bits(joint_uz(spec, q_arr, p_uy))
+    q_arr.setflags(write=False)
+    info.setflags(write=False)
+    return q_arr, info
 
 
 # ---------------------------------------------------------------------------

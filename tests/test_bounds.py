@@ -285,6 +285,95 @@ class TestScreenedPoints:
                     assert np.array_equal(got.q_extreme, jammer)
 
 
+class TestLazyTables:
+    """The coarse table filled by U-swap orbit and the rows the upper bound's
+    refinement evaluates read the bits of the full tables."""
+
+    # 1/step even (a self-mirrored middle policy) and odd
+    @pytest.mark.parametrize("coarse_step", [0.1, 0.2])
+    @pytest.mark.parametrize("chunk_cells", [1 << 18, 64])
+    def test_orbit_filled_table_equals_the_direct_one(self, monkeypatch, rng, coarse_step, chunk_cells):
+        grid = GridConfig(coarse_step=coarse_step, refine_step=coarse_step / 2)
+        build = RateBoundSolver._info_matrix
+        for spec in table_instances(rng):
+            solver = RateBoundSolver(spec, 2, grid)
+            p_arr, q_arr = solver._p_candidates, solver._q_candidates
+            assert np.array_equal(p_arr[solver._u_swap], p_arr[:, :, ::-1])
+            window = avrs.bounds._refine_window(q_arr[rng.integers(q_arr.shape[0])], grid)
+            direct = [build(solver, p_arr, q) for q in (q_arr, window)]
+            rows = []
+
+            def counting(solver, p_arr, q_arr):
+                rows.append(p_arr.shape[0])
+                return build(solver, p_arr, q_arr)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(avrs.bounds, "CHUNK_CELLS", chunk_cells)
+                patch.setattr(RateBoundSolver, "_info_matrix", counting)
+                assert np.array_equal(solver.info_matrix, direct[0])
+                assert np.array_equal(solver._policy_table(window), direct[1])
+            # one row per orbit: a pair of swapped policies, or the middle one
+            assert sum(rows) == 2 * ((p_arr.shape[0] + 1) // 2)
+
+    def test_lazy_row_maxima_pick_the_full_argmin(self, rng):
+        # a window around the (0.5, 0.5) policy holds each policy with its
+        # U-swap, whose rows tie to the bit: the first index must win
+        grid = GridConfig(coarse_step=0.1, refine_step=0.05)
+        ties = 0
+        for spec in table_instances(rng):
+            solver = RateBoundSolver(spec, 2, grid)
+            q_arr = solver._q_candidates
+            window = avrs.bounds._refine_window(np.full((spec.w.shape[2], 2), 0.5), grid)
+            full = solver._info_matrix(window, q_arr)
+            maxima = full.max(axis=1)
+            centre = int(np.flatnonzero((window == 0.5).all(axis=(1, 2)))[0])
+            n = window.shape[0]
+            subsets = (np.arange(n), np.sort(rng.choice(n, n // 2, replace=False)))
+            for rows in subsets:
+                ties += int(np.count_nonzero(maxima[rows] == maxima[rows].min()) > 1)
+                expected = int(np.argmin(maxima[rows]))
+                # the coarse row of the centre, a hint that seeds nothing
+                # useful, and a random one
+                for hint in (full[centre], np.zeros(q_arr.shape[0]), rng.random(q_arr.shape[0])):
+                    k, row = solver._least_row_max(window[rows], hint)
+                    assert k == expected
+                    assert np.array_equal(row, full[rows[k]])
+        assert ties > 0
+
+    def test_refinement_reads_few_rows_of_its_window(self, monkeypatch, rng):
+        # the benchmark-shaped ternary instance at the CLI's refine step
+        spec = two_view_instance(rng)
+        solver = RateBoundSolver(spec, 2, FAST_GRID)
+        lo = minimax_distortion_game(spec, True).value
+        hi = minimax_distortion_game(spec, False).value
+        info, max_e = solver.info_matrix, solver.max_e_matrix
+        nq = solver._q_candidates.shape[0]
+        build = RateBoundSolver._info_matrix
+        tol = avrs.bounds.DISTORTION_TOL
+        cells = []
+
+        def counting(solver, p_arr, q_arr):
+            cells.append(p_arr.shape[0] * q_arr.shape[0])
+            return build(solver, p_arr, q_arr)
+
+        for level in [lo + f * (hi - lo) for f in (0.2, 0.5, 0.8, 1.0)]:
+            # the feasible window policies whose full rows an argmin would read
+            p0 = int(np.argmin(np.where((max_e <= level + tol).any(axis=1), info.max(axis=1), np.inf)))
+            window = avrs.bounds._refine_window(solver._p_candidates[p0], FAST_GRID)
+            feasible = int((solver._max_e_over_jammers(window) <= level + tol).any(axis=1).sum())
+            cells.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(RateBoundSolver, "_info_matrix", counting)
+                got = solver.r_upper_point(level)
+            assert feasible > 20
+            assert sum(cells) < 0.1 * feasible * nq
+            value, uncertainty, policy, zeta, jammer = r_upper_point_oracle(solver, level)
+            assert (got.value, got.uncertainty) == (value, uncertainty)
+            assert np.array_equal(got.p_u_given_y, policy)
+            assert np.array_equal(got.zeta, zeta)
+            assert np.array_equal(got.q_extreme, jammer)
+
+
 class TestVertexFeasibilityReduction:
     def test_deterministic_jammers_dominate_mixtures(self, rng):
         # E[d] is linear in the jamming kernel: no sampled mixture may beat
@@ -391,6 +480,23 @@ class TestPerTypeRates:
         assert rates.r_u == pytest.approx(r_u_direct, abs=1e-9)
         assert rates.r_tilde == pytest.approx(r_tilde_direct, abs=1e-9)
 
+    def test_types_of_a_run_share_the_lattice_information(self):
+        spec, policy = wz_spec(), identity_policy(wz_spec())
+        build = avrs.bounds._coarse_uz_information
+        build.cache_clear()
+        types = [TypeTable(np.array([c, 8 - c]), 8) for c in range(9)]
+        rates = [per_type_rates(t, policy, spec, 0.2, 0.2) for t in types]
+        # an equal spec built again is the same key
+        rates_again = [per_type_rates(t, policy, wz_spec(), 0.2, 0.2) for t in types]
+        assert rates_again == rates
+        info = build.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(types) - 1)
+        per_type_rates(types[0], identity_policy(spec, 3), spec, 0.2, 0.2)
+        assert build.cache_info().misses == 2
+        key = tuple((a.tobytes(), a.shape) for a in (spec.p_x, spec.w, spec.d, policy.p_u_given_y))
+        for table in build(key, GridConfig().coarse_step):
+            assert not table.flags.writeable
+
 
 class TestBoundReport:
     def test_report_orders_and_infeasible_points(self):
@@ -418,17 +524,18 @@ class TestBoundReport:
         separate_l = RateBoundSolver(spec, 2, FAST_GRID)
         expected = [(separate_u.r_upper_point(v), separate_l.r_lower_point(v)) for v in levels]
 
-        coarse_builds = []
-        build = RateBoundSolver._info_matrix
+        # every coarse table the property hands out, held so that two builds
+        # cannot share an id
+        tables = []
+        prop = RateBoundSolver.info_matrix
 
-        def counting(solver, p_arr, q_arr):
-            if p_arr is solver._p_candidates and q_arr is solver._q_candidates:
-                coarse_builds.append(solver)
-            return build(solver, p_arr, q_arr)
+        def counting(solver):
+            tables.append(prop.fget(solver))
+            return tables[-1]
 
-        monkeypatch.setattr(RateBoundSolver, "_info_matrix", counting)
+        monkeypatch.setattr(RateBoundSolver, "info_matrix", property(counting))
         report = compute_bound_report(spec, levels, FAST_GRID, u_size_upper=2, u_size_lower=2)
-        assert len(coarse_builds) == 1
+        assert tables and len({id(t) for t in tables}) == 1
         for point, (up, low) in zip(report.points, expected):
             assert (point.r_upper, point.uncertainty_upper) == (up.value, up.uncertainty)
             assert (point.r_lower, point.uncertainty_lower) == (low.value, low.uncertainty)
