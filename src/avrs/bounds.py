@@ -71,6 +71,13 @@ DISTORTION_TOL = 1e-9
 # EnumerationTooLargeError.
 MAX_CANDIDATES = 1_000_000
 
+# What shrinks each grid that column_product builds, for its error message.
+_SHRINK = {
+    "policy grid": "a coarser --coarse-step or a smaller auxiliary alphabet",
+    "jammer lattice": "a coarser --coarse-step",
+    "refinement window": "a coarser --refine-step",
+}
+
 # Cells of one chunk of a policy x jammer table (2 MB of float64), so that a
 # chunk and its temporaries stay near the cache whatever the grid size.
 CHUNK_CELLS = 1 << 18
@@ -125,8 +132,9 @@ def simplex_window(center: np.ndarray, step: float, radius: float) -> np.ndarray
     return np.array(out, dtype=np.float64) / m
 
 
-def column_product(column_grids: list[np.ndarray]) -> np.ndarray:
-    """Cartesian product of per-column simplex grids.
+def column_product(column_grids: list[np.ndarray], name: str) -> np.ndarray:
+    """Cartesian product of per-column simplex grids; ``name`` (a key of
+    ``_SHRINK``) says which grid it is when it would exceed MAX_CANDIDATES.
 
     Returns shape (N, columns, dim); candidate order is lexicographic in the
     per-column indices, which fixes all tie-breaking downstream.
@@ -135,8 +143,7 @@ def column_product(column_grids: list[np.ndarray]) -> np.ndarray:
     total = math.prod(sizes)
     if total > MAX_CANDIDATES:
         raise EnumerationTooLargeError(
-            f"policy grid would hold {total} candidates (> {MAX_CANDIDATES}); "
-            "coarsen the grid or reduce the auxiliary alphabet"
+            f"{name} would hold {total} candidates (> {MAX_CANDIDATES}); use {_SHRINK[name]}"
         )
     out = np.empty((total, len(column_grids), column_grids[0].shape[1]))
     for c, g in enumerate(column_grids):
@@ -163,7 +170,7 @@ def _refine_window(center: np.ndarray, grid: GridConfig) -> np.ndarray:
     """Kernels on the refine-step lattice within one coarse step of
     ``center`` in every row: the neighbourhood of one refinement pass."""
     cols = [simplex_window(row, grid.refine_step, grid.coarse_step) for row in center]
-    return column_product(cols)
+    return column_product(cols, "refinement window")
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +254,14 @@ class RateBoundSolver:
     def _p_candidates(self) -> np.ndarray:
         if self._p_cache is None:
             col_u = simplex_lattice(self.u_size, self.grid.coarse_step)
-            self._p_cache = column_product([col_u] * self.spec.w.shape[2])
+            self._p_cache = column_product([col_u] * self.spec.w.shape[2], "policy grid")
         return self._p_cache
 
     @property
     def _q_candidates(self) -> np.ndarray:
         if self._q_cache is None:
             col_j = simplex_lattice(self.spec.w.shape[1], self.grid.coarse_step)
-            self._q_cache = column_product([col_j] * self.spec.w.shape[0])
+            self._q_cache = column_product([col_j] * self.spec.w.shape[0], "jammer lattice")
         return self._q_cache
 
     def _info_matrix(self, p_arr: np.ndarray, q_arr: np.ndarray) -> np.ndarray:
@@ -640,7 +647,7 @@ def _coarse_uz_information(key: tuple, coarse_step: float) -> tuple[np.ndarray, 
     p_x, w, d, p_uy = (np.frombuffer(raw).reshape(shape) for raw, shape in key)
     spec = ProblemSpec(p_x, w, d)
     col_j = simplex_lattice(w.shape[1], coarse_step)
-    q_arr = column_product([col_j] * w.shape[0])
+    q_arr = column_product([col_j] * w.shape[0], "jammer lattice")
     info = mutual_information_bits(joint_uz(spec, q_arr, p_uy))
     q_arr.setflags(write=False)
     info.setflags(write=False)

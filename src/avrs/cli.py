@@ -2,10 +2,14 @@
 single-session transcripts, certify derandomized ensembles and run the
 lemma harnesses, emitting CSV and JSON.
 
-Every output file embeds the semantic invocation (inputs and seed, not
-execution knobs like --threads or --out-dir), so identical invocations give
-byte-identical files regardless of worker count or output location.  All
-randomness descends from the single --seed.
+Each subcommand returns its documents, ``{file name: document}`` in write
+order, where a document is a payload dict (JSON) or a ``(header, rows)``
+pair (CSV).  ``main`` stamps every document with the semantic invocation
+(inputs and seed, not execution knobs like --threads or --out-dir) and
+writes them only once the command has succeeded, so a failed run leaves no
+file and identical invocations give byte-identical files regardless of
+worker count or output location.  All randomness descends from the single
+--seed.
 """
 
 from __future__ import annotations
@@ -40,12 +44,13 @@ from .coding import (
 from .derandomize import certify_ensemble, sample_ensemble
 from .errors import AvrsError, ConfigurationError, UsageError
 from .lemmas import (
+    LADDER_COLUMNS,
     HarnessResult,
+    ladder_rows,
     run_conditional_typicality,
     run_covering,
     run_markov_conclusion,
     run_packing,
-    trend_check,
 )
 from .model import load_policy, load_problem_spec
 from .mtypes import nearest_type
@@ -71,7 +76,7 @@ def _file_fingerprint(path_str: str) -> str:
     return f"{p.name}:{digest}"
 
 
-def _metadata(command: str, args: argparse.Namespace) -> dict:
+def _metadata(args: argparse.Namespace) -> dict:
     semantic = {}
     for k, v in sorted(vars(args).items()):
         if k in ("func", "command", "out_dir", "threads") or v is None:
@@ -80,7 +85,7 @@ def _metadata(command: str, args: argparse.Namespace) -> dict:
             semantic[k] = _file_fingerprint(str(v))
         else:
             semantic[k] = v
-    return {"command": command, "version": __version__, "invocation": semantic}
+    return {"command": args.command, "version": __version__, "invocation": semantic}
 
 
 def _fmt(value) -> str:
@@ -93,18 +98,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, meta: dict, header: list[str], rows: list[list]) -> None:
+def _write(path: Path, meta: dict, doc: dict | tuple[list[str], list[list]]) -> None:
+    """Write one document: a payload dict as JSON with a ``meta`` key, a
+    ``(header, rows)`` pair as CSV under a ``#`` metadata line."""
+    if isinstance(doc, dict):
+        path.write_text(json.dumps({"meta": meta, **doc}, sort_keys=True, indent=2) + "\n")
+        return
+    header, rows = doc
     with path.open("w", newline="") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-def _write_json(path: Path, meta: dict, payload: dict) -> None:
-    doc = {"meta": meta, **payload}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _finite_float(text: str) -> float:
@@ -133,11 +139,14 @@ def _positive(text: str) -> int:
 
 
 def _parse_list(text: str, kind, flag: str) -> list:
-    """Comma-separated numbers; an entry ``kind`` cannot parse is a usage error."""
+    """Comma-separated numbers; an entry ``kind`` cannot parse or refuses is
+    a usage error that names ``flag``."""
     try:
         return [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise UsageError(f"{flag} holds a non-numeric entry: {text!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _parallel_map(fn, items: list, threads: int) -> list:
@@ -167,30 +176,25 @@ def _resolve_jammers(name_or_path: str, config: SessionConfig, n: int, seed: int
     return load_jammers(name_or_path, spec)
 
 
-def _coding_config(args, spec, policy) -> SessionConfig:
+def _coding_config(args: argparse.Namespace) -> SessionConfig:
+    """The spec, policy and coding parameters of a coding subcommand."""
+    spec = load_problem_spec(args.spec)
+    policy = load_policy(args.policy, spec)
     params = CodingParams(
-        eps=args.eps,
-        delta2=args.delta2,
-        gamma=args.gamma,
-        f_eps=args.f_eps,
-        size_cap=args.cap,
+        eps=args.eps, delta2=args.delta2, gamma=args.gamma, f_eps=args.f_eps, size_cap=args.cap
     )
     return SessionConfig(spec, policy, params)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns {file name: document} in write order
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace) -> dict:
     spec = load_problem_spec(args.spec)
-    grid = GridConfig(
-        coarse_step=args.coarse_step,
-        refine_step=args.refine_step,
-        refine=not args.no_refine,
-    )
+    grid = GridConfig(coarse_step=args.coarse_step, refine_step=args.refine_step, refine=not args.no_refine)
     if args.d_grid is not None:
-        d_values = _parse_list(args.d_grid, float, "--d-grid")
+        d_values = _parse_list(args.d_grid, _finite_float, "--d-grid")
     elif args.d_points > 0:
 
         def d_values(lo: float, hi: float) -> list[float]:
@@ -199,28 +203,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
     else:
         d_values = []
-    report = compute_bound_report(
-        spec,
-        d_values,
-        grid,
-        u_size_upper=args.u_upper,
-        u_size_lower=args.u_lower,
-    )
-    meta = _metadata("bounds", args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        [p.d, p.r_upper, p.r_lower, p.uncertainty_upper, p.uncertainty_lower]
-        for p in report.points
-    ]
-    _write_csv(
-        out / "bounds.csv",
-        meta,
-        ["D", "R_upper", "R_lower", "uncertainty_upper", "uncertainty_lower"],
-        rows,
-    )
-    _write_json(out / "bounds.json", meta, asdict(report))
-    return EXIT_OK
+    report = compute_bound_report(spec, d_values, grid, u_size_upper=args.u_upper, u_size_lower=args.u_lower)
+    rows = [[p.d, p.r_upper, p.r_lower, p.uncertainty_upper, p.uncertainty_lower] for p in report.points]
+    return {
+        "bounds.csv": (["D", "R_upper", "R_lower", "uncertainty_upper", "uncertainty_lower"], rows),
+        "bounds.json": asdict(report),
+    }
 
 
 def _trial_source(spec, seed: int, jam_id: int, trial: int, n: int) -> tuple[int, np.ndarray]:
@@ -229,10 +217,9 @@ def _trial_source(spec, seed: int, jam_id: int, trial: int, n: int) -> tuple[int
     return s, sample_indices(philox_stream(s, "x"), spec.p_x, n)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = load_problem_spec(args.spec)
-    policy = load_policy(args.policy, spec)
-    config = _coding_config(args, spec, policy)
+def cmd_simulate(args: argparse.Namespace) -> dict:
+    config = _coding_config(args)
+    spec = config.spec
     jammers = _resolve_jammers(args.jammers, config, args.n, args.seed, args.search_budget)
 
     def run(jam_id: int) -> tuple[list[list], dict]:
@@ -248,28 +235,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return [[args.n, jam_id, *row] for row in flags], summary
 
     per_jammer = _parallel_map(run, range(len(jammers)), args.threads)
-
-    meta = _metadata("simulate", args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "trials.csv",
-        meta,
-        ["n", "jammer_id", "distortion", "E_enc", "E_dec1", "E_dec2"],
-        [row for rows, _ in per_jammer for row in rows],
-    )
-    _write_json(out / "simulate.json", meta, {"jammers": [summary for _, summary in per_jammer]})
-    return EXIT_OK
+    return {
+        "trials.csv": (
+            ["n", "jammer_id", "distortion", "E_enc", "E_dec1", "E_dec2"],
+            [row for rows, _ in per_jammer for row in rows],
+        ),
+        "simulate.json": {"jammers": [summary for _, summary in per_jammer]},
+    }
 
 
-def cmd_session(args: argparse.Namespace) -> int:
-    spec = load_problem_spec(args.spec)
-    policy = load_policy(args.policy, spec)
-    config = _coding_config(args, spec, policy)
+def cmd_session(args: argparse.Namespace) -> dict:
+    config = _coding_config(args)
     jammers = _resolve_jammers(args.jammers, config, args.n, args.seed, args.search_budget)
     sessions = []
     for jam_id, jammer in enumerate(jammers):
-        s, x = _trial_source(spec, args.seed, jam_id, 0, args.n)
+        s, x = _trial_source(config.spec, args.seed, jam_id, 0, args.n)
         batch = simulate_session(x, jammer, config, s)
         entry = {"jammer_id": jam_id, "descriptor": jammer.descriptor}
         for f in fields(batch):
@@ -278,17 +258,11 @@ def cmd_session(args: argparse.Namespace) -> int:
             value = getattr(batch, f.name)[0]
             entry[f.name] = value if isinstance(value, int) else value.tolist()
         sessions.append(entry)
-    meta = _metadata("session", args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "session.json", meta, {"sessions": sessions})
-    return EXIT_OK
+    return {"session.json": {"sessions": sessions}}
 
 
-def cmd_derandomize(args: argparse.Namespace) -> int:
-    spec = load_problem_spec(args.spec)
-    policy = load_policy(args.policy, spec)
-    config = _coding_config(args, spec, policy)
+def cmd_derandomize(args: argparse.Namespace) -> dict:
+    config = _coding_config(args)
     jammers = _resolve_jammers(args.jammers, config, args.n, args.seed, args.search_budget)
     ensemble = sample_ensemble(config, args.n, args.K, master_seed=derive_seed(args.seed, "ensemble"))
     report = certify_ensemble(
@@ -299,23 +273,13 @@ def cmd_derandomize(args: argparse.Namespace) -> int:
         mu=args.mu,
         seed=derive_seed(args.seed, "certify"),
     )
-    meta = _metadata("derandomize", args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        **asdict(report),
-        "rate_overhead": ensemble.rate_overhead,
-        "index_bits": ensemble.index_bits,
-    }
-    _write_json(out / "derandomize.json", meta, payload)
-    return EXIT_OK
+    return {"derandomize.json": asdict(report)}
 
 
-def cmd_lemmas(args: argparse.Namespace) -> int:
-    spec = load_problem_spec(args.spec)
-    policy = load_policy(args.policy, spec)
-    config = _coding_config(args, spec, policy)
-    ns = _parse_list(args.n_ladder, int, "--n-ladder")
+def cmd_lemmas(args: argparse.Namespace) -> dict:
+    config = _coding_config(args)
+    spec = config.spec
+    ns = _parse_list(args.n_ladder, _positive, "--n-ladder")
     selected = set(args.harness) if args.harness else set(_HARNESSES)
     if "all" in selected:
         selected = set(_HARNESSES)
@@ -341,33 +305,7 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
         return [runs[h]() for h in _HARNESSES if h in selected] if trials >= 1 else []
 
     results = [res for chunk in _parallel_map(run_for_n, ns, args.threads) for res in chunk]
-    rows: list[list] = []
-    for res in results:
-        if res.bound is None:
-            verdict = "n/a"
-        else:
-            verdict = "vacuous" if res.vacuous else ("pass" if res.within_bound else "fail")
-        rows.append([res.name, res.n, res.empirical, res.bound, res.sigma, verdict])
-
-    # trend summaries over the ladder for the trend-style harnesses
-    for name, decreasing in (("covering", False), ("packing", True), ("markov-conclusion", True)):
-        series = [res for res in results if res.name == name]
-        if len(series) >= 2:
-            tc = trend_check(series, decreasing=decreasing)
-            change = tc.values[-1] - tc.values[0]
-            verdict = "pass" if tc.ok else "fail"
-            rows.append([f"{name}-trend", series[-1].n, change, None, 0.0, verdict])
-
-    meta = _metadata("lemmas", args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "lemmas.csv",
-        meta,
-        ["harness", "n", "empirical", "bound", "sigma", "verdict"],
-        rows,
-    )
-    return EXIT_OK
+    return {"lemmas.csv": (LADDER_COLUMNS, ladder_rows(results))}
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coarse-step", type=_finite_float, default=0.05)
     p.add_argument("--refine-step", type=_finite_float, default=0.005)
     p.add_argument("--no-refine", action="store_true")
-    p.add_argument("--u-upper", type=int, default=None)
-    p.add_argument("--u-lower", type=int, default=None)
+    p.add_argument("--u-upper", type=_positive, default=None)
+    p.add_argument("--u-lower", type=_positive, default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="run coding sessions against jammers")
@@ -464,7 +402,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        docs = args.func(args)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        meta = _metadata(args)
+        for name, doc in docs.items():
+            _write(out / name, meta, doc)
+        return EXIT_OK
     except (ConfigurationError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -86,7 +86,8 @@ class CertificationReport:
 
     Sampled typical sources and the given jammers stand in for the full
     maxima; the report states the sample sizes rather than claiming the
-    exhaustive worst case.
+    exhaustive worst case.  ``rate_overhead`` and ``index_bits`` are the
+    ensemble's.
     """
 
     cells: tuple[CertificationCell, ...]
@@ -95,6 +96,8 @@ class CertificationReport:
     passed: bool
     k: int
     n: int
+    rate_overhead: float
+    index_bits: int
     note: str = (
         "spot check over sampled typical sources and listed jammers; "
         "not an enumeration of all typical blocks"
@@ -177,4 +180,6 @@ def certify_ensemble(
         passed=max_excess <= mu,
         k=k,
         n=n,
+        rate_overhead=ensemble.rate_overhead,
+        index_bits=ensemble.index_bits,
     )

@@ -31,13 +31,18 @@ __all__ = [
     "run_covering",
     "run_packing",
     "run_markov_conclusion",
+    "ladder_rows",
 ]
 
 
 @dataclass(frozen=True)
 class HarnessResult:
     """One harness measurement: empirical frequency, bound (if any), the
-    binomial standard error, and whether the bound is vacuous (>= 1)."""
+    binomial standard error, and whether the bound is vacuous (>= 1).
+
+    ``verdict`` is "n/a" without a bound, "vacuous" for a vacuous one, and
+    otherwise "pass" when the frequency stays within three standard errors
+    above the bound, else "fail"."""
 
     name: str
     n: int
@@ -48,10 +53,12 @@ class HarnessResult:
     vacuous: bool
 
     @property
-    def within_bound(self) -> bool | None:
+    def verdict(self) -> str:
         if self.bound is None:
-            return None
-        return self.empirical <= self.bound + 3.0 * self.sigma
+            return "n/a"
+        if self.vacuous:
+            return "vacuous"
+        return "pass" if self.empirical <= self.bound + 3.0 * self.sigma else "fail"
 
 
 def _binomial_sigma(p_hat: float, trials: int) -> float:
@@ -226,3 +233,27 @@ def run_markov_conclusion(
     return HarnessResult(
         "markov-conclusion", n, rate, None, _binomial_sigma(rate, trials), trials, False
     )
+
+
+# ---------------------------------------------------------------------------
+# the lemmas.csv table of a blocklength ladder
+
+LADDER_COLUMNS = ["harness", "n", "empirical", "bound", "sigma", "verdict"]
+
+# the harnesses checked for a trend along the ladder, and whether their
+# frequency should decrease
+TRENDS = (("covering", False), ("packing", True), ("markov-conclusion", True))
+
+
+def ladder_rows(results: list[HarnessResult]) -> list[list]:
+    """One LADDER_COLUMNS row per result, then one trend row per TRENDS
+    harness measured on two or more rungs: its change from the first rung
+    to the last, at the last rung's n, with the trend check's verdict."""
+    rows = [[r.name, r.n, r.empirical, r.bound, r.sigma, r.verdict] for r in results]
+    for name, decreasing in TRENDS:
+        series = [r for r in results if r.name == name]
+        if len(series) >= 2:
+            tc = trend_check(series, decreasing=decreasing)
+            change = tc.values[-1] - tc.values[0]
+            rows.append([f"{name}-trend", series[-1].n, change, None, 0.0, "pass" if tc.ok else "fail"])
+    return rows

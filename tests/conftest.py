@@ -78,25 +78,38 @@ def dense_instance(rng: np.random.Generator) -> ProblemSpec:
     return make_spec(rng.dirichlet(np.ones(3)) * 0.7 + 0.1, kernel, d)
 
 
+def two_view(p_x, flip_y, flip_z, d) -> dict:
+    """The spec document of a ternary source read through a binary Y, which
+    reports x >= 1 with a flip rate that the jammer symbol sets, and a
+    binary Z, which reports x <= 1 with a flip the jammer cannot touch."""
+    y_bit, z_bit = (0, 1, 1), (1, 1, 0)
+    w = [
+        [
+            [
+                [
+                    (1 - flip_y[j] if y == y_bit[x] else flip_y[j]) * (1 - flip_z if z == z_bit[x] else flip_z)
+                    for z in range(2)
+                ]
+                for y in range(2)
+            ]
+            for j in range(2)
+        ]
+        for x in range(3)
+    ]
+    return {"name": "two-view", "alphabets": {"x": 3, "j": 2, "y": 2, "z": 2, "xhat": 3}, "p_x": p_x, "w": w, "d": d}
+
+
 def two_view_instance(rng: np.random.Generator) -> ProblemSpec:
-    """Random 3x2x2x2x3 instance with a visible gap between the floors: Y
-    reads whether x >= 1 through a flip the jammer raises, Z reads whether
-    x <= 1 through a flip it cannot touch, and every wrong reconstruction
-    costs about 1."""
+    """Random ``two_view`` instance with a visible gap between the floors:
+    the jammer raises Y's flip rate, and every wrong reconstruction costs
+    about 1."""
     flip_y = (rng.uniform(0.03, 0.07), rng.uniform(0.25, 0.35))
     flip_z = rng.uniform(0.12, 0.18)
-    k = np.zeros((3, 2, 2, 2))
-    for x in range(3):
-        for j in range(2):
-            for y in range(2):
-                for z in range(2):
-                    py = 1 - flip_y[j] if y == int(x >= 1) else flip_y[j]
-                    pz = 1 - flip_z if z == int(x <= 1) else flip_z
-                    k[x, j, y, z] = py * pz
     d = rng.uniform(0.9, 1.1, size=(3, 3))
     d[np.arange(3), np.arange(3)] = 0.0
     weights = rng.uniform(0.8, 1.2, size=3)
-    return make_spec(weights / weights.sum(), k, d)
+    doc = two_view(weights / weights.sum(), flip_y, flip_z, d)
+    return make_spec(doc["p_x"], doc["w"], doc["d"])
 
 
 def identity_policy(spec: ProblemSpec, u_size: int | None = None) -> AuxiliaryPolicy:

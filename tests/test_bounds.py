@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,22 @@ class TestSolverTables:
         solver = RateBoundSolver(wz_spec(), 2, self.GRID)
         with pytest.raises(EnumerationTooLargeError, match="121 candidates"):
             solver.info_matrix
+
+    def test_oversized_jammer_lattice_named_before_allocation(self, rng):
+        # |X| = |J| = 3 at the default step: 231 kernel rows per source
+        # symbol, 231^3 kernels, which would take 887 MB
+        kernel = rng.dirichlet(np.ones(4), size=(3, 3)).reshape(3, 3, 2, 2)
+        spec = make_spec(rng.dirichlet(np.ones(3)), kernel, rng.uniform(0.5, 1.5, size=(3, 3)))
+        solver = RateBoundSolver(spec, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLargeError, match="jammer lattice would hold 12326391 ") as err:
+                solver.info_matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value).endswith("; use a coarser --coarse-step")
+        assert peak < 2**22
 
 
 class TestDistortionFloors:

@@ -16,6 +16,8 @@ from pathlib import Path
 
 from avrs.cli import main
 
+from conftest import two_view
+
 DATA = Path(__file__).parent / "data"
 SPEC = str(DATA / "spec_binary.json")
 POLICY = str(DATA / "policy_binary.json")
@@ -46,27 +48,6 @@ BLIND_Y = {
     ],
     "d": [[0, 1], [1, 0]],
 }
-
-
-def two_view(p_x, flip_y, flip_z, d):
-    """A ternary source read through a binary Y, which reports x >= 1 with a
-    flip rate that the jammer symbol sets, and a binary Z, which reports
-    x <= 1 with a flip the jammer cannot touch."""
-    y_bit, z_bit = (0, 1, 1), (1, 1, 0)
-    w = [
-        [
-            [
-                [
-                    (1 - flip_y[j] if y == y_bit[x] else flip_y[j]) * (1 - flip_z if z == z_bit[x] else flip_z)
-                    for z in range(2)
-                ]
-                for y in range(2)
-            ]
-            for j in range(2)
-        ]
-        for x in range(3)
-    ]
-    return {"name": "two-view", "alphabets": {"x": 3, "j": 2, "y": 2, "z": 2, "xhat": 3}, "p_x": p_x, "w": w, "d": d}
 
 
 # the benchmark's seeded bounds instance at seed 1 (|X| = 3, |X^| = 3)

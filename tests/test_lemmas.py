@@ -65,6 +65,7 @@ class TestConditionalTypicality:
         assert res.bound == pytest.approx(4 * math.exp(-0.4), abs=1e-12)
         assert res.bound == pytest.approx(2.6812801841425576, abs=1e-12)
         assert res.vacuous  # the closed form exceeds one at this blocklength
+        assert res.verdict == "vacuous"
         assert res.empirical <= res.bound + 3 * res.sigma
 
     def test_tight_radius_non_vacuous(self):
@@ -73,7 +74,7 @@ class TestConditionalTypicality:
             np.array([0.5, 0.5]), w, n=200, delta0=0.25, trials=2000, seed=3
         )
         assert not res.vacuous
-        assert res.within_bound
+        assert res.verdict == "pass"
 
     def test_no_typical_input_diagnostic(self):
         w = np.array([[0.8, 0.2], [0.2, 0.8]])
