@@ -75,9 +75,16 @@ INVOCATIONS = {
         "simulate", *CODING, "--n", "8", "--trials", "5", "--jammers", "greedy-search", "--search-budget", "4",
     ],
     "derandomize": ["derandomize", *CODING, "--n", "8", "--x-samples", "2", "--trials", "1"],
+    # several sessions per member, so the member-major session order shows
+    "derandomize-trials": [
+        "derandomize", *CODING, "--n", "8", "--K", "5", "--trials", "2", "--x-samples", "3",
+        "--jammers", "all-deterministic",
+    ],
     "simulate-blind": ["simulate", *BLIND, "--n", "12", "--trials", "10", "--jammers", "all-deterministic"],
     "derandomize-blind": ["derandomize", *BLIND, "--n", "8", "--x-samples", "2", "--trials", "1"],
     "lemmas": ["lemmas", *CODING, "--n", "8", "--n-ladder", "8,16", "--trials", "20"],
+    # three rungs, so a trend row has a middle step to check
+    "lemmas-ladder": ["lemmas", *CODING, "--n", "8", "--n-ladder", "8,12,16", "--trials", "20"],
     # the golden bounds sweep of test_cli.py, whose bounds.csv is pinned there
     "bounds": [
         "bounds", "--spec", SPEC, "--d-grid", "0.21,0.23,0.3", "--coarse-step", "0.05",
