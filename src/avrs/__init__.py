@@ -42,7 +42,6 @@ from .adversary import (
 from .coding import (
     Codebook,
     CodebookFamily,
-    CodingParams,
     SessionConfig,
     decode,
     encode,
@@ -50,8 +49,4 @@ from .coding import (
     simulate_session,
     simulate_sessions,
 )
-from .derandomize import (
-    Ensemble,
-    certify_ensemble,
-    sample_ensemble,
-)
+from .derandomize import certify_ensemble

@@ -34,14 +34,8 @@ from .adversary import (
     worst_case_search,
 )
 from .bounds import GridConfig, compute_bound_report
-from .coding import (
-    CodingParams,
-    SessionConfig,
-    sample_typical_sources,
-    simulate_session,
-    simulate_sessions,
-)
-from .derandomize import certify_ensemble, sample_ensemble
+from .coding import SessionConfig, sample_typical_sources, simulate_session, simulate_sessions
+from .derandomize import certify_ensemble
 from .errors import AvrsError, ConfigurationError, UsageError
 from .lemmas import (
     LADDER_COLUMNS,
@@ -121,6 +115,30 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type for thresholds and distortion levels: finite and >= 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for radii and tolerances: finite and > 0."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
+def _grid_step(text: str) -> float:
+    """argparse type for simplex lattice steps: 1/m for a positive integer m."""
+    value = _positive_float(text)
+    if value > 1 or abs(value * round(1.0 / value) - 1.0) > 1e-9:
+        raise argparse.ArgumentTypeError(f"{text!r} is not 1/m for a positive integer m")
+    return value
+
+
 def _count(text: str) -> int:
     """argparse type for counts: negative values are refused."""
     value = int(text)
@@ -170,20 +188,23 @@ def _resolve_jammers(name_or_path: str, config: SessionConfig, n: int, seed: int
     if name_or_path == "all-deterministic":
         return deterministic_jammer_family(spec)
     if name_or_path == "greedy-search":
-        x = sample_typical_sources(spec, n, n ** (-1.0 / 3.0), 1, derive_seed(seed, "search-x"))[0]
-        found = worst_case_search(config, x, budget, derive_seed(seed, "search"))
-        return [found.jammer]
+        x = sample_typical_sources(spec, n, 1, derive_seed(seed, "search-x"))[0]
+        return [worst_case_search(config, x, budget, derive_seed(seed, "search"))]
     return load_jammers(name_or_path, spec)
 
 
 def _coding_config(args: argparse.Namespace) -> SessionConfig:
-    """The spec, policy and coding parameters of a coding subcommand."""
+    """The spec, policy and coding thresholds of a coding subcommand."""
     spec = load_problem_spec(args.spec)
-    policy = load_policy(args.policy, spec)
-    params = CodingParams(
-        eps=args.eps, delta2=args.delta2, gamma=args.gamma, f_eps=args.f_eps, size_cap=args.cap
+    return SessionConfig(
+        spec,
+        load_policy(args.policy, spec),
+        eps=args.eps,
+        delta2=args.delta2,
+        gamma=args.gamma,
+        f_eps=args.f_eps,
+        size_cap=args.cap,
     )
-    return SessionConfig(spec, policy, params)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +215,7 @@ def cmd_bounds(args: argparse.Namespace) -> dict:
     spec = load_problem_spec(args.spec)
     grid = GridConfig(coarse_step=args.coarse_step, refine_step=args.refine_step, refine=not args.no_refine)
     if args.d_grid is not None:
-        d_values = _parse_list(args.d_grid, _finite_float, "--d-grid")
+        d_values = _parse_list(args.d_grid, _nonnegative_float, "--d-grid")
     elif args.d_points > 0:
 
         def d_values(lo: float, hi: float) -> list[float]:
@@ -262,16 +283,14 @@ def cmd_session(args: argparse.Namespace) -> dict:
 
 
 def cmd_derandomize(args: argparse.Namespace) -> dict:
+    if (args.n * args.n if args.K is None else args.K) * args.trials < 2:
+        raise UsageError(
+            "--K times --trials must be >= 2: a cell's standard error needs two sessions on each side"
+        )
     config = _coding_config(args)
     jammers = _resolve_jammers(args.jammers, config, args.n, args.seed, args.search_budget)
-    ensemble = sample_ensemble(config, args.n, args.K, master_seed=derive_seed(args.seed, "ensemble"))
     report = certify_ensemble(
-        ensemble,
-        jammers,
-        x_count=args.x_samples,
-        trials_per_member=args.trials,
-        mu=args.mu,
-        seed=derive_seed(args.seed, "certify"),
+        config, args.n, jammers, args.x_samples, args.trials, args.mu, args.seed, k=args.K
     )
     return {"derandomize.json": asdict(report)}
 
@@ -324,11 +343,11 @@ def _add_coding(p: argparse.ArgumentParser, recorded: str = "") -> None:
     --search-budget on a command that only records them."""
     p.add_argument("--policy", required=True, help="auxiliary policy JSON file")
     p.add_argument("--n", type=_positive, required=True, help="blocklength" + recorded)
-    p.add_argument("--eps", type=_finite_float, default=0.2)
-    p.add_argument("--delta2", type=_finite_float, default=None)
-    p.add_argument("--gamma", type=_finite_float, default=None)
-    p.add_argument("--f-eps", dest="f_eps", type=_finite_float, default=None)
-    p.add_argument("--cap", type=int, default=4096, help="codebook size cap")
+    p.add_argument("--eps", type=_positive_float, default=0.2)
+    p.add_argument("--delta2", type=_nonnegative_float, default=None)
+    p.add_argument("--gamma", type=_nonnegative_float, default=None)
+    p.add_argument("--f-eps", dest="f_eps", type=_nonnegative_float, default=None)
+    p.add_argument("--cap", type=_positive, default=4096, help="codebook size cap")
     p.add_argument(
         "--jammers",
         default="trivial",
@@ -336,7 +355,7 @@ def _add_coding(p: argparse.ArgumentParser, recorded: str = "") -> None:
     )
     p.add_argument(
         "--search-budget",
-        type=int,
+        type=_positive,
         default=60,
         help="distortion estimates the greedy search may make" + recorded,
     )
@@ -354,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--d-grid", default=None, help="comma-separated distortion levels")
     p.add_argument("--d-points", type=_count, default=5, help="auto grid size when --d-grid absent")
-    p.add_argument("--coarse-step", type=_finite_float, default=0.05)
-    p.add_argument("--refine-step", type=_finite_float, default=0.005)
+    p.add_argument("--coarse-step", type=_grid_step, default=0.05)
+    p.add_argument("--refine-step", type=_grid_step, default=0.005)
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--u-upper", type=_positive, default=None)
     p.add_argument("--u-lower", type=_positive, default=None)
@@ -375,10 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derandomize", help="sample and certify a code ensemble")
     _add_common(p)
     _add_coding(p)
-    p.add_argument("--K", type=_count, default=None, help="ensemble size (default n^2)")
-    p.add_argument("--mu", type=_finite_float, default=0.02)
-    p.add_argument("--trials", type=_count, default=1, help="sessions per ensemble member")
-    p.add_argument("--x-samples", type=_count, default=2)
+    p.add_argument("--K", type=_positive, default=None, help="ensemble size (default n^2)")
+    p.add_argument("--mu", type=_positive_float, default=0.02)
+    p.add_argument("--trials", type=_positive, default=1, help="sessions per ensemble member")
+    p.add_argument("--x-samples", type=_positive, default=2)
     p.set_defaults(func=cmd_derandomize)
 
     p = sub.add_parser("lemmas", help="run the statistical lemma harnesses")
@@ -388,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--harness", action="append", choices=_HARNESSES + ("all",))
     p.add_argument("--n-ladder", default="8,16,32", help="comma-separated blocklengths of the rungs")
     p.add_argument("--trials", type=_count, default=400)
-    p.add_argument("--delta0", type=_finite_float, default=0.1)
-    p.add_argument("--delta4", type=_finite_float, default=0.35)
+    p.add_argument("--delta0", type=_positive_float, default=0.1)
+    p.add_argument("--delta4", type=_nonnegative_float, default=0.35)
     p.set_defaults(func=cmd_lemmas)
 
     return parser

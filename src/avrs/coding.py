@@ -8,6 +8,9 @@ the bin index; the decoder resolves within the bin using its side
 information and the set of jammer conditional types consistent with the
 announced type.
 
+A :class:`SessionConfig` names a coding system: the instance, the auxiliary
+policy and the operating thresholds (eps, delta2, gamma, f_eps and the
+codebook size cap), with the one cache of per-type data they determine.
 A codebook is drawn from a counter-mode stream keyed by (seed, type).  A
 :class:`Codebook` is a (type, seed) handle that keeps its matrix once
 drawn; the session engine :func:`simulate_sessions` takes a whole run of
@@ -41,7 +44,6 @@ from .rng import (
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
-    "CodingParams",
     "SessionConfig",
     "Codebook",
     "CodebookFamily",
@@ -79,19 +81,25 @@ MAX_SOURCE_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
-class CodingParams:
-    """Operating thresholds of one coding run.
+class SessionConfig:
+    """Everything that identifies a coding system apart from its randomness:
+    the instance, the auxiliary policy and the operating thresholds.
 
     The proofs only assert suitable thresholds exist; here they are explicit
     knobs with defaults delta2 = 2 eps, gamma = 4 eps, f_eps = eps, chosen so
-    desk-scale blocklengths have non-degenerate success rates.
+    desk-scale blocklengths have non-degenerate success rates.  ``family`` is
+    the system's one cache of per-type data, built with the config and
+    shared by every session, harness and search run on it.
     """
 
+    spec: ProblemSpec
+    policy: AuxiliaryPolicy
     eps: float
     delta2: float | None = None
     gamma: float | None = None
     f_eps: float | None = None
     size_cap: int = DEFAULT_SIZE_CAP
+    family: CodebookFamily = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
@@ -107,22 +115,6 @@ class CodingParams:
         for name in ("delta2", "gamma", "f_eps"):
             if getattr(self, name) < 0:
                 raise UsageError(f"{name} must be >= 0")
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Everything that identifies a coding system apart from its randomness.
-
-    ``family`` is the system's one cache of per-type data, built with the
-    config and shared by every session, harness and search run on it.
-    """
-
-    spec: ProblemSpec
-    policy: AuxiliaryPolicy
-    params: CodingParams
-    family: CodebookFamily = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
         object.__setattr__(self, "family", CodebookFamily(self))
 
 
@@ -182,19 +174,19 @@ class CodebookFamily:
         if data is not None:
             return data
         cfg = self.config
-        spec, policy, params = cfg.spec, cfg.policy, cfg.params
+        spec, policy = cfg.spec, cfg.policy
         n = t_y.n
-        rates = per_type_rates(t_y, policy, spec, params.eps, params.f_eps)
-        num_cw, trunc_u = _ceil_pow2(rates.r_u, n, params.size_cap)
-        bin_size, trunc_b = _ceil_pow2(rates.r_tilde, n, params.size_cap)
-        num_bins, trunc_n = _ceil_pow2(rates.r_bin, n, params.size_cap)
+        rates = per_type_rates(t_y, policy, spec, cfg.eps, cfg.f_eps)
+        num_cw, trunc_u = _ceil_pow2(rates.r_u, n, cfg.size_cap)
+        bin_size, trunc_b = _ceil_pow2(rates.r_tilde, n, cfg.size_cap)
+        num_bins, trunc_n = _ceil_pow2(rates.r_bin, n, cfg.size_cap)
         truncated = trunc_u or trunc_b or trunc_n
         if truncated:
             bin_size = min(bin_size, num_cw)
             num_bins = math.ceil(num_cw / bin_size)
         p_uy = policy.p_u_given_y  # (Y, U)
         encoder_target = (t_y.probabilities[:, None] * p_uy).T
-        jam_types = valid_jammer_types(t_y, spec, params.f_eps, n)
+        jam_types = valid_jammer_types(t_y, spec, cfg.f_eps, n)
         targets = _distinct(np.round(joint_uz(spec, jam_types, p_uy), 12))
         data = _TypeData(
             t_y,
@@ -465,11 +457,10 @@ def _run_group(
     """Encoder, decoder and reconstruction for the sessions ``members``,
     which all observe the Y-type of ``data``, with ``cws[i]`` the codebook
     of member i; fills their rows of ``out``."""
-    params = config.params
     rows = np.array(members)
     size = rows.size
 
-    satisfied = _encoder_satisfied(cws, y[rows], data, params.delta2)
+    satisfied = _encoder_satisfied(cws, y[rows], data, config.delta2)
     g_enc = np.zeros(size, dtype=np.int64)
     for i, t in enumerate(members):
         g = _choose(satisfied[i], rekey(gen, philox_key(seeds[t], "encoder")))
@@ -482,7 +473,7 @@ def _run_group(
     in_book = span < data.num_codewords  # a truncated last bin is short
     arange = np.arange(size)
     bins = cws[arange[:, None], np.minimum(span, data.num_codewords - 1)]
-    member = decoder_membership(bins, z[rows], data.decoder_targets, params.gamma) & in_book
+    member = decoder_membership(bins, z[rows], data.decoder_targets, config.gamma) & in_book
     g_dec = first_cw + decode(member)
     sent_listed = member[arange, local]
 
@@ -499,25 +490,17 @@ def _run_group(
     out["r_bin"][rows] = data.rates.r_bin
 
 
-def simulate_session(
-    x: np.ndarray,
-    jammer: Jammer,
-    config: SessionConfig,
-    seed: int,
-    code_seed: int | None = None,
-) -> SessionBatch:
-    """One coding session on the source block x (n,): the one-row batch of
-    :func:`simulate_sessions`."""
-    return simulate_sessions(
-        np.asarray(x)[None], jammer, config, [seed], None if code_seed is None else [code_seed]
-    )
+def simulate_session(x: np.ndarray, jammer: Jammer, config: SessionConfig, seed: int) -> SessionBatch:
+    """One coding session on the source block x (n,) with a fresh code draw:
+    the one-row batch of :func:`simulate_sessions`."""
+    return simulate_sessions(np.asarray(x)[None], jammer, config, [seed])
 
 
-def sample_typical_sources(
-    spec: ProblemSpec, n: int, delta0: float, count: int, seed: int
-) -> np.ndarray:
-    """Draw ``count`` i.i.d. source blocks conditioned on delta0-typicality
-    as a (count, n) array, giving up after ``MAX_SOURCE_DRAWS`` draws."""
+def sample_typical_sources(spec: ProblemSpec, n: int, count: int, seed: int) -> np.ndarray:
+    """Draw ``count`` i.i.d. source blocks conditioned on delta0-typicality,
+    delta0 = n^(-1/3), as a (count, n) array, giving up after
+    ``MAX_SOURCE_DRAWS`` draws."""
+    delta0 = n ** (-1.0 / 3.0)
     gen = philox_stream(seed, "sources")
     out: list[np.ndarray] = []
     for _ in range(MAX_SOURCE_DRAWS):
@@ -529,6 +512,6 @@ def sample_typical_sources(
     if len(out) < count:
         raise UsageError(
             f"found only {len(out)}/{count} delta0-typical source blocks at n={n}, "
-            f"delta0={delta0}; enlarge delta0 or n"
+            f"delta0=n^(-1/3)={delta0:.4g}; enlarge n"
         )
     return np.stack(out)

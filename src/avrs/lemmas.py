@@ -25,7 +25,6 @@ from .rng import cumulative, derive_seed, inverse_cdf, philox_stream, sample_ind
 
 __all__ = [
     "HarnessResult",
-    "TrendCheck",
     "trend_check",
     "run_conditional_typicality",
     "run_covering",
@@ -67,37 +66,18 @@ def _binomial_sigma(p_hat: float, trials: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
 
 
-@dataclass(frozen=True)
-class TrendCheck:
-    """Monotonicity of a harness frequency along a blocklength ladder."""
-
-    ns: tuple[int, ...]
-    values: tuple[float, ...]
-    sigmas: tuple[float, ...]
-    decreasing: bool
-    pairwise_ok: bool  # no step moves the wrong way beyond 3 sigma
-    significant: bool  # endpoints differ in the stated direction by 3 sigma
-
-    @property
-    def ok(self) -> bool:
-        return self.pairwise_ok and self.significant
-
-
-def trend_check(results: list[HarnessResult], decreasing: bool = True) -> TrendCheck:
-    values = tuple(r.empirical for r in results)
-    sigmas = tuple(r.sigma for r in results)
-    pairwise = True
+def trend_check(results: list[HarnessResult], decreasing: bool = True) -> bool:
+    """Whether a harness frequency moves in the stated direction along a
+    blocklength ladder: no step moves the wrong way beyond three standard
+    errors, and the endpoints differ in the stated direction by three."""
+    values = [r.empirical for r in results]
+    sigmas = [r.sigma for r in results]
     for a, b, sa, sb in zip(values, values[1:], sigmas, sigmas[1:]):
         slack = 3.0 * math.hypot(sa, sb)
-        if decreasing and b > a + slack:
-            pairwise = False
-        if not decreasing and b < a - slack:
-            pairwise = False
+        if (b > a + slack) if decreasing else (b < a - slack):
+            return False
     net = values[0] - values[-1] if decreasing else values[-1] - values[0]
-    significant = net >= 3.0 * math.hypot(sigmas[0], sigmas[-1])
-    return TrendCheck(
-        tuple(r.n for r in results), values, sigmas, decreasing, pairwise, significant
-    )
+    return net >= 3.0 * math.hypot(sigmas[0], sigmas[-1])
 
 
 def run_conditional_typicality(
@@ -152,7 +132,7 @@ def run_covering(
     successes = 0
     for t in range(trials):
         cb = Codebook(data, derive_seed(seed, "code", t))
-        res = encode(gen.permutation(template), cb, config.params.delta2, philox_stream(seed, "enc", t))
+        res = encode(gen.permutation(template), cb, config.delta2, philox_stream(seed, "enc", t))
         successes += 0 if res.fallback_used else 1
     rate = successes / trials
     return HarnessResult("covering", n, rate, None, _binomial_sigma(rate, trials), trials, False)
@@ -253,7 +233,7 @@ def ladder_rows(results: list[HarnessResult]) -> list[list]:
     for name, decreasing in TRENDS:
         series = [r for r in results if r.name == name]
         if len(series) >= 2:
-            tc = trend_check(series, decreasing=decreasing)
-            change = tc.values[-1] - tc.values[0]
-            rows.append([f"{name}-trend", series[-1].n, change, None, 0.0, "pass" if tc.ok else "fail"])
+            change = series[-1].empirical - series[0].empirical
+            verdict = "pass" if trend_check(series, decreasing) else "fail"
+            rows.append([f"{name}-trend", series[-1].n, change, None, 0.0, verdict])
     return rows

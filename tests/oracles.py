@@ -263,7 +263,7 @@ def session_oracle(x, jammer, config, seed, code_seed=None) -> dict:
     Philox streams, ``searchsorted`` codewords and one codebook per call.
     Returns the fields of the session's ``SessionBatch`` row as plain
     values and arrays."""
-    spec, policy, params = config.spec, config.policy, config.params
+    spec, policy = config.spec, config.policy
     xs = np.asarray(x)
     n = xs.size
     # the kernel row q(.|x_i) of each position, from the shared (X, J)
@@ -301,7 +301,7 @@ def session_oracle(x, jammer, config, seed, code_seed=None) -> dict:
 
     nu = policy.p_u_given_y.shape[1]
     enc_dev = np.abs(joint_counts(mat, y, nu, ny) / n - data.encoder_target[None]).max(axis=(1, 2))
-    satisfiers = np.where(enc_dev <= params.delta2 + TYPE_TOL)[0]
+    satisfiers = np.where(enc_dev <= config.delta2 + TYPE_TOL)[0]
     e_enc = satisfiers.size == 0
     g_enc = 0 if e_enc else int(satisfiers[philox_stream(seed, "encoder").integers(satisfiers.size)])
     m, local = divmod(g_enc, size)
@@ -314,7 +314,7 @@ def session_oracle(x, jammer, config, seed, code_seed=None) -> dict:
     else:
         types = joint_counts(bin_rows, z, nu, nz) / n
         dev = np.abs(types[:, None, :, :] - targets[None]).max(axis=(2, 3))
-        member = dev.min(axis=1) <= params.gamma + TYPE_TOL
+        member = dev.min(axis=1) <= config.gamma + TYPE_TOL
     g_dec = first + int(np.argmax(member)) if int(member.sum()) == 1 else first
     x_hat = policy.zeta[mat[g_dec], z]
     return {

@@ -19,8 +19,8 @@ from avrs.bounds import (
     minimax_distortion_game,
 )
 from avrs.cli import main
-from avrs.coding import CodingParams, SessionConfig, simulate_session, simulate_sessions
-from avrs.derandomize import certify_ensemble, sample_ensemble
+from avrs.coding import SessionConfig, simulate_session, simulate_sessions
+from avrs.derandomize import certify_ensemble, index_cost
 from avrs.games import BilinearGame, solve_bilinear_game
 from avrs.lemmas import run_conditional_typicality, run_covering, run_packing, trend_check
 from avrs.mtypes import nearest_type
@@ -171,8 +171,7 @@ def test_criterion_5_coding_contract():
     spec = wz_spec(flip_y=0.05, jam_extra=0.1, flip_z=0.2)
     policy = noisy_policy(spec, stay=0.85)
     eps = 0.2
-    params = CodingParams(eps=eps, delta2=0.25, gamma=0.25, f_eps=0.1, size_cap=2048)
-    config = SessionConfig(spec, policy, params)
+    config = SessionConfig(spec, policy, eps=eps, delta2=0.25, gamma=0.25, f_eps=0.1, size_cap=2048)
     family = config.family
     jam = Jammer([[0.7, 0.3], [0.7, 0.3]])
     n, sessions = 24, 10_000
@@ -189,7 +188,7 @@ def test_criterion_5_coding_contract():
         if not batch.e_enc[t]:
             counts = np.zeros((2, 2))
             np.add.at(counts, (batch.u_encoded[t], batch.y[t]), 1.0)
-            if np.abs(counts / n - family.type_data(t_y).encoder_target).max() > params.delta2 + 1e-12:
+            if np.abs(counts / n - family.type_data(t_y).encoder_target).max() > config.delta2 + 1e-12:
                 threshold_failures += 1
         realized_bin_rates[t_y.key()] = float(batch.r_bin[t])
         if t % 50 == 0:
@@ -224,7 +223,7 @@ def test_criterion_6_error_trends():
     cfg_cov = SessionConfig(
         spec_cov,
         noisy_policy(spec_cov, stay=0.9),
-        CodingParams(eps=0.2, delta2=0.15, gamma=0.25, f_eps=0.1, size_cap=2048),
+        eps=0.2, delta2=0.15, gamma=0.25, f_eps=0.1, size_cap=2048,
     )
     cov = [
         run_covering(cfg_cov, nearest_type(np.array([0.5, 0.5]), n), trials=800, seed=61)
@@ -240,20 +239,20 @@ def test_criterion_6_error_trends():
     cfg_pack = SessionConfig(
         spec_pack,
         noisy_policy(spec_pack, stay=0.9),
-        CodingParams(eps=1.7, delta2=0.2, gamma=0.1, f_eps=0.1, size_cap=4096),
+        eps=1.7, delta2=0.2, gamma=0.1, f_eps=0.1, size_cap=4096,
     )
     jam = deterministic_jammer((0, 0), spec_pack.w.shape[1])
     pack = [run_packing(cfg_pack, jam, n, trials=1500, seed=62) for n in (8, 16, 32)]
     pack_trend = trend_check(pack, decreasing=True)
 
     elapsed = time.time() - start
-    ok = enc_trend.ok and pack_trend.ok and elapsed <= 900
+    ok = enc_trend and pack_trend and elapsed <= 900
     _report(
         6,
         "error trends",
         ok,
-        f"enc_fail={[round(v, 4) for v in enc_trend.values]} "
-        f"packing={[round(v, 4) for v in pack_trend.values]} time={elapsed:.0f}s",
+        f"enc_fail={[round(r.empirical, 4) for r in enc_fail]} "
+        f"packing={[round(r.empirical, 4) for r in pack]} time={elapsed:.0f}s",
     )
 
 
@@ -288,15 +287,13 @@ def test_criterion_8_elimination_technique():
     config = SessionConfig(
         spec,
         noisy_policy(spec, stay=0.8),
-        CodingParams(eps=0.2, delta2=0.2, gamma=0.25, f_eps=0.1, size_cap=2048),
+        eps=0.2, delta2=0.2, gamma=0.25, f_eps=0.1, size_cap=2048,
     )
     n = 32
-    ensemble = sample_ensemble(config, n, k=n * n, master_seed=17)
     jam = Jammer([[0.65, 0.35], [0.65, 0.35]])
-    report = certify_ensemble(ensemble, [jam], x_count=2, trials_per_member=1, mu=0.02, seed=99)
+    report = certify_ensemble(config, n, [jam], x_count=2, trials_per_member=1, mu=0.02, seed=99)
 
-    big = sample_ensemble(config, 100, k=100 * 100, master_seed=0)
-    overhead_exact = abs(big.rate_overhead - 2 * math.log2(100) / 100) < 1e-15
+    overhead_exact = abs(index_cost(100 * 100, 100)[0] - 2 * math.log2(100) / 100) < 1e-15
 
     elapsed = time.time() - start
     ok = report.passed and overhead_exact

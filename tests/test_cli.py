@@ -9,7 +9,7 @@ import pytest
 
 from avrs.bounds import BoundPoint, BoundReport
 from avrs.cli import main
-from avrs.coding import CodingParams, SessionBatch, SessionConfig, simulate_session
+from avrs.coding import SessionBatch, SessionConfig, simulate_session
 from avrs.derandomize import CertificationCell, CertificationReport
 from avrs.model import load_policy, load_problem_spec
 from avrs.rng import derive_seed, philox_stream
@@ -157,7 +157,7 @@ class TestSimulateCommand:
         row = rows[3]  # jammer 0, trial 3
         spec = load_problem_spec(SPEC)
         policy = load_policy(POLICY, spec)
-        config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=256))
+        config = SessionConfig(spec, policy, eps=0.3, size_cap=256)
         from avrs.adversary import deterministic_jammer_family
 
         jam = deterministic_jammer_family(spec)[0]
@@ -375,11 +375,8 @@ class TestOutputDocuments:
 
 
 class TestRejectedValues:
-    """Invalid numbers exit 2 before any output file is written."""
-
-    # values that pass every flag check and that a library function refuses
-    # under the name of its own parameter; every other message names the flag
-    LIBRARY_REFUSED = {("derandomize", "--K", "1"), ("lemmas", "--delta4", "-1")}
+    """Invalid numbers exit 2, with a message that names the flag, before
+    any output file is written."""
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -388,11 +385,22 @@ class TestRejectedValues:
             ("bounds", "--u-lower", "0"),
             ("bounds", "--d-grid", "nan,inf"),
             ("bounds", "--d-grid", "0.2,abc"),
+            ("bounds", "--d-grid", "-0.5"),
+            ("bounds", "--coarse-step", "0.3"),
+            ("bounds", "--refine-step", "0.03"),
             ("simulate", "--eps", "nan"),
             ("simulate", "--gamma", "inf"),
+            ("simulate", "--eps", "0"),
+            ("simulate", "--delta2", "-1"),
+            ("simulate", "--gamma", "-1"),
+            ("simulate", "--f-eps", "-1"),
+            ("simulate", "--cap", "0"),
+            ("simulate", "--search-budget", "0"),
             ("session", "--delta2", "nan"),
             ("derandomize", "--mu", "inf"),
+            ("derandomize", "--mu", "0"),
             ("lemmas", "--delta0", "inf"),
+            ("lemmas", "--delta0", "0"),
             ("lemmas", "--n-ladder", "8,x"),
             ("lemmas", "--n-ladder", "0,8"),
             ("lemmas", "--n-ladder", "-4,8"),
@@ -402,7 +410,9 @@ class TestRejectedValues:
             ("derandomize", "--K", "-1"),
             ("derandomize", "--K", "1"),
             ("derandomize", "--trials", "-1"),
+            ("derandomize", "--trials", "0"),
             ("derandomize", "--x-samples", "-2"),
+            ("derandomize", "--x-samples", "0"),
             ("simulate", "--threads", "0"),
             ("simulate", "--threads", "-4"),
             ("simulate", "--n", "-3"),
@@ -421,8 +431,7 @@ class TestRejectedValues:
         args.append(f"{flag}={value}")
         assert main(args + ["--out-dir", str(out)]) == 2
         assert not out.exists()
-        if (command, flag, value) not in self.LIBRARY_REFUSED:
-            assert flag in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
 
 def _nan_channel(doc: dict) -> None:

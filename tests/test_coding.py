@@ -12,7 +12,6 @@ from avrs.bounds import joint_uz
 from avrs.coding import (
     Codebook,
     CodebookFamily,
-    CodingParams,
     SessionConfig,
     decode,
     decoder_membership,
@@ -54,8 +53,7 @@ def _membership(cb, m, z, gamma):
 def wz_config(eps=0.2, cap=512, **kw):
     spec = wz_spec()
     policy = noisy_policy(spec)
-    params = CodingParams(eps=eps, size_cap=cap, **kw)
-    return SessionConfig(spec, policy, params)
+    return SessionConfig(spec, policy, eps=eps, size_cap=cap, **kw)
 
 
 class TestCodebookConstruction:
@@ -142,12 +140,12 @@ class TestTypeData:
         # joints; any order serves the decoder's minimum, but the set must be
         # the same and hold each joint once
         spec = make_spec()
-        config = SessionConfig(spec, noisy_policy(spec), CodingParams(eps=0.2))
+        config = SessionConfig(spec, noisy_policy(spec), eps=0.2)
         coinciding = 0
         for n in (4, 8, 12):
             for counts in compositions(n, spec.w.shape[2]):
                 t_y = TypeTable(np.array(counts), n)
-                kernels = valid_jammer_types(t_y, spec, config.params.f_eps, n)
+                kernels = valid_jammer_types(t_y, spec, config.f_eps, n)
                 joints = np.round(joint_uz(spec, kernels, config.policy.p_u_given_y), 12)
                 expected = np.unique(joints, axis=0)
                 got = config.family.type_data(t_y).decoder_targets
@@ -185,7 +183,7 @@ class TestEncode:
         # conditional-typical partner of some y in the type class
         spec = classical_spec()
         policy = identity_policy(spec)  # U = Y
-        config = SessionConfig(spec, policy, CodingParams(eps=0.4, size_cap=64))
+        config = SessionConfig(spec, policy, eps=0.4, size_cap=64)
         family = CodebookFamily(config)
         t_y = TypeTable(np.array([3, 3]), 6)
         hit = None
@@ -278,7 +276,7 @@ class TestDecode:
             cb = Codebook(family.type_data(t_y), seed)
             z = philox_stream(seed, "z").integers(0, 2, n)
             for m in range(cb.data.num_bins):
-                member = _membership(cb, m, z, config.params.gamma)
+                member = _membership(cb, m, z, config.gamma)
                 if member.sum() == 1:
                     g = _bin(cb, m)[decode(member)]
                     assert g == _bin(cb, m)[int(np.argmax(member))]
@@ -303,7 +301,7 @@ class TestDecode:
         spec = wz_spec(flip_y=0.05, jam_extra=0.1, flip_z=0.05)
         policy = noisy_policy(spec, stay=0.95)
         config = SessionConfig(
-            spec, policy, CodingParams(eps=0.2, f_eps=0.1, size_cap=256)
+            spec, policy, eps=0.2, f_eps=0.1, size_cap=256
         )
         family = CodebookFamily(config)
         n = 12
@@ -312,7 +310,7 @@ class TestDecode:
             cb = Codebook(family.type_data(t_y), seed)
             z = philox_stream(seed, "zz").integers(0, 2, n)
             for m in range(cb.data.num_bins):
-                member = _membership(cb, m, z, config.params.gamma)
+                member = _membership(cb, m, z, config.gamma)
                 if member.sum() >= 2:
                     assert _bin(cb, m)[decode(member)] == _bin(cb, m)[0]
                     return
@@ -370,7 +368,7 @@ class TestSessions:
         from avrs.model import AuxiliaryPolicy
 
         policy = AuxiliaryPolicy(np.array([[1.0]]), zeta)
-        config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=64))
+        config = SessionConfig(spec, policy, eps=0.3, size_cap=64)
         jam = deterministic_jammer((0, 1), spec.w.shape[1])
         rep = simulate_session(np.array([0, 1, 1, 0, 1, 0]), jam, config, seed=1)
         assert rep.distortion.tolist() == [0.0]
@@ -381,7 +379,7 @@ class TestSessions:
         from avrs.model import AuxiliaryPolicy
 
         policy = AuxiliaryPolicy(np.array([[1.0], [1.0]]), np.array([[0]]))
-        config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=16))
+        config = SessionConfig(spec, policy, eps=0.3, size_cap=16)
         jam = deterministic_jammer((0, 0), spec.w.shape[1])
         n, trials = 24, 400
         xs = np.stack([philox_stream(t, "x").integers(0, 2, n) for t in range(trials)])
@@ -420,8 +418,7 @@ def _edge_config(delta2=0.12):
     """Truncated codes (cap 40) with short last bins, bins of 6 codewords
     and single-bin types without decoder targets."""
     spec = wz_spec(flip_y=0.05, jam_extra=0.1, flip_z=0.05)
-    params = CodingParams(eps=0.2, f_eps=0.1, delta2=delta2, size_cap=40)
-    return SessionConfig(spec, noisy_policy(spec, stay=0.95), params)
+    return SessionConfig(spec, noisy_policy(spec, stay=0.95), eps=0.2, f_eps=0.1, delta2=delta2, size_cap=40)
 
 
 def _readme_config():
@@ -429,7 +426,7 @@ def _readme_config():
     types of 13 and 28 codewords with no decoder targets."""
     spec = load_problem_spec("tests/data/spec_binary.json")
     policy = load_policy("tests/data/policy_binary.json", spec)
-    return SessionConfig(spec, policy, CodingParams(eps=0.2, size_cap=4096))
+    return SessionConfig(spec, policy, eps=0.2, size_cap=4096)
 
 
 def _jammer(kind, spec, n):
@@ -442,12 +439,12 @@ def _jammer(kind, spec, n):
 
 
 def _check_against_oracle(config, jammer, xs, seeds, code_seeds=None):
-    """Every field of every session, from the engine and from the one-row
-    view, bit for bit against the oracle; returns the engine's batch."""
+    """Every field of every session, from the engine and from a one-row
+    engine call, bit for bit against the oracle; returns the engine's batch."""
     batch = simulate_sessions(xs, jammer, config, seeds, code_seeds)
     for t, seed in enumerate(seeds):
         code = None if code_seeds is None else code_seeds[t]
-        one = simulate_session(xs[t], jammer, config, seed, code)
+        one = simulate_sessions(xs[t : t + 1], jammer, config, [seed], None if code is None else [code])
         assert np.array_equal(one.x, xs[t : t + 1])
         for name, want in session_oracle(xs[t], jammer, config, seed, code).items():
             assert np.array_equal(getattr(batch, name)[t], want), (t, name)
@@ -569,7 +566,7 @@ class TestDecodeErrorTrend:
         config = SessionConfig(
             spec,
             noisy_policy(spec, stay=0.9),
-            CodingParams(eps=1.7, delta2=0.2, gamma=0.2, f_eps=0.1, size_cap=4096),
+            eps=1.7, delta2=0.2, gamma=0.2, f_eps=0.1, size_cap=4096,
         )
         jam = deterministic_jammer((0, 0), spec.w.shape[1])
         cdf = np.cumsum(spec.p_x)
@@ -589,8 +586,8 @@ class TestDecodeErrorTrend:
 
 
 class TestMaxDistortion:
-    def test_tiny_blocklength_diagnostic(self):
-        spec = classical_spec(0.9)
-        config = SessionConfig(spec, identity_policy(spec), CodingParams(eps=0.3))
+    def test_tiny_blocklength_diagnostic(self, monkeypatch):
+        # five draws cannot yield six blocks, typical or not
+        monkeypatch.setattr(avrs.coding, "MAX_SOURCE_DRAWS", 5)
         with pytest.raises(UsageError, match="typical"):
-            sample_typical_sources(spec, 3, 0.01, 1, 0)
+            sample_typical_sources(classical_spec(0.9), 3, 6, 0)

@@ -4,33 +4,37 @@ import math
 import numpy as np
 
 from avrs.adversary import deterministic_jammer
-from avrs.coding import Codebook, CodebookFamily, CodingParams, SessionConfig
-from avrs.derandomize import certify_ensemble, sample_ensemble
+from avrs.coding import Codebook, CodebookFamily, SessionConfig
+from avrs.derandomize import certify_ensemble, index_cost
 from avrs.mtypes import nearest_type
+from avrs.rng import derive_seed
 
 from conftest import identity_z_spec, noisy_policy, wz_spec
 
 
 def small_config(cap=512):
     spec = wz_spec(flip_y=0.05, jam_extra=0.1, flip_z=0.05)
-    return SessionConfig(spec, noisy_policy(spec, stay=0.8), CodingParams(eps=0.2, size_cap=cap))
+    return SessionConfig(spec, noisy_policy(spec, stay=0.8), eps=0.2, size_cap=cap)
 
 
 class TestEnsemble:
     def test_k_default_and_reduction(self):
         config = small_config()
-        e = sample_ensemble(config, n=8, master_seed=3)
-        assert e.size == 64
-        single = sample_ensemble(config, n=8, k=1, master_seed=3)
-        assert single.size == 1
+        jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
+        report = certify_ensemble(config, 8, [jam], 1, 1, 0.5, 3)
+        assert report.k == 64
+        assert all(c.sessions == 64 for c in report.cells)
+        single = certify_ensemble(config, 8, [jam], 1, 2, 0.5, 3, k=1)
+        assert single.k == 1
 
     def test_reproducible_members(self):
         config = small_config()
-        a = sample_ensemble(config, 8, 16, master_seed=5)
-        b = sample_ensemble(config, 8, 16, master_seed=5)
-        assert a.member_seeds == b.member_seeds
-        c = sample_ensemble(config, 8, 16, master_seed=6)
-        assert a.member_seeds != c.member_seeds
+        jam = deterministic_jammer((1, 0), config.spec.w.shape[1])
+        a = certify_ensemble(config, 8, [jam], 2, 1, 0.5, 5, k=16)
+        b = certify_ensemble(config, 8, [jam], 2, 1, 0.5, 5, k=16)
+        assert a == b
+        c = certify_ensemble(config, 8, [jam], 2, 1, 0.5, 6, k=16)
+        assert a.cells != c.cells
 
     def test_member_codeword_statistics_match_parent(self):
         # first codeword across many members is i.i.d. from the sampling pmf
@@ -38,9 +42,9 @@ class TestEnsemble:
         family = CodebookFamily(config)
         n = 8
         t_y = nearest_type(np.array([0.5, 0.5]), n)
-        e = sample_ensemble(config, n, k=1000, master_seed=9)
+        master = derive_seed(9, "ensemble")
         data = family.type_data(t_y)
-        rows = np.stack([Codebook(data, s).matrix()[0] for s in e.member_seeds])
+        rows = np.stack([Codebook(data, derive_seed(master, "member", i)).matrix()[0] for i in range(1000)])
         p1 = float((t_y.probabilities @ config.policy.p_u_given_y)[1])
         freq = float(np.mean(rows))
         sigma = math.sqrt(p1 * (1 - p1) / rows.size)
@@ -55,18 +59,16 @@ class TestCertification:
         from avrs.model import AuxiliaryPolicy
 
         policy = AuxiliaryPolicy(np.array([[1.0]]), np.array([[0, 1]]))
-        config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=32))
-        e = sample_ensemble(config, 8, k=4, master_seed=0)
+        config = SessionConfig(spec, policy, eps=0.3, size_cap=32)
         jam = deterministic_jammer((0, 1), spec.w.shape[1])
-        report = certify_ensemble(e, [jam], x_count=1, trials_per_member=2, mu=0.02, seed=1)
+        report = certify_ensemble(config, 8, [jam], x_count=1, trials_per_member=2, mu=0.02, seed=1, k=4)
         assert report.max_excess == 0.0
         assert report.passed
 
     def test_singleton_max_equals_cell(self):
         config = small_config()
-        e = sample_ensemble(config, 8, k=8, master_seed=2)
         jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
-        report = certify_ensemble(e, [jam], x_count=1, trials_per_member=2, mu=0.5, seed=4)
+        report = certify_ensemble(config, 8, [jam], x_count=1, trials_per_member=2, mu=0.5, seed=4, k=8)
         assert len(report.cells) == 1
         assert report.max_excess == report.cells[0].excess
 
@@ -74,27 +76,20 @@ class TestCertification:
         config = small_config()
         jam = deterministic_jammer((1, 1), config.spec.w.shape[1])
         n = 8
-        e1 = sample_ensemble(config, n, k=1, master_seed=7)
-        ek = sample_ensemble(config, n, k=n * n, master_seed=7)
-        r1 = certify_ensemble(e1, [jam], x_count=1, trials_per_member=64, mu=9.0, seed=5)
-        rk = certify_ensemble(ek, [jam], x_count=1, trials_per_member=1, mu=9.0, seed=5)
+        r1 = certify_ensemble(config, n, [jam], x_count=1, trials_per_member=64, mu=9.0, seed=5, k=1)
+        rk = certify_ensemble(config, n, [jam], x_count=1, trials_per_member=1, mu=9.0, seed=5)
         slack = 3 * math.hypot(r1.cells[0].std_error, rk.cells[0].std_error)
         assert rk.max_excess <= r1.max_excess + slack
 
 
 class TestStochasticCode:
     def test_rate_overhead_closed_form(self):
-        config = small_config()
-        e = sample_ensemble(config, n=100, k=100 * 100, master_seed=0)
-        expected = 2 * math.log2(100) / 100
-        assert abs(e.rate_overhead - expected) < 1e-15
-        assert e.index_bits == 14  # ceil(log2(10^4)) physical header bits
+        rate_overhead, index_bits = index_cost(100 * 100, 100)
+        assert abs(rate_overhead - 2 * math.log2(100) / 100) < 1e-15
+        assert index_bits == 14  # ceil(log2(10^4)) physical header bits
 
     def test_k_one_costs_nothing(self):
-        config = small_config()
-        e = sample_ensemble(config, n=16, k=1, master_seed=0)
-        assert e.rate_overhead == 0.0
-        assert e.index_bits == 0
+        assert index_cost(1, 16) == (0.0, 0)
 
 
 class TestPinnedCodebooks:

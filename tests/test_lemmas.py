@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avrs.adversary import deterministic_jammer
-from avrs.coding import CodingParams, SessionConfig
+from avrs.coding import SessionConfig
 from avrs.errors import UsageError
 from avrs.lemmas import (
     run_conditional_typicality,
@@ -25,7 +25,7 @@ def covering_config():
     return SessionConfig(
         spec,
         noisy_policy(spec, stay=0.9),
-        CodingParams(eps=0.2, delta2=0.15, gamma=0.25, f_eps=0.1, size_cap=2048),
+        eps=0.2, delta2=0.15, gamma=0.25, f_eps=0.1, size_cap=2048,
     )
 
 
@@ -36,7 +36,7 @@ def packing_config():
     return SessionConfig(
         spec,
         noisy_policy(spec, stay=0.9),
-        CodingParams(eps=1.7, delta2=0.2, gamma=0.1, f_eps=0.1, size_cap=4096),
+        eps=1.7, delta2=0.2, gamma=0.1, f_eps=0.1, size_cap=4096,
     )
 
 
@@ -45,7 +45,7 @@ def markov_config():
     return SessionConfig(
         spec,
         noisy_policy(spec, stay=0.9),
-        CodingParams(eps=0.2, delta2=0.2, gamma=0.25, f_eps=0.1, size_cap=2048),
+        eps=0.2, delta2=0.2, gamma=0.25, f_eps=0.1, size_cap=2048,
     )
 
 
@@ -118,7 +118,7 @@ class TestCovering:
         loose = SessionConfig(
             config.spec,
             config.policy,
-            CodingParams(eps=0.2, delta2=1.0, gamma=0.25, f_eps=0.1, size_cap=256),
+            eps=0.2, delta2=1.0, gamma=0.25, f_eps=0.1, size_cap=256,
         )
         res = run_covering(loose, nearest_type(np.array([0.5, 0.5]), 12), trials=200, seed=4)
         assert res.empirical == 1.0
@@ -136,8 +136,7 @@ class TestCovering:
             run_covering(config, nearest_type(np.array([0.5, 0.5]), n), trials=600, seed=6)
             for n in (8, 16, 32)
         ]
-        tc = trend_check(results, decreasing=False)
-        assert tc.ok, (tc.values, tc.sigmas)
+        assert trend_check(results, decreasing=False), [(r.empirical, r.sigma) for r in results]
 
 
 class TestPacking:
@@ -146,7 +145,7 @@ class TestPacking:
         wide = SessionConfig(
             config.spec,
             config.policy,
-            CodingParams(eps=1.7, delta2=0.2, gamma=1.0, f_eps=1.0, size_cap=256),
+            eps=1.7, delta2=0.2, gamma=1.0, f_eps=1.0, size_cap=256,
         )
         jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         res = run_packing(wide, jam, n=12, trials=200, seed=7)
@@ -157,7 +156,7 @@ class TestPacking:
         tight = SessionConfig(
             config.spec,
             config.policy,
-            CodingParams(eps=1.7, delta2=0.2, gamma=0.0, f_eps=0.1, size_cap=256),
+            eps=1.7, delta2=0.2, gamma=0.0, f_eps=0.1, size_cap=256,
         )
         jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
         res = run_packing(tight, jam, n=9, trials=300, seed=8)
@@ -176,8 +175,7 @@ class TestPacking:
         results = [
             run_packing(config, jam, n, trials=1500, seed=11) for n in (8, 16, 32)
         ]
-        tc = trend_check(results, decreasing=True)
-        assert tc.ok, (tc.values, tc.sigmas)
+        assert trend_check(results, decreasing=True), [(r.empirical, r.sigma) for r in results]
 
 
 class TestSharedTypeCache:
@@ -206,7 +204,7 @@ class TestMarkovConclusion:
     def test_deterministic_pipeline_never_violates(self):
         spec = identity_z_spec()
         policy = AuxiliaryPolicy(np.array([[1.0]]), np.array([[0, 1]]))
-        config = SessionConfig(spec, policy, CodingParams(eps=0.3, size_cap=32))
+        config = SessionConfig(spec, policy, eps=0.3, size_cap=32)
         jam = deterministic_jammer((0, 0), spec.w.shape[1])
         res = run_markov_conclusion(config, jam, n=32, delta4=0.35, trials=200, seed=9)
         assert res.empirical == 0.0
@@ -225,8 +223,7 @@ class TestMarkovConclusion:
             run_markov_conclusion(config, jam, n, 0.2, trials=500, seed=12)
             for n in (8, 16, 32)
         ]
-        tc = trend_check(results, decreasing=True)
-        assert tc.ok, (tc.values, tc.sigmas)
+        assert trend_check(results, decreasing=True), [(r.empirical, r.sigma) for r in results]
 
     def test_negative_delta4_refused(self):
         config = markov_config()
