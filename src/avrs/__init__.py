@@ -23,7 +23,7 @@ from .model import (
     load_policy,
     load_problem_spec,
 )
-from .games import BilinearGame, GameResult, solve_bilinear_game
+from .games import GameResult, solve_bilinear_game
 from .bounds import (
     BoundReport,
     GridConfig,

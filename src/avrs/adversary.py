@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Jammer",
     "deterministic_jammer",
+    "trivial_jammer",
     "sample_jamming",
     "fixed_vector_jammer",
     "deterministic_jammer_family",
@@ -53,6 +54,12 @@ def deterministic_jammer(mapping, j_size: int, descriptor: str = "deterministic"
     """The jammer that sends j = mapping[x], as one-hot rows over ``j_size``
     jamming symbols."""
     return Jammer(np.eye(j_size)[index_table(mapping, "deterministic jammer map", j_size)], descriptor)
+
+
+def trivial_jammer(spec) -> Jammer:
+    """The jammer that always sends the first jamming symbol."""
+    nx, nj = spec.w.shape[:2]
+    return deterministic_jammer((0,) * nx, nj, "trivial")
 
 
 def fixed_vector_jammer(vector, x_size: int, j_size: int, label: str) -> Jammer:

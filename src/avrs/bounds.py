@@ -43,7 +43,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InfeasibleDistortionError, UsageError
-from .games import BilinearGame, GameResult, solve_bilinear_game
+from .games import GameResult, solve_bilinear_game
 from .model import AuxiliaryPolicy, ProblemSpec
 from .mtypes import TypeTable, compositions, consistent_kernels, deterministic_maps
 from .probability import mutual_information_bits, xlog2x
@@ -194,8 +194,7 @@ def minimax_distortion_game(spec: ProblemSpec, observe_y: bool) -> GameResult:
     # payoff[(ctx, xhat), (x, j)] = p(x) w(ctx|x,j) d(x, xhat)
     b = np.einsum("x,xjc,xh->chxj", spec.p_x, w_ctx, spec.d)
     matrix = b.reshape(n_ctx * nh, nx * nj)
-    game = BilinearGame(matrix, (nh,) * n_ctx, (nj,) * nx)
-    return solve_bilinear_game(game)
+    return solve_bilinear_game(matrix, (nh,) * n_ctx, (nj,) * nx)
 
 
 # ---------------------------------------------------------------------------

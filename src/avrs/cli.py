@@ -26,35 +26,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adversary import (
-    Jammer,
-    deterministic_jammer,
-    deterministic_jammer_family,
-    load_jammers,
-    worst_case_search,
-)
+from .adversary import deterministic_jammer_family, load_jammers, trivial_jammer, worst_case_search
 from .bounds import GridConfig, compute_bound_report
 from .coding import SessionConfig, sample_typical_sources, simulate_session, simulate_sessions
 from .derandomize import certify_ensemble
 from .errors import AvrsError, ConfigurationError, UsageError
-from .lemmas import (
-    LADDER_COLUMNS,
-    HarnessResult,
-    ladder_rows,
-    run_conditional_typicality,
-    run_covering,
-    run_markov_conclusion,
-    run_packing,
-)
+from .lemmas import HARNESSES, LADDER_COLUMNS, ladder_rows, run_rung
 from .model import load_policy, load_problem_spec
-from .mtypes import nearest_type
 from .rng import derive_seed, philox_stream, sample_indices
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_RUNTIME = 3
-
-_HARNESSES = ("cond-typicality", "covering", "packing", "markov")
 
 
 def _file_fingerprint(path_str: str) -> str:
@@ -175,16 +158,10 @@ def _parallel_map(fn, items: list, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _trivial_jammer(spec) -> Jammer:
-    """The jammer that always sends the first jamming symbol."""
-    nx, nj = spec.w.shape[:2]
-    return deterministic_jammer((0,) * nx, nj, "trivial")
-
-
 def _resolve_jammers(name_or_path: str, config: SessionConfig, n: int, seed: int, budget: int):
     spec = config.spec
     if name_or_path == "trivial":
-        return [_trivial_jammer(spec)]
+        return [trivial_jammer(spec)]
     if name_or_path == "all-deterministic":
         return deterministic_jammer_family(spec)
     if name_or_path == "greedy-search":
@@ -212,6 +189,9 @@ def _coding_config(args: argparse.Namespace) -> SessionConfig:
 
 
 def cmd_bounds(args: argparse.Namespace) -> dict:
+    ratio = args.coarse_step / args.refine_step
+    if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
+        raise UsageError("--refine-step must divide --coarse-step")
     spec = load_problem_spec(args.spec)
     grid = GridConfig(coarse_step=args.coarse_step, refine_step=args.refine_step, refine=not args.no_refine)
     if args.d_grid is not None:
@@ -297,33 +277,13 @@ def cmd_derandomize(args: argparse.Namespace) -> dict:
 
 def cmd_lemmas(args: argparse.Namespace) -> dict:
     config = _coding_config(args)
-    spec = config.spec
     ns = _parse_list(args.n_ladder, _positive, "--n-ladder")
-    selected = set(args.harness) if args.harness else set(_HARNESSES)
-    if "all" in selected:
-        selected = set(_HARNESSES)
-    trivial_jam = _trivial_jammer(spec)
-    w_ts = spec.w.sum(axis=3)[:, 0, :]  # p(y | x) with the first jamming symbol
-    p_y = np.einsum("x,xy->y", spec.p_x, w_ts)
+    harnesses = HARNESSES if not args.harness or "all" in args.harness else args.harness
 
-    def run_for_n(n: int) -> list[HarnessResult]:
-        def seed(label: str) -> int:
-            return derive_seed(args.seed, label, n)
+    def rung(n: int) -> list:
+        return run_rung(config, n, harnesses, args.trials, args.delta0, args.delta4, args.seed)
 
-        trials = args.trials
-        runs = {
-            "cond-typicality": lambda: run_conditional_typicality(
-                spec.p_x, w_ts, n, args.delta0, trials, seed("ct")
-            ),
-            "covering": lambda: run_covering(config, nearest_type(p_y, n), trials, seed("cov")),
-            "packing": lambda: run_packing(config, trivial_jam, n, trials, seed("pk")),
-            "markov": lambda: run_markov_conclusion(
-                config, trivial_jam, n, args.delta4, trials, seed("mk")
-            ),
-        }
-        return [runs[h]() for h in _HARNESSES if h in selected] if trials >= 1 else []
-
-    results = [res for chunk in _parallel_map(run_for_n, ns, args.threads) for res in chunk]
+    results = [res for chunk in _parallel_map(rung, ns, args.threads) for res in chunk]
     return {"lemmas.csv": (LADDER_COLUMNS, ladder_rows(results))}
 
 
@@ -404,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     # the harnesses run at each --n-ladder length against the trivial jammer
     _add_coding(p, recorded=" (only recorded in the metadata line of lemmas.csv)")
-    p.add_argument("--harness", action="append", choices=_HARNESSES + ("all",))
+    p.add_argument("--harness", action="append", choices=HARNESSES + ("all",))
     p.add_argument("--n-ladder", default="8,16,32", help="comma-separated blocklengths of the rungs")
     p.add_argument("--trials", type=_count, default=400)
     p.add_argument("--delta0", type=_positive_float, default=0.1)

@@ -17,36 +17,10 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 
-__all__ = ["BilinearGame", "GameResult", "solve_bilinear_game"]
+__all__ = ["GameResult", "solve_bilinear_game"]
 
 # Pivot and optimality tolerance on the payoff scaled to [0, 1].
 _EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class BilinearGame:
-    """payoff(sigma, q) = sigma' @ matrix @ q' where sigma' and q' are the
-    concatenated per-block pmfs of the minimizing and maximizing player."""
-
-    matrix: np.ndarray
-    min_blocks: tuple[int, ...]
-    max_blocks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if not np.all(np.isfinite(m)):
-            raise NumericError("game payoff matrix has non-finite entries")
-        if m.shape != (sum(self.min_blocks), sum(self.max_blocks)):
-            raise UsageError(
-                f"payoff matrix shape {m.shape} does not match block sizes "
-                f"{self.min_blocks} x {self.max_blocks}"
-            )
-        if any(b < 1 for b in self.min_blocks) or any(b < 1 for b in self.max_blocks):
-            raise UsageError("every simplex block must have size >= 1")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "min_blocks", tuple(self.min_blocks))
-        object.__setattr__(self, "max_blocks", tuple(self.max_blocks))
 
 
 @dataclass(frozen=True)
@@ -73,8 +47,11 @@ def _block_pmfs(x: np.ndarray, blocks: tuple[int, ...]) -> tuple[np.ndarray, ...
     return tuple(p / p.sum() if p.sum() > 0 else np.full(p.size, 1.0 / p.size) for p in parts)
 
 
-def solve_bilinear_game(game: BilinearGame) -> GameResult:
-    """Solve min over sigma, max over q of sigma' M q exactly.
+def solve_bilinear_game(matrix, min_blocks: tuple[int, ...], max_blocks: tuple[int, ...]) -> GameResult:
+    """Solve min over sigma, max over q of sigma' M q exactly, where sigma
+    and q are the concatenated per-block pmfs of the minimizing and the
+    maximizing player: M = ``matrix`` has one row per coordinate of the
+    ``min_blocks`` and one column per coordinate of the ``max_blocks``.
 
     With M' = M - min(M, 0) >= 0 (a shift of the value by a constant), the
     maximizer solves
@@ -89,9 +66,17 @@ def solve_bilinear_game(game: BilinearGame) -> GameResult:
     tied ratios) rules out cycling.  The minimizer's sigma is the dual
     solution: the reduced costs of the first dim_min slacks.
     """
-    m = game.matrix
+    m = np.ascontiguousarray(matrix, dtype=np.float64)
+    if not np.all(np.isfinite(m)):
+        raise NumericError("game payoff matrix has non-finite entries")
+    if m.shape != (sum(min_blocks), sum(max_blocks)):
+        raise UsageError(
+            f"payoff matrix shape {m.shape} does not match block sizes {min_blocks} x {max_blocks}"
+        )
+    if any(b < 1 for b in min_blocks + max_blocks):
+        raise UsageError("every simplex block must have size >= 1")
     n_min, n_max = m.shape
-    n_c, n_x = len(game.min_blocks), len(game.max_blocks)
+    n_c, n_x = len(min_blocks), len(max_blocks)
     shifted = m - min(m.min(), 0.0)
     if shifted.max() > 0:  # scale so that one tolerance fits every game
         shifted = shifted / shifted.max()
@@ -100,8 +85,8 @@ def solve_bilinear_game(game: BilinearGame) -> GameResult:
     # tableau rows: constraints, then the objective row z - sum_c s_c = 0
     t = np.zeros((rows + 1, cols + 1))
     t[:n_min, :n_max] = -shifted
-    t[np.arange(n_min), n_max + np.repeat(np.arange(n_c), game.min_blocks)] = 1.0
-    t[n_min + np.repeat(np.arange(n_x), game.max_blocks), np.arange(n_max)] = 1.0
+    t[np.arange(n_min), n_max + np.repeat(np.arange(n_c), min_blocks)] = 1.0
+    t[n_min + np.repeat(np.arange(n_x), max_blocks), np.arange(n_max)] = 1.0
     t[:rows, n_max + n_c : cols] = np.eye(rows)
     t[n_min:rows, -1] = 1.0
     t[-1, n_max : n_max + n_c] = -1.0
@@ -126,11 +111,11 @@ def solve_bilinear_game(game: BilinearGame) -> GameResult:
         pivots += 1
     primal = np.zeros(cols)
     primal[basis] = t[:rows, -1]
-    sigma = _block_pmfs(t[-1, n_max + n_c : n_max + n_c + n_min], game.min_blocks)
-    q = _block_pmfs(primal[:n_max], game.max_blocks)
+    sigma = _block_pmfs(t[-1, n_max + n_c : n_max + n_c + n_min], min_blocks)
+    q = _block_pmfs(primal[:n_max], max_blocks)
     # certificate against the original payoff
-    max_starts = np.cumsum((0,) + game.max_blocks[:-1])
-    min_starts = np.cumsum((0,) + game.min_blocks[:-1])
+    max_starts = np.cumsum((0,) + max_blocks[:-1])
+    min_starts = np.cumsum((0,) + min_blocks[:-1])
     upper = float(np.maximum.reduceat(np.concatenate(sigma) @ m, max_starts).sum())
     lower = float(np.minimum.reduceat(m @ np.concatenate(q), min_starts).sum())
     return GameResult(

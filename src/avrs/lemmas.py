@@ -1,13 +1,16 @@
 """Statistical harnesses for the typicality, covering, packing and Markov-
-chain concentration statements behind the coding scheme.
+chain concentration statements behind the coding scheme, and the rungs of a
+blocklength ladder that run them.
 
-Every harness reports the empirical value together with the closed-form
-bound when one exists, the binomial standard error and the sample size, and
-never asserts anything sharper than three standard errors.  Bounds that
-evaluate above one at the requested blocklength are flagged vacuous rather
-than silently passing.  Where the underlying statements only assert the
-existence of positive exponents, the harness measures the empirical
-exponent instead of assuming a value.
+Every harness counts its hits over its trials and reports them with the
+closed-form bound when one exists; the empirical frequency, the binomial
+standard error and the verdict are derived from those counts, and no
+verdict is sharper than three standard errors.  Bounds that evaluate above
+one at the requested blocklength are flagged vacuous rather than silently
+passing.  Where the underlying statements only assert the existence of
+positive exponents, the harness measures the empirical exponent instead of
+assuming a value.  ``run_rung`` owns a rung: which harnesses it runs, in
+which order, on which seeds and j = 0 inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import Codebook, SessionConfig, encode, simulate_sessions
-from .adversary import Jammer
+from .adversary import Jammer, trivial_jammer
 from .errors import UsageError
 from .mtypes import TYPE_TOL, TypeTable, nearest_type, pair_counts, type_template
 from .rng import cumulative, derive_seed, inverse_cdf, philox_stream, sample_indices
@@ -30,14 +33,15 @@ __all__ = [
     "run_covering",
     "run_packing",
     "run_markov_conclusion",
+    "run_rung",
     "ladder_rows",
 ]
 
 
 @dataclass(frozen=True)
 class HarnessResult:
-    """One harness measurement: empirical frequency, bound (if any), the
-    binomial standard error, and whether the bound is vacuous (>= 1).
+    """One harness measurement: the hits among the trials, and the
+    closed-form bound on their frequency, if any.
 
     ``verdict`` is "n/a" without a bound, "vacuous" for a vacuous one, and
     otherwise "pass" when the frequency stays within three standard errors
@@ -45,11 +49,28 @@ class HarnessResult:
 
     name: str
     n: int
-    empirical: float
-    bound: float | None
-    sigma: float
+    hits: int
     trials: int
-    vacuous: bool
+    bound: float | None
+
+    @property
+    def empirical(self) -> float:
+        """The hit frequency; 0.0 without trials."""
+        return self.hits / self.trials if self.trials else 0.0
+
+    @property
+    def sigma(self) -> float:
+        """The plug-in binomial standard error of ``empirical``; 0.0 below
+        two trials."""
+        if self.trials <= 1:
+            return 0.0
+        p_hat = self.empirical
+        return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / self.trials)
+
+    @property
+    def vacuous(self) -> bool:
+        """Whether the bound is at least one, so that it asserts nothing."""
+        return self.bound is not None and self.bound >= 1.0
 
     @property
     def verdict(self) -> str:
@@ -58,12 +79,6 @@ class HarnessResult:
         if self.vacuous:
             return "vacuous"
         return "pass" if self.empirical <= self.bound + 3.0 * self.sigma else "fail"
-
-
-def _binomial_sigma(p_hat: float, trials: int) -> float:
-    if trials <= 1:
-        return 0.0
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
 
 
 def trend_check(results: list[HarnessResult], decreasing: bool = True) -> bool:
@@ -111,11 +126,9 @@ def run_conditional_typicality(
     outputs = inverse_cdf(cumulative(w_ts[s]), uniforms)
     counts = pair_counts(np.broadcast_to(s, (trials, 1, n)), outputs, ns, nt)[:, 0]
     dev = np.abs(counts / n - joint_target).max(axis=(1, 2))
-    rate = int((dev > 3.0 * delta0 + TYPE_TOL).sum()) / trials
+    violations = int((dev > 3.0 * delta0 + TYPE_TOL).sum())
     bound = ns * nt * math.exp(-2.0 * n * delta0**3)
-    return HarnessResult(
-        "conditional-typicality", n, rate, bound, _binomial_sigma(rate, trials), trials, bound >= 1.0
-    )
+    return HarnessResult("conditional-typicality", n, violations, trials, bound)
 
 
 def run_covering(
@@ -134,8 +147,7 @@ def run_covering(
         cb = Codebook(data, derive_seed(seed, "code", t))
         res = encode(gen.permutation(template), cb, config.delta2, philox_stream(seed, "enc", t))
         successes += 0 if res.fallback_used else 1
-    rate = successes / trials
-    return HarnessResult("covering", n, rate, None, _binomial_sigma(rate, trials), trials, False)
+    return HarnessResult("covering", n, successes, trials, None)
 
 
 def run_packing(
@@ -146,7 +158,8 @@ def run_packing(
     seed: int,
 ) -> HarnessResult:
     """Frequency, among sessions whose encoder succeeded, that some other
-    codeword of the sent bin also lands in the decoder's list."""
+    codeword of the sent bin also lands in the decoder's list: the trials
+    of the result are those sessions."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
     spec = config.spec
@@ -156,10 +169,7 @@ def run_packing(
     batch = simulate_sessions(xs, jammer, config, seeds)
     effective = int((~batch.e_enc).sum())
     false_candidates = int((~batch.e_enc & batch.e_dec2).sum())
-    rate = false_candidates / effective if effective else 0.0
-    return HarnessResult(
-        "packing", n, rate, None, _binomial_sigma(rate, effective), effective, False
-    )
+    return HarnessResult("packing", n, false_candidates, effective, None)
 
 
 def run_markov_conclusion(
@@ -175,44 +185,74 @@ def run_markov_conclusion(
     jamming conditional type.
 
     Conditioning rows for source symbols that never occur in x fall back to
-    the marginal type of j, a fixed convention recorded here.
+    the marginal type of j, a fixed convention recorded here.  All trials
+    are checked at once, on (trials, X, J, Y, Z, U) arrays of chain-law
+    targets and five-tuple counts.
     """
     if delta4 < 0:
         raise UsageError("delta4 must be >= 0")
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    spec, policy = config.spec, config.policy
-    nx, nj, ny, nz = spec.w.shape
-    nu = policy.p_u_given_y.shape[1]
-    gen = philox_stream(seed, "markov-sources")
-    x_block = sample_indices(gen, spec.p_x, (trials, n))
+    spec = config.spec
+    nx, nj = spec.w.shape[:2]
+    x_block = sample_indices(philox_stream(seed, "markov-sources"), spec.p_x, (trials, n))
     seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
     batch = simulate_sessions(x_block, jammer, config, seeds)
-    violations = 0
-    for xs, js, ys, zs, us in zip(batch.x, batch.j, batch.y, batch.z, batch.u_encoded):
-        pair = pair_counts(xs[None, :], js, nx, nj)[0]
-        x_counts = pair.sum(axis=1)
-        t_j_given_x = np.empty((nx, nj))
-        marg = pair.sum(axis=0) / n
-        for a in range(nx):
-            t_j_given_x[a] = pair[a] / x_counts[a] if x_counts[a] > 0 else marg
-        target = np.einsum(
-            "x,xj,xjyz,yu->xjyzu",
-            spec.p_x,
-            t_j_given_x,
-            spec.w,
-            policy.p_u_given_y,
-            optimize=True,
-        )
-        comp = (((xs * nj + js) * ny + ys) * nz + zs) * nu + us
-        counts = np.bincount(comp, minlength=nx * nj * ny * nz * nu).reshape(nx, nj, ny, nz, nu)
-        dev = np.abs(counts / n - target).max()
-        if dev > delta4 + TYPE_TOL:
-            violations += 1
-    rate = violations / trials
-    return HarnessResult(
-        "markov-conclusion", n, rate, None, _binomial_sigma(rate, trials), trials, False
+    pair = pair_counts(batch.x[:, None, :], batch.j, nx, nj)[:, 0]
+    x_counts = pair.sum(axis=2, keepdims=True)
+    t_j_given_x = np.where(x_counts > 0, pair / np.maximum(x_counts, 1), pair.sum(axis=1, keepdims=True) / n)
+    target = np.einsum(
+        "x,txj,xjyz,yu->txjyzu", spec.p_x, t_j_given_x, spec.w, config.policy.p_u_given_y, optimize=True
     )
+    cells = np.ravel_multi_index(
+        (np.arange(trials)[:, None], batch.x, batch.j, batch.y, batch.z, batch.u_encoded),
+        target.shape,
+    )
+    counts = np.bincount(cells.ravel(), minlength=target.size).reshape(target.shape)
+    dev = np.abs(counts / n - target).reshape(trials, -1).max(axis=1)
+    violations = int((dev > delta4 + TYPE_TOL).sum())
+    return HarnessResult("markov-conclusion", n, violations, trials, None)
+
+
+# the --harness choice names, in the order a rung runs them
+HARNESSES = ("cond-typicality", "covering", "packing", "markov")
+
+
+def run_rung(
+    config: SessionConfig,
+    n: int,
+    harnesses,
+    trials: int,
+    delta0: float,
+    delta4: float,
+    seed: int,
+) -> list[HarnessResult]:
+    """The results of one ladder rung at blocklength n: each harness whose
+    choice name is in ``harnesses``, in HARNESSES order, none when
+    ``trials`` is 0.
+
+    Every harness runs at j = 0: against the trivial jammer, or on the
+    channel p(y|x) with the first jamming symbol, covering the type class
+    nearest its output law.  Harness h draws from derive_seed(seed, label,
+    n), its label being "ct", "cov", "pk" or "mk".
+    """
+    spec = config.spec
+    jammer = trivial_jammer(spec)
+    w_ts = spec.w.sum(axis=3)[:, 0, :]  # p(y | x) with the first jamming symbol
+    p_y = np.einsum("x,xy->y", spec.p_x, w_ts)
+    # each harness is looked up when called, so a replaced module attribute
+    # (a profiler's wrapper, say) is the one that runs
+    runs = {
+        "cond-typicality": lambda: run_conditional_typicality(
+            spec.p_x, w_ts, n, delta0, trials, derive_seed(seed, "ct", n)
+        ),
+        "covering": lambda: run_covering(config, nearest_type(p_y, n), trials, derive_seed(seed, "cov", n)),
+        "packing": lambda: run_packing(config, jammer, n, trials, derive_seed(seed, "pk", n)),
+        "markov": lambda: run_markov_conclusion(
+            config, jammer, n, delta4, trials, derive_seed(seed, "mk", n)
+        ),
+    }
+    return [runs[h]() for h in HARNESSES if h in harnesses] if trials >= 1 else []
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,16 @@ def wz_spec(flip_y=0.1, jam_extra=0.25, flip_z=0.2) -> ProblemSpec:
     return make_spec([0.5, 0.5], k, [[0, 1], [1, 0]])
 
 
+def binary_wz_spec(p0=0.25) -> ProblemSpec:
+    """The binary Wyner-Ziv instance: no jammer (|J| = 1), Y = X a uniform
+    bit, Z the output of a BSC(p0) fed with X, Hamming distortion."""
+    k = np.zeros((2, 1, 2, 2))
+    for x in range(2):
+        for z in range(2):
+            k[x, 0, x, z] = 1 - p0 if z == x else p0
+    return make_spec([0.5, 0.5], k, [[0, 1], [1, 0]])
+
+
 def blind_y_spec() -> ProblemSpec:
     """Y is independent of X and of the jammer, so I(U;Y|Z) = 0 for every
     policy and jammer; Z is a jammed noisy copy of X."""

@@ -158,6 +158,38 @@ def r_lower_point_oracle(solver, distortion: float) -> tuple:
     return value, solver._uncertainty(value, v0), best_p, zeta, best_q
 
 
+def binary_wyner_ziv_rate(d: float, p0: float) -> float:
+    """Wyner-Ziv rate function, in bits, of a uniform bit X described under
+    Hamming distortion to a decoder that sees X through a BSC(p0), p0 <= 1/2.
+
+    It is the lower convex envelope of g(D) = h(p0 * D) - h(D), with
+    a * b = a(1 - b) + b(1 - a), and of the point (p0, 0): the curve up to
+    the point beta where the line from (p0, 0) touches it, that line beyond.
+    The touching point minimizes the line's steepness g(beta) / (p0 - beta)
+    over [0, p0), found by golden-section search (the ratio is unimodal).
+    Wyner and Ziv, IEEE Trans. Inf. Theory 22 (1976), Sec. II.
+    """
+    if d >= p0:
+        return 0.0
+
+    def h(p: float) -> float:
+        return -p * math.log2(p) - (1 - p) * math.log2(1 - p) if 0 < p < 1 else 0.0
+
+    def g(b: float) -> float:
+        return h(p0 * (1 - b) + b * (1 - p0)) - h(b)
+
+    lo, hi = 0.0, p0
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(200):
+        a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        if g(a) / (p0 - a) < g(b) / (p0 - b):
+            hi = b
+        else:
+            lo = a
+    beta = (lo + hi) / 2.0
+    return g(d) if d <= beta else g(beta) / (p0 - beta) * (p0 - d)
+
+
 def _supports(k):
     for size in range(1, k + 1):
         for combo in itertools.combinations(range(k), size):

@@ -21,7 +21,7 @@ from avrs.bounds import (
 from avrs.cli import main
 from avrs.coding import SessionConfig, simulate_session, simulate_sessions
 from avrs.derandomize import certify_ensemble, index_cost
-from avrs.games import BilinearGame, solve_bilinear_game
+from avrs.games import solve_bilinear_game
 from avrs.lemmas import run_conditional_typicality, run_covering, run_packing, trend_check
 from avrs.mtypes import nearest_type
 from avrs.rng import derive_seed, philox_stream
@@ -158,7 +158,7 @@ def test_criterion_4_game_solver_oracle():
     for _ in range(20):
         payoff = rng.random((3, 3))
         oracle = matrix_game_value_oracle(payoff)
-        res = solve_bilinear_game(BilinearGame(payoff, (3,), (3,)))
+        res = solve_bilinear_game(payoff, (3,), (3,))
         worst = max(worst, abs(res.value - oracle))
     ok = worst <= 1e-4
     _report(4, "game-solver oracle equivalence", ok, f"max_err={worst:.2e}")
@@ -229,9 +229,7 @@ def test_criterion_6_error_trends():
         run_covering(cfg_cov, nearest_type(np.array([0.5, 0.5]), n), trials=800, seed=61)
         for n in (8, 16, 32)
     ]
-    enc_fail = [
-        type(r)(r.name, r.n, 1.0 - r.empirical, None, r.sigma, r.trials, False) for r in cov
-    ]
+    enc_fail = [type(r)(r.name, r.n, r.trials - r.hits, r.trials, None) for r in cov]
     enc_trend = trend_check(enc_fail, decreasing=True)
 
     # packing: bins pinned at two codewords, per-codeword hits decay

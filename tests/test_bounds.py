@@ -21,6 +21,7 @@ from avrs.mtypes import TypeTable
 from avrs.model import load_problem_spec
 
 from conftest import (
+    binary_wz_spec,
     blind_y_spec,
     classical_spec,
     identity_policy,
@@ -33,6 +34,7 @@ from conftest import (
     xor_spec,
 )
 from oracles import (
+    binary_wyner_ziv_rate,
     info_matrix_oracle,
     min_e_over_zeta_oracle,
     r_lower_point_oracle,
@@ -241,6 +243,17 @@ class TestRateUpper:
         points = [solver.r_upper_point(lv) for lv in levels]
         for a, b in zip(points, points[1:]):
             assert b.value <= a.value + a.uncertainty + b.uncertainty
+
+    @pytest.mark.parametrize("u_size", [2, 3])
+    def test_binary_wyner_ziv_anchor(self, u_size):
+        # without a jammer the upper bound is the Wyner-Ziv rate over
+        # auxiliaries of size u_size, so it cannot fall below the closed form
+        # and, once refined, lies within its uncertainty of it
+        report = compute_bound_report(binary_wz_spec(0.25), [0.05, 0.1, 0.15, 0.2], GridConfig(), u_size, 2)
+        for point in report.points:
+            exact = binary_wyner_ziv_rate(point.d, 0.25)
+            assert point.r_upper >= exact - 1e-9, (point.d, point.r_upper, exact)
+            assert abs(point.r_upper - exact) <= point.uncertainty_upper, (point.d, point.r_upper, exact)
 
 
 class TestRateLower:
@@ -571,9 +584,9 @@ class TestBoundReport:
         spec = load_problem_spec(Path(__file__).parent / "data" / "spec_binary.json")
         calls = []
 
-        def counting(game):
+        def counting(*game):
             calls.append(game)
-            return solve_bilinear_game(game)
+            return solve_bilinear_game(*game)
 
         monkeypatch.setattr(avrs.bounds, "solve_bilinear_game", counting)
         report = compute_bound_report(

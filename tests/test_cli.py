@@ -14,6 +14,8 @@ from avrs.derandomize import CertificationCell, CertificationReport
 from avrs.model import load_policy, load_problem_spec
 from avrs.rng import derive_seed, philox_stream
 
+from test_hygiene import _tracer
+
 DATA = Path(__file__).parent / "data"
 SPEC = str(DATA / "spec_binary.json")
 POLICY = str(DATA / "policy_binary.json")
@@ -308,6 +310,21 @@ class TestLemmasCommand:
         assert main(args + other + ["--out-dir", str(b)]) == 0
         assert read_rows(a / "lemmas.csv") == read_rows(b / "lemmas.csv")
 
+    def test_benchmark_tracer_sees_every_harness(self, tmp_path):
+        # the benchmark times each harness by replacing its module attribute;
+        # a harness called past that attribute would read 0 s without error
+        args = [a for a in self.ARGS]
+        args[args.index("--n-ladder") + 1] = "8"
+        tracer = _tracer().Tracer()
+        tracer.install()
+        try:
+            assert main(args + ["--threads", "1", "--out-dir", str(tmp_path)]) == 0
+        finally:
+            tracer.uninstall()
+        names = [span[2] for span in tracer.spans]
+        harnesses = ("cond_typicality", "covering", "packing", "markov")
+        assert [names.count(f"lemmas.{h}") for h in harnesses] == [1, 1, 1, 1]
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self):
@@ -388,6 +405,8 @@ class TestRejectedValues:
             ("bounds", "--d-grid", "-0.5"),
             ("bounds", "--coarse-step", "0.3"),
             ("bounds", "--refine-step", "0.03"),
+            ("bounds", "--refine-step", "0.2"),
+            ("bounds", "--refine-step", "0.04"),
             ("simulate", "--eps", "nan"),
             ("simulate", "--gamma", "inf"),
             ("simulate", "--eps", "0"),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from avrs.adversary import deterministic_jammer
-from avrs.coding import SessionConfig
+from avrs.coding import SessionConfig, simulate_sessions
 from avrs.errors import UsageError
 from avrs.lemmas import (
+    HarnessResult,
     run_conditional_typicality,
     run_covering,
     run_markov_conclusion,
@@ -15,7 +16,7 @@ from avrs.lemmas import (
 )
 from avrs.model import AuxiliaryPolicy
 from avrs.mtypes import TYPE_TOL, nearest_type, type_template
-from avrs.rng import philox_stream, sample_rows
+from avrs.rng import derive_seed, philox_stream, sample_indices, sample_rows
 
 from conftest import identity_z_spec, noisy_policy, wz_spec
 
@@ -225,6 +226,38 @@ class TestMarkovConclusion:
         ]
         assert trend_check(results, decreasing=True), [(r.empirical, r.sigma) for r in results]
 
+    def test_equals_the_trial_by_trial_loop(self):
+        # the reference builds each trial's conditional type, chain law and
+        # five-tuple counts on its own, on the sessions the harness runs
+        config = markov_config()
+        spec, p_u = config.spec, config.policy.p_u_given_y
+        nx, nj = spec.w.shape[:2]
+        n, delta4, trials, seed = 11, 0.2, 200, 21
+        jam = deterministic_jammer((0, 0), nj)
+        xs = sample_indices(philox_stream(seed, "markov-sources"), spec.p_x, (trials, n))
+        batch = simulate_sessions(xs, jam, config, [derive_seed(seed, "trial", t) for t in range(trials)])
+        violations = 0
+        for x, j, y, z, u in zip(batch.x, batch.j, batch.y, batch.z, batch.u_encoded):
+            marginal = np.bincount(j, minlength=nj) / n
+            cond = np.array(
+                [
+                    np.bincount(j[x == a], minlength=nj) / (x == a).sum() if (x == a).any() else marginal
+                    for a in range(nx)
+                ]
+            )
+            target = (
+                spec.p_x[:, None, None, None, None]
+                * cond[:, :, None, None, None]
+                * spec.w[..., None]
+                * p_u[None, None, :, None, :]
+            )
+            counts = np.zeros(target.shape)
+            np.add.at(counts, (x, j, y, z, u), 1)
+            violations += int(np.abs(counts / n - target).max() > delta4 + TYPE_TOL)
+        assert 0 < violations < trials
+        res = run_markov_conclusion(config, jam, n, delta4, trials, seed)
+        assert (res.hits, res.trials) == (violations, trials)
+
     def test_negative_delta4_refused(self):
         config = markov_config()
         jam = deterministic_jammer((0, 0), config.spec.w.shape[1])
@@ -241,3 +274,11 @@ class TestHarnessContract:
         assert res.trials == 100
         assert res.sigma >= 0.0
         assert res.bound is not None
+
+    def test_values_derive_from_the_counts(self):
+        res = HarnessResult("h", 8, 3, 12, 0.1)
+        assert (res.empirical, res.sigma, res.vacuous) == (0.25, math.sqrt(0.25 * 0.75 / 12), False)
+        empty = HarnessResult("h", 8, 0, 0, None)
+        assert (empty.empirical, empty.sigma, empty.verdict) == (0.0, 0.0, "n/a")
+        single = HarnessResult("h", 8, 1, 1, 1.0)
+        assert (single.sigma, single.vacuous, single.verdict) == (0.0, True, "vacuous")
